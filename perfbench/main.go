@@ -104,24 +104,28 @@ var perLayerMetrics = func() []metricDef {
 // workload and --seconds alone, never by elapsed time.
 type workloadSpec struct {
 	name string
-	// opsPerSecond is the nominal op rate on the reference box (2 CPUs);
-	// a run holds seconds×opsPerSecond ops, at least minOps.
+	// opsPerSecond sizes a run: it holds seconds×opsPerSecond ops, at
+	// least minOps. paper-regen's rate is above what a 2-CPU box delivers
+	// so that a run holds 200 ops, enough for a steady op_ms.p90.
 	opsPerSecond float64
 	// traceShare is the fraction of those ops each pass of a traced run
 	// holds (at least traceMin).
 	traceShare float64
 	traceMin   int
+	// mixedOps marks a workload whose ops differ in the work they do,
+	// so that the op-time tail is the program's, not the host's.
+	mixedOps bool
 }
 
 const minOps = 100
 
 var workloads = []workloadSpec{
-	{name: "paper-regen", opsPerSecond: 8, traceShare: 0.25, traceMin: 20},
+	{name: "paper-regen", opsPerSecond: 10, traceShare: 0.125, traceMin: 20},
 	// sweep-cold attempts every planned cell once whatever --seconds says,
 	// so the op mix never depends on which cells fail.
-	{name: "sweep-cold"},
-	{name: "sweep-warm", opsPerSecond: 35, traceShare: 0.25, traceMin: 20},
-	{name: "fleet-ingest", opsPerSecond: 8, traceShare: 0.5, traceMin: 50},
+	{name: "sweep-cold", mixedOps: true},
+	{name: "sweep-warm", opsPerSecond: 21, traceShare: 0.25, traceMin: 20},
+	{name: "fleet-ingest", opsPerSecond: 5, traceShare: 0.5, traceMin: 50},
 }
 
 // sweepColdTraceStride thins the cold sweep's plan on a traced run: every
@@ -129,7 +133,7 @@ var workloads = []workloadSpec{
 const sweepColdTraceStride = 8
 
 // setUpReps is how many times a run sets up; setup_s is their median.
-const setUpReps = 5
+const setUpReps = 9
 
 func (w workloadSpec) ops(seconds int, traced bool) int {
 	n := int(float64(seconds) * w.opsPerSecond)
@@ -189,7 +193,7 @@ func main() {
 	var (
 		workload = flag.String("workload", "", "workload: paper-regen, sweep-cold, sweep-warm or fleet-ingest")
 		seed     = flag.Int64("seed", 0, "workload seed")
-		seconds  = flag.Int("seconds", 12, "nominal run length in seconds; sizes the op count")
+		seconds  = flag.Int("seconds", 20, "nominal run length in seconds; sizes the op count")
 		trace    = flag.Int("trace", 0, "1 = traced run reporting per-layer metrics")
 		root     = flag.String("root", ".", "repository root")
 		out      = flag.String("out", ".bench_build/perfbench-out", "directory for profiles, traces and result files")
@@ -282,7 +286,7 @@ func untracedRun(spec workloadSpec, root, work string, seed int64, seconds int) 
 	runtime.KeepAlive(b)
 	b.tearDown()
 	logFailure(p)
-	return newResult(b, []passResult{p}, endToEnd(p, setupS, heap), endToEndMetrics), nil
+	return newResult(b, []passResult{p}, endToEnd(p, setupS, heap, spec.mixedOps), endToEndMetrics), nil
 }
 
 func tracedRun(spec workloadSpec, root, work string, seed int64, seconds int, prefix string) (result, error) {

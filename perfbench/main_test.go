@@ -51,7 +51,7 @@ func measureCounts(t *testing.T, mk func() bench) counts {
 	}
 	m := map[string]float64{}
 	traced.layers(led, m)
-	e := endToEnd(p, 0, 0)
+	e := endToEnd(p, 0, 0, false)
 	return counts{e["allocs_per_op"], e["ok_share"], m["eventsim.events_per_run"]}
 }
 
@@ -153,5 +153,25 @@ func TestFoldAssignsBuckets(t *testing.T) {
 		if got := bucketOf(tc.stack); got != tc.want {
 			t.Errorf("bucketOf(%v) = %q, want %q", tc.stack, got, tc.want)
 		}
+	}
+}
+
+func TestBlockP90DropsAMinorityBurst(t *testing.T) {
+	steady := make([]time.Duration, 200)
+	for i := range steady {
+		steady[i] = 100 * time.Millisecond
+		if i%10 == 9 {
+			steady[i] = 120 * time.Millisecond
+		}
+	}
+	burst := append([]time.Duration(nil), steady...)
+	for i := 40; i < 80; i++ {
+		burst[i] *= 2
+	}
+	if a, b := blockP90(steady), blockP90(burst); a != b {
+		t.Fatalf("a burst over 2 of 10 blocks moved the block p90: %v ms -> %v ms", a, b)
+	}
+	if a, b := durQuantile(steady, 0.9, time.Millisecond), durQuantile(burst, 0.9, time.Millisecond); a == b {
+		t.Fatalf("the pass p90 should read the burst, got %v ms both times", a)
 	}
 }

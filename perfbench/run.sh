@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the benchmark from source and runs it with the given flags:
 #
-#   bash perfbench/run.sh --workload paper-regen --seed 1 --seconds 12 --trace 0
+#   bash perfbench/run.sh --workload paper-regen --seed 1 --seconds 20 --trace 0
 #
 # Run it from the repository root. Every build product, cache and output
 # stays under the build directory ($CARGO_TARGET_DIR, default
