@@ -11,11 +11,11 @@
 #   make bench-diff  compare $(BENCH_OLD) vs $(BENCH_NEW), fail on allocs/op regression
 #   make fuzz-smoke  run every fuzz target briefly (native Go fuzzing)
 #   make cover       whole-repo coverage.out + enforce the faults/sweep/fleet floors
-#   make sweep-smoke kill a sweep with SIGKILL, resume it, diff vs uninterrupted
+#   make sweep-smoke kill a sweep with SIGKILL, rerun it on its cache, diff vs uninterrupted
 #   make fleet-load  10k-session loadgen under -race with a heap ceiling
 #   make fleet-cluster  root + 3 collectors over the wire, SIGKILL one mid-run
 #   make sweep-shard-cluster  coordinator + 3 shard workers over loopback,
-#                             SIGKILL one mid-run, merged export must be
+#                             SIGKILL one mid-run, final export must be
 #                             byte-identical to the single-process sweep
 
 GO ?= go
@@ -113,7 +113,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzPacketParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/netsim/
 	$(GO) test -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/httpsim/
 	$(GO) test -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/httpsim/
-	$(GO) test -fuzz '^FuzzManifestParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sweep/
+	$(GO) test -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/frame/
 	$(GO) test -fuzz '^FuzzCellDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sweep/
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleetwire/
 	$(GO) test -fuzz '^FuzzControlDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/shard/
@@ -147,9 +147,10 @@ cover:
 	@rm -f coverage_fleet.out
 
 # sweep-smoke proves the kill/resume contract end to end on the real CLI:
-# a cold sweep is SIGKILLed mid-flight (no chance to clean up), resumed
-# from its manifest, and the resumed CSV must be byte-identical to an
-# uninterrupted sweep of the same configuration in a fresh cache. The runs
+# a cold sweep is SIGKILLed mid-flight (no chance to clean up) and must
+# leave finished cells in its cache; the same command rerun on that cache
+# replays them and computes the rest, and its CSV must be byte-identical
+# to an uninterrupted sweep of the same configuration in a fresh cache. The runs
 # count is sized so the cold sweep takes tens of seconds — long enough
 # that the 2 s SIGKILL reliably lands mid-sweep.
 SWEEP_SMOKE_DIR ?= sweep-smoke.tmp
@@ -161,8 +162,8 @@ sweep-smoke:
 	$(GO) build -o $(SWEEP_SMOKE_DIR)/appraise ./cmd/appraise
 	-timeout -s KILL 2 $(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/killed >/dev/null 2>&1
-	test -f $(SWEEP_SMOKE_DIR)/killed/manifest.jsonl
-	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) -resume \
+	ls $(SWEEP_SMOKE_DIR)/killed/cells/*.cell >/dev/null
+	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/killed -csv $(SWEEP_SMOKE_DIR)/resumed.csv >/dev/null
 	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/cold -csv $(SWEEP_SMOKE_DIR)/cold.csv >/dev/null
@@ -189,13 +190,15 @@ fleet-load:
 # stable double scrape) and /live/history with the survivors' frames
 # still merging. The in-process proofs run first under -race: cluster
 # rows exactly equal to each collector's local snapshot regardless of
-# frame arrival order, duplicate/gap/version fault paths, and the
-# never-block uplink contract.
+# frame arrival order, duplicate/gap/version fault paths (a version bit
+# flip counted as corruption, never as skew), the never-block uplink
+# contract, and the shared frame codec's cut and bit-flip suites.
 FLEET_CLUSTER_DIR ?= fleet-cluster.tmp
 FLEET_CLUSTER_PORT ?= 19410
 fleet-cluster:
 	$(GO) test -race -count=1 -run 'TestCluster|TestAggregator|TestUplink|TestFourNode' \
 		./internal/fleet/ ./internal/fleetwire/
+	$(GO) test -race -count=1 ./internal/frame/
 	rm -rf $(FLEET_CLUSTER_DIR)
 	mkdir -p $(FLEET_CLUSTER_DIR)
 	$(GO) build -race -o $(FLEET_CLUSTER_DIR)/bmagg ./cmd/bmagg
@@ -246,8 +249,9 @@ fleet-cluster:
 # sweep-shard-cluster proves the distributed shard runner end to end on
 # real processes: a coordinator plus three workers over loopback execute
 # the same sweep a single process runs first, one worker is SIGKILLed
-# mid-run (its leases must expire and be reassigned), and the merged
-# stdout report and CSV must be byte-identical to the single-process
+# mid-run (its leases must expire and be reassigned), and the
+# coordinator's stdout report and CSV (replayed from the shared cache)
+# must be byte-identical to the single-process
 # artifacts. The in-process equivalence/crash/lease proofs run first
 # under -race. The runs count is sized so the worker phase takes several
 # seconds — long enough that the 2 s SIGKILL reliably lands while the
@@ -291,8 +295,8 @@ sweep-shard-cluster:
 	wait $$COORD || { echo "sweep-shard-cluster: coordinator failed"; tail -20 $(SHARD_CLUSTER_DIR)/coord.log; exit 1; }; \
 	trap - EXIT; \
 	cmp $(SHARD_CLUSTER_DIR)/solo.csv $(SHARD_CLUSTER_DIR)/cluster.csv || \
-		{ echo "sweep-shard-cluster: merged CSV differs from the single-process sweep"; exit 1; }; \
+		{ echo "sweep-shard-cluster: cluster CSV differs from the single-process sweep"; exit 1; }; \
 	cmp $(SHARD_CLUSTER_DIR)/solo.txt $(SHARD_CLUSTER_DIR)/cluster.txt || \
-		{ echo "sweep-shard-cluster: merged report differs from the single-process sweep"; exit 1; }; \
-	echo "sweep-shard-cluster: merged export byte-identical to the single-process sweep after a SIGKILLed worker"
+		{ echo "sweep-shard-cluster: cluster report differs from the single-process sweep"; exit 1; }; \
+	echo "sweep-shard-cluster: cluster export byte-identical to the single-process sweep after a SIGKILLed worker"
 	@rm -rf $(SHARD_CLUSTER_DIR)

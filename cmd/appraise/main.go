@@ -17,8 +17,7 @@
 //	appraise -faults lossy1pct   # appraise under a network-impairment profile
 //	appraise -faultimpact        # Δd degradation study across fault profiles
 //	appraise -cache-dir d ...    # content-addressed cell cache: warm reruns replay from disk
-//	appraise -sweep -cache-dir d # methods x browsers x fault profiles, manifest-driven
-//	appraise -sweep -resume ...  # finish a killed sweep from its manifest
+//	appraise -sweep -cache-dir d # methods x browsers x fault profiles; rerun to finish a killed sweep
 //	appraise -shard-coordinator 127.0.0.1:9400 -cache-dir d  # sharded sweep: coordinator
 //	appraise -shard-worker 127.0.0.1:9400 -shard-name w1 -cache-dir d  # sharded sweep: worker
 //	appraise -cpuprofile cpu.pb.gz -memprofile mem.pb.gz ...  # pprof profiles of the run
@@ -215,22 +214,17 @@ func writeMetricsSnapshot(path string) error {
 	return nil
 }
 
-// runSweep executes the -sweep mode: methods x browser profiles x fault
-// profiles as one manifest-driven run against the content-addressed
-// cache, with warm/cold accounting on stderr and the summary table (plus
-// optional full CSV) as the stdout artifact.
 // sweepOptions builds the SweepOptions every sweep mode shares — plain
 // -sweep, -shard-coordinator and -shard-worker must construct identical
 // options (modulo Dir-local knobs) or the shard handshake refuses the
 // worker.
-func sweepOptions(runs int, cacheDir string, resume bool, sweepFaults []bm.FaultProfile) bm.SweepOptions {
+func sweepOptions(runs int, cacheDir string, sweepFaults []bm.FaultProfile) bm.SweepOptions {
 	return bm.SweepOptions{
 		Faults:   sweepFaults,
 		Runs:     runs,
 		BaseSeed: baseSeed,
 		Workers:  workers,
 		Dir:      cacheDir,
-		Resume:   resume,
 		Log:      func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		Metrics:  metricsReg,
 	}
@@ -258,8 +252,13 @@ func writeSweepArtifacts(res *bm.SweepResult, csvPath string) error {
 	return nil
 }
 
-func runSweep(runs int, cacheDir string, resume bool, sweepFaults []bm.FaultProfile, csvPath string) error {
-	opts := sweepOptions(runs, cacheDir, resume, sweepFaults)
+// runSweep executes the -sweep mode: methods x browser profiles x fault
+// profiles as one run against the content-addressed cache (a rerun on
+// the same -cache-dir replays every finished cell), with warm/cold
+// accounting on stderr and the summary table (plus optional full CSV) as
+// the stdout artifact.
+func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath string) error {
+	opts := sweepOptions(runs, cacheDir, sweepFaults)
 	nFaults := len(sweepFaults)
 	if nFaults == 0 {
 		nFaults = len(bm.FaultProfiles())
@@ -297,15 +296,13 @@ func runSweep(runs int, cacheDir string, resume bool, sweepFaults []bm.FaultProf
 	if err != nil {
 		return err
 	}
-	st := res.Stats
-	fmt.Fprintf(os.Stderr, "sweep done in %v: %d cells (%d computed, %d cached, %d skipped; %d resumed from manifest, %d corrupt entries recomputed)\n",
-		st.Wall.Round(time.Millisecond), st.Cells, st.Computed, st.CachedHits, st.Skipped, st.Resumed, st.Corrupt)
+	fmt.Fprintf(os.Stderr, "sweep done in %v: %s\n", res.Stats.Wall.Round(time.Millisecond), res.StatsLine())
 	return writeSweepArtifacts(res, csvPath)
 }
 
 // runShardCoordinator executes the -shard-coordinator mode: partition
-// the sweep, lease shards to workers, merge their manifests, replay the
-// sweep warm, and emit the same stdout artifacts as a single-process
+// the sweep, lease shards to workers, replay the sweep warm from the
+// shared cache, and emit the same stdout artifacts as a single-process
 // -sweep run (byte-identically).
 func runShardCoordinator(listen string, shards int, leaseTTL time.Duration, opts bm.SweepOptions, csvPath string) error {
 	c, err := bm.NewShardCoordinator(bm.ShardCoordinatorOptions{
@@ -374,8 +371,7 @@ func main() {
 		faultsFl    = flag.String("faults", "", "network-impairment profile for every study cell (clean, lossy1pct, burstywifi, congested); with -sweep, a comma-separated list")
 		faultimpact = flag.Bool("faultimpact", false, "Δd degradation study: every method under every fault profile")
 		cacheDirFl  = flag.String("cache-dir", "", "content-addressed cell cache directory (unchanged cells replay from disk byte-identically)")
-		sweepFl     = flag.Bool("sweep", false, "run methods x browsers x fault profiles as one manifest-driven sweep (requires -cache-dir)")
-		resumeFl    = flag.Bool("resume", false, "with -sweep: resume a killed sweep from its manifest instead of starting fresh")
+		sweepFl     = flag.Bool("sweep", false, "run methods x browsers x fault profiles as one cache-backed sweep (requires -cache-dir; rerun to finish a killed sweep)")
 		shardCoord  = flag.String("shard-coordinator", "", "run the sweep sharded, as the coordinator listening on this address (e.g. 127.0.0.1:9400); requires -cache-dir, output is byte-identical to -sweep")
 		shardWorker = flag.String("shard-worker", "", "join a sharded sweep as a worker, connecting to this coordinator address; requires the coordinator's -cache-dir and sweep flags")
 		shardName   = flag.String("shard-name", "", "unique worker name for -shard-worker (default worker<pid>)")
@@ -430,17 +426,17 @@ func main() {
 		var err error
 		switch {
 		case *shardCoord != "":
-			opts := sweepOptions(*runs, *cacheDirFl, *resumeFl, sweepFaults)
+			opts := sweepOptions(*runs, *cacheDirFl, sweepFaults)
 			err = runShardCoordinator(*shardCoord, *shardCount, *shardTTL, opts, *csvPath)
 		case *shardWorker != "":
 			name := *shardName
 			if name == "" {
 				name = fmt.Sprintf("worker%d", os.Getpid())
 			}
-			opts := sweepOptions(*runs, *cacheDirFl, *resumeFl, sweepFaults)
+			opts := sweepOptions(*runs, *cacheDirFl, sweepFaults)
 			err = runShardWorker(*shardWorker, name, opts)
 		default:
-			err = runSweep(*runs, *cacheDirFl, *resumeFl, sweepFaults, *csvPath)
+			err = runSweep(*runs, *cacheDirFl, sweepFaults, *csvPath)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "appraise:", err)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/fleetwire"
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/obs"
 )
 
@@ -167,8 +168,8 @@ func (a *Aggregator) IngestHandler() http.Handler {
 			case err == nil:
 				a.apply(f)
 				body = body[n:]
-			case errors.Is(err, fleetwire.ErrVersion) && n > 0:
-				// Well-formed frame of another version: skippable, so
+			case errors.Is(err, frame.ErrVersion) && n > 0:
+				// Intact frame of another version: skippable, so
 				// later frames in the body still merge.
 				a.countReject("version")
 				rejected = true

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/fleetwire"
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/obs"
 )
 
@@ -169,10 +170,9 @@ func TestAggregatorRejectsVersionMismatchAndCorrupt(t *testing.T) {
 	defer srv.Close()
 	k := Key{Method: "http-get", Browser: "opera", Region: "sa"}
 
-	// Version bump: CRC covers only the payload, so the frame stays
-	// well-formed — just of a version this root does not speak.
-	future := encodeTick(t, "c1", 1, 1, k, 5)
-	binary.LittleEndian.PutUint16(future[4:], fleetwire.Version+1)
+	// Version bump, resealed: the frame is intact — just of a version
+	// this root does not speak.
+	future := withVersion(t, encodeTick(t, "c1", 1, 1, k, 5), fleetwire.Version+1)
 	if code := postFrames(t, srv, future); code != 400 {
 		t.Fatalf("version mismatch status = %d, want 400", code)
 	}
@@ -203,6 +203,47 @@ func TestAggregatorRejectsVersionMismatchAndCorrupt(t *testing.T) {
 	if missing := m.FamiliesMissingHelp(); len(missing) != 0 {
 		t.Fatalf("families missing help: %v", missing)
 	}
+}
+
+// TestAggregatorVersionBitFlipIsCorrupt: a bit flip in the version field
+// breaks the CRC (which covers the header), so it is counted as
+// corruption, never as version skew — and since its length cannot be
+// trusted, the frame behind it in the body is not merged.
+func TestAggregatorVersionBitFlipIsCorrupt(t *testing.T) {
+	m := obs.NewMetrics()
+	a := NewAggregator(AggConfig{Metrics: m})
+	srv := httptest.NewServer(a.IngestHandler())
+	defer srv.Close()
+	k := Key{Method: "http-get", Browser: "chrome", Region: "us"}
+
+	flipped := encodeTick(t, "c1", 1, 1, k, 5)
+	flipped[4] ^= 0x04
+	body := append(flipped, encodeTick(t, "c1", 2, 1, k, 7)...)
+	if code := postFrames(t, srv, body); code != 400 {
+		t.Fatalf("status = %d, want 400", code)
+	}
+	if snap := a.Publish(); len(snap.Keys) != 0 {
+		t.Fatalf("cluster state = %+v, want nothing merged after the corrupt frame", snap.Keys)
+	}
+	if got := m.Counter(obs.L("fleet_agg_frames_rejected_total", "reason", "corrupt")); got != 1 {
+		t.Fatalf("corrupt rejects = %d, want 1", got)
+	}
+	if got := m.Counter(obs.L("fleet_agg_frames_rejected_total", "reason", "version")); got != 0 {
+		t.Fatalf("version rejects = %d, want 0", got)
+	}
+}
+
+// withVersion rewrites a frame's version field and reseals it, giving
+// an intact frame of another version.
+func withVersion(t *testing.T, b []byte, v uint16) []byte {
+	t.Helper()
+	binary.LittleEndian.PutUint16(b[4:], v)
+	c := frame.Codec{MaxPayload: fleetwire.MaxPayload}
+	b, err := c.Seal(b[:len(b)-frame.TrailerLen], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestAggregatorStaleNodeDoesNotWedgeMerges: a collector that vanishes
@@ -266,6 +307,7 @@ func TestClusterEquivalence(t *testing.T) {
 	k2 := Key{Method: "udp", Browser: "firefox", Region: "eu"}
 	nodes := []string{"c1", "c2", "c3"}
 	regs := make([]*Registry, len(nodes))
+	const ticks = 4
 	for i, name := range nodes {
 		m := obs.NewMetrics()
 		u, err := NewUplink(UplinkConfig{Node: name, URL: ingest.URL, Metrics: m})
@@ -276,7 +318,7 @@ func TestClusterEquivalence(t *testing.T) {
 		r := New(Config{DeltaSink: u.Sink, Metrics: m})
 		regs[i] = r
 		// Distinct per-node sample streams across several ticks.
-		for tick := 0; tick < 4; tick++ {
+		for tick := 0; tick < ticks; tick++ {
 			for s := 0; s < 50; s++ {
 				id := uint64(s + 1)
 				regs[i].Observe(id, k1, float64((i+1)*100+tick*10+s%7), false)
@@ -286,7 +328,9 @@ func TestClusterEquivalence(t *testing.T) {
 			}
 			r.FanIn()
 		}
-		waitFor(t, name+" uplink drain", func() bool { return u.pending() == 0 && u.Ready() })
+		// An empty queue is not enough: the last batch may still be in
+		// flight. Wait until the root has acknowledged every tick's frame.
+		waitFor(t, name+" uplink drain", func() bool { return m.Counter("fleet_uplink_shipped_total") == ticks })
 	}
 
 	snap := a.Publish()

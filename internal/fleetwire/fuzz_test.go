@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/obs"
 )
 
@@ -15,8 +16,9 @@ import (
 // replays it on every CI run even without -fuzz.
 
 // wireSeedCorpus covers the decoder's interesting shapes: a valid
-// frame, an empty frame, torn tails, a flipped payload byte, a future
-// version, a lying length prefix, CRC-valid frames with hostile
+// frame, an empty frame, torn tails, a flipped payload byte, an intact
+// future-version frame, a version field rewritten without resealing
+// (corruption, not skew), a lying length prefix, CRC-valid frames with hostile
 // payloads (an overflowing sketch tuple count, a lying key count), and
 // plain garbage.
 func wireSeedCorpus(t testing.TB) [][]byte {
@@ -42,9 +44,13 @@ func wireSeedCorpus(t testing.TB) [][]byte {
 	}
 	torn := append([]byte(nil), valid[:len(valid)-7]...)
 	flipped := append([]byte(nil), valid...)
-	flipped[headerLen+3] ^= 0x10
-	futureVer := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint16(futureVer[4:], Version+3)
+	flipped[frame.HeaderLen+3] ^= 0x10
+	unsealedVer := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint16(unsealedVer[4:], Version+3)
+	futureVer, err := codec.Seal(append([]byte(nil), unsealedVer[:len(unsealedVer)-frame.TrailerLen]...), 0)
+	if err != nil {
+		t.Fatalf("seed reseal: %v", err)
+	}
 	lyingLen := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(lyingLen[8:], uint32(len(valid)))
 	double := append(append([]byte(nil), valid...), empty...)
@@ -88,9 +94,10 @@ func wireSeedCorpus(t testing.TB) [][]byte {
 		overflowTuples,
 		lyingKeys,
 		nil,
-		magic[:],
+		codec.Magic[:],
 		[]byte("not a frame"),
-		bytes.Repeat([]byte{0xff}, headerLen+crcLen),
+		bytes.Repeat([]byte{0xff}, frame.HeaderLen+frame.TrailerLen),
+		unsealedVer,
 	}
 }
 
@@ -101,7 +108,7 @@ func checkWireDecode(t *testing.T, data []byte) {
 	t.Helper()
 	f, n, err := DecodeFrame(data)
 	if err != nil {
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+		if !errors.Is(err, frame.ErrTruncated) && !errors.Is(err, frame.ErrCorrupt) && !errors.Is(err, frame.ErrVersion) {
 			t.Fatalf("non-sentinel error: %v", err)
 		}
 		if n < 0 || n > len(data) {
@@ -138,7 +145,8 @@ func TestWireFuzzSeedCorpus(t *testing.T) {
 }
 
 // TestWireSeedCorpusValidSeedDecodes sanity-checks that the valid seeds
-// exercise the accept path.
+// exercise the accept path, and that the two version seeds land on the
+// intended sides of the skew/corruption line.
 func TestWireSeedCorpusValidSeedDecodes(t *testing.T) {
 	seeds := wireSeedCorpus(t)
 	if _, _, err := DecodeFrame(seeds[0]); err != nil {
@@ -146,5 +154,11 @@ func TestWireSeedCorpusValidSeedDecodes(t *testing.T) {
 	}
 	if _, _, err := DecodeFrame(seeds[1]); err != nil {
 		t.Fatalf("empty-frame seed rejected: %v", err)
+	}
+	if _, n, err := DecodeFrame(seeds[5]); !errors.Is(err, frame.ErrVersion) || n != len(seeds[5]) {
+		t.Fatalf("resealed future-version seed: n=%d err=%v, want skippable ErrVersion", n, err)
+	}
+	if _, _, err := DecodeFrame(seeds[len(seeds)-1]); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("unsealed version rewrite: err=%v, want ErrCorrupt", err)
 	}
 }

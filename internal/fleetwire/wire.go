@@ -12,57 +12,49 @@
 //     so encode→decode→Merge is bit-equivalent to an in-process Merge
 //     and cross-node fan-in correctness reduces to this codec plus the
 //     already-property-tested order-invariant COMBINE machinery;
-//   - every frame is independently checksummed (CRC-32C over the
-//     payload) and length-prefixed, so a torn TCP stream, a truncated
-//     POST body or a bit flip is rejected at the frame boundary rather
-//     than skewing cluster aggregates;
-//   - the version field is checked before anything else is parsed, so a
+//   - every frame travels in the shared internal/frame codec: length-
+//     prefixed and CRC-32C checksummed over header and payload, so a
+//     torn TCP stream, a truncated POST body or a bit flip anywhere is a
+//     corrupt frame rejected at the frame boundary rather than skewing
+//     cluster aggregates;
+//   - only an intact frame of another version is version skew, so a
 //     rolling upgrade's mixed-version fleet degrades to counted frame
 //     rejections, never to misparsed tuples.
 //
-// Frame layout (integers little-endian):
+// Frame (see internal/frame): magic "bmwf", version Version, kind 0.
+// Version 2 moved the CRC from the payload alone to header and payload;
+// a version-1 root therefore counts a version-2 frame as version skew.
 //
-//	[4]byte  magic "bmwf"
-//	u16      wire version (Version)
-//	u16      reserved (must be zero)
-//	u32      payload length
-//	payload:
-//	    uvarint+bytes  node name
-//	    u64            epoch (collector boot id; sequence numbers are
-//	                   monotone within one epoch and restart with it)
-//	    u64            frame sequence number (per node+epoch, monotone)
-//	    u64            live sessions at the node
-//	    uvarint        key count
-//	    per key (strictly ascending by method, browser, region):
-//	        uvarint+bytes ×3  method, browser, region
-//	        u64 ×2            count, lost
-//	        f64               jitterSum
-//	        u64               jitterN
-//	        uvarint+bytes     sketch (obs binary sketch encoding)
-//	u32      CRC-32 (Castagnoli) of the payload
+// Payload (integers little-endian):
+//
+//	uvarint+bytes  node name
+//	u64            epoch (collector boot id; sequence numbers are
+//	               monotone within one epoch and restart with it)
+//	u64            frame sequence number (per node+epoch, monotone)
+//	u64            live sessions at the node
+//	uvarint        key count
+//	per key (strictly ascending by method, browser, region):
+//	    uvarint+bytes ×3  method, browser, region
+//	    u64 ×2            count, lost
+//	    f64               jitterSum
+//	    u64               jitterN
+//	    uvarint+bytes     sketch (obs binary sketch encoding)
 package fleetwire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/obs"
 )
 
 // Version is the wire format version this package encodes and accepts.
-const Version = 1
-
-// magic opens every frame; it doubles as a cheap stream-desync detector.
-var magic = [4]byte{'b', 'm', 'w', 'f'}
+const Version = 2
 
 const (
-	headerLen = 12 // magic + version + reserved + payload length
-	crcLen    = 4
-
 	// MaxPayload bounds a single frame (64 MiB). Real frames are a few
 	// KiB per key; the cap keeps a corrupt length prefix from turning
 	// into an allocation bomb.
@@ -78,16 +70,7 @@ const (
 	minKeyEnc = 3 + 4*8 + 1
 )
 
-// Sentinel errors; Decode wraps them with positional detail.
-var (
-	// ErrTruncated marks an input that ends mid-frame: the caller may
-	// have read a partial stream and can retry with more bytes.
-	ErrTruncated = errors.New("fleetwire: truncated frame")
-	// ErrCorrupt marks a structurally invalid or checksum-failing frame.
-	ErrCorrupt = errors.New("fleetwire: corrupt frame")
-	// ErrVersion marks a well-formed frame of an unsupported version.
-	ErrVersion = errors.New("fleetwire: unsupported wire version")
-)
+var codec = frame.Codec{Magic: [4]byte{'b', 'm', 'w', 'f'}, Version: Version, MaxPayload: MaxPayload}
 
 // KeyDelta is one (method, browser, region) series' delta for a tick:
 // the sample/loss counters, the jitter accumulator and the CKMS delta
@@ -113,8 +96,6 @@ type Frame struct {
 	Sessions uint64
 	Keys     []KeyDelta
 }
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func keyLess(a, b *KeyDelta) bool {
 	if a.Method != b.Method {
@@ -153,13 +134,7 @@ func AppendFrame(b []byte, f *Frame) ([]byte, error) {
 		}
 	}
 
-	start := len(b)
-	b = append(b, magic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, Version)
-	b = binary.LittleEndian.AppendUint16(b, 0) // reserved
-	b = binary.LittleEndian.AppendUint32(b, 0) // payload length, patched below
-	payloadStart := len(b)
-
+	b, start := codec.Begin(b, 0)
 	b = appendString(b, f.Node)
 	b = binary.LittleEndian.AppendUint64(b, f.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, f.Seq)
@@ -181,14 +156,7 @@ func AppendFrame(b []byte, f *Frame) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(len(enc)))
 		b = append(b, enc...)
 	}
-
-	payload := b[payloadStart:]
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("fleetwire: payload %d exceeds cap", len(payload))
-	}
-	binary.LittleEndian.PutUint32(b[start+8:], uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
-	return b, nil
+	return codec.Seal(b, start)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -198,68 +166,48 @@ func appendString(b []byte, s string) []byte {
 
 // DecodeFrame parses the first frame in b and returns it with the
 // number of bytes consumed, so a POST body carrying several
-// back-to-back frames decodes with repeated calls. Errors wrap
-// ErrTruncated (incomplete input — more bytes may complete the frame),
-// ErrVersion (recognizable frame of another version; consumed reports
-// the full frame length so the caller can skip it) or ErrCorrupt.
+// back-to-back frames decodes with repeated calls. Errors wrap the
+// internal/frame sentinels: ErrTruncated (incomplete input — more bytes
+// may complete the frame), ErrVersion (intact frame of another version;
+// consumed reports the full frame length so the caller can skip it) or
+// ErrCorrupt.
 func DecodeFrame(b []byte) (*Frame, int, error) {
-	if len(b) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
+	kind, payload, n, err := codec.Decode(b)
+	if err != nil {
+		return nil, n, err
 	}
-	if [4]byte(b[:4]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if kind != 0 {
+		return nil, 0, fmt.Errorf("%w: nonzero kind %d", frame.ErrCorrupt, kind)
 	}
-	version := binary.LittleEndian.Uint16(b[4:])
-	reserved := binary.LittleEndian.Uint16(b[6:])
-	payloadLen := int(binary.LittleEndian.Uint32(b[8:]))
-	if payloadLen > MaxPayload {
-		return nil, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, payloadLen)
-	}
-	total := headerLen + payloadLen + crcLen
-	if len(b) < total {
-		return nil, 0, fmt.Errorf("%w: have %d of %d bytes", ErrTruncated, len(b), total)
-	}
-	if version != Version {
-		return nil, total, fmt.Errorf("%w: got %d, want %d", ErrVersion, version, Version)
-	}
-	if reserved != 0 {
-		return nil, 0, fmt.Errorf("%w: nonzero reserved field", ErrCorrupt)
-	}
-	payload := b[headerLen : headerLen+payloadLen]
-	wantCRC := binary.LittleEndian.Uint32(b[headerLen+payloadLen:])
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-
 	f, err := decodePayload(payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	return f, total, nil
+	return f, n, nil
 }
 
 func decodePayload(p []byte) (*Frame, error) {
 	d := wireReader{buf: p}
 	node, ok := d.str()
 	if !ok || node == "" {
-		return nil, fmt.Errorf("%w: node name", ErrCorrupt)
+		return nil, fmt.Errorf("%w: node name", frame.ErrCorrupt)
 	}
 	f := &Frame{Node: node}
 	if f.Epoch, ok = d.u64(); !ok {
-		return nil, fmt.Errorf("%w: epoch", ErrCorrupt)
+		return nil, fmt.Errorf("%w: epoch", frame.ErrCorrupt)
 	}
 	if f.Seq, ok = d.u64(); !ok {
-		return nil, fmt.Errorf("%w: sequence", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sequence", frame.ErrCorrupt)
 	}
 	if f.Sessions, ok = d.u64(); !ok {
-		return nil, fmt.Errorf("%w: sessions", ErrCorrupt)
+		return nil, fmt.Errorf("%w: sessions", frame.ErrCorrupt)
 	}
 	nk, ok := d.uvarint()
 	// Bound the claimed count by the fewest bytes one encoded key can
 	// occupy in the remaining payload, so a lying count cannot force a
 	// large pre-allocation that the first failed key parse discards.
 	if !ok || nk > maxKeys || nk > uint64(len(p)-d.off)/minKeyEnc {
-		return nil, fmt.Errorf("%w: key count", ErrCorrupt)
+		return nil, fmt.Errorf("%w: key count", frame.ErrCorrupt)
 	}
 	f.Keys = make([]KeyDelta, 0, nk)
 	for i := uint64(0); i < nk; i++ {
@@ -288,28 +236,28 @@ func decodePayload(p []byte) (*Frame, error) {
 			ok1 = false
 		}
 		if !ok1 {
-			return nil, fmt.Errorf("%w: key %d truncated", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: key %d truncated", frame.ErrCorrupt, i)
 		}
 		kd.JitterSum = math.Float64frombits(jb)
 		if math.IsNaN(kd.JitterSum) || kd.Lost > kd.Count {
-			return nil, fmt.Errorf("%w: key %d counters out of range", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: key %d counters out of range", frame.ErrCorrupt, i)
 		}
 		skBytes, ok := d.blob()
 		if !ok {
-			return nil, fmt.Errorf("%w: key %d sketch truncated", ErrCorrupt, i)
+			return nil, fmt.Errorf("%w: key %d sketch truncated", frame.ErrCorrupt, i)
 		}
 		sk, err := obs.DecodeSketch(skBytes)
 		if err != nil {
-			return nil, fmt.Errorf("%w: key %d sketch: %v", ErrCorrupt, i, err)
+			return nil, fmt.Errorf("%w: key %d sketch: %v", frame.ErrCorrupt, i, err)
 		}
 		kd.Sketch = sk
 		if len(f.Keys) > 0 && !keyLess(&f.Keys[len(f.Keys)-1], &kd) {
-			return nil, fmt.Errorf("%w: keys not in canonical order", ErrCorrupt)
+			return nil, fmt.Errorf("%w: keys not in canonical order", frame.ErrCorrupt)
 		}
 		f.Keys = append(f.Keys, kd)
 	}
 	if d.off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-d.off)
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", frame.ErrCorrupt, len(p)-d.off)
 	}
 	return f, nil
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/obs"
 )
 
@@ -147,7 +147,7 @@ func TestDecodeRejectsTornFrame(t *testing.T) {
 		// A prefix cut must look truncated (retryable with more bytes),
 		// except where the cut lands inside the length-delimited region
 		// after the header is complete — those are still ErrTruncated.
-		if cut < len(enc) && !errors.Is(err, ErrTruncated) {
+		if cut < len(enc) && !errors.Is(err, frame.ErrTruncated) {
 			t.Fatalf("truncation at %d: err = %v, want ErrTruncated", cut, err)
 		}
 	}
@@ -168,28 +168,55 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if flips != len(enc) {
 		t.Fatalf("covered %d of %d bytes", flips, len(enc))
 	}
+	// Every single-bit flip of the version field is corruption: the CRC
+	// covers the header, so a flip can never pass as version skew.
+	for bit := 0; bit < 16; bit++ {
+		bad := append([]byte(nil), enc...)
+		bad[4+bit/8] ^= 1 << (bit % 8)
+		if _, n, err := DecodeFrame(bad); !errors.Is(err, frame.ErrCorrupt) || n != 0 {
+			t.Fatalf("version bit %d flip: n=%d err=%v, want ErrCorrupt consuming 0", bit, n, err)
+		}
+	}
 }
 
 func TestDecodeRejectsBadMagicAndVersion(t *testing.T) {
 	enc := encode(t, testFrame(t, 6))
 	badMagic := append([]byte(nil), enc...)
 	badMagic[0] = 'X'
-	if _, _, err := DecodeFrame(badMagic); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeFrame(badMagic); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("bad magic: err = %v", err)
 	}
+	// A version rewrite without resealing is corruption...
 	badVer := append([]byte(nil), enc...)
 	binary.LittleEndian.PutUint16(badVer[4:], Version+1)
+	if _, _, err := DecodeFrame(badVer); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("unsealed version rewrite: err = %v, want ErrCorrupt", err)
+	}
+	// ...while an intact frame of another version is skippable skew.
+	badVer, err := codec.Seal(badVer[:len(badVer)-frame.TrailerLen], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, n, err := DecodeFrame(badVer)
-	if !errors.Is(err, ErrVersion) {
+	if !errors.Is(err, frame.ErrVersion) {
 		t.Fatalf("bad version: err = %v", err)
 	}
 	if n != len(enc) {
 		t.Fatalf("version mismatch consumed %d, want %d (skippable)", n, len(enc))
 	}
+	// A sealed nonzero kind is corruption: fleetwire has one kind.
+	badKind := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint16(badKind[6:], 1)
+	if badKind, err = codec.Seal(badKind[:len(badKind)-frame.TrailerLen], 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeFrame(badKind); !errors.Is(err, frame.ErrCorrupt) {
+		t.Fatalf("nonzero kind: err = %v, want ErrCorrupt", err)
+	}
 	// Oversized length prefix must be rejected before any allocation.
-	huge := append([]byte(nil), enc[:headerLen]...)
+	huge := append([]byte(nil), enc[:frame.HeaderLen]...)
 	binary.LittleEndian.PutUint32(huge[8:], MaxPayload+1)
-	if _, _, err := DecodeFrame(huge); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := DecodeFrame(huge); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("oversized length: err = %v", err)
 	}
 }
@@ -207,8 +234,8 @@ func TestDecodeRejectsLyingKeyCount(t *testing.T) {
 	p = binary.LittleEndian.AppendUint64(p, 0) // sessions
 	p = binary.AppendUvarint(p, maxKeys)       // claims 2^20 keys...
 	p = append(p, make([]byte, 1<<20)...)      // ...in ~1 MiB of zeros
-	frame := rawFrame(p)
-	if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrCorrupt) {
+	raw := rawFrame(p)
+	if _, _, err := DecodeFrame(raw); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("lying key count: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -216,12 +243,12 @@ func TestDecodeRejectsLyingKeyCount(t *testing.T) {
 // rawFrame wraps an arbitrary payload in a valid header and CRC, for
 // crafting frames the canonical encoder refuses to produce.
 func rawFrame(payload []byte) []byte {
-	b := append([]byte(nil), magic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, Version)
-	b = binary.LittleEndian.AppendUint16(b, 0)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	b, start := codec.Begin(nil, 0)
+	b, err := codec.Seal(append(b, payload...), start)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // TestWireMergeBitEquivalent is the tentpole property: shipping a delta

@@ -1,10 +1,11 @@
 package shard
 
 import (
-	"fmt"
 	"io"
 	"net"
 	"time"
+
+	"github.com/browsermetric/browsermetric/internal/frame"
 )
 
 // ioTimeout bounds any single control-frame read or write. The protocol
@@ -34,22 +35,22 @@ func readMsg(conn net.Conn) (*Msg, error) {
 	if err := conn.SetReadDeadline(time.Now().Add(ioTimeout)); err != nil {
 		return nil, err
 	}
-	var hdr [headerLen]byte
+	var hdr [frame.HeaderLen]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 		return nil, err
 	}
-	// Validate the length before allocating; DecodeMsg re-checks
-	// everything on the assembled frame.
-	payloadLen := int(uint32(hdr[8]) | uint32(hdr[9])<<8 | uint32(hdr[10])<<16 | uint32(hdr[11])<<24)
-	if payloadLen > maxPayload {
-		return nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, payloadLen)
-	}
-	frame := make([]byte, headerLen+payloadLen+crcLen)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(conn, frame[headerLen:]); err != nil {
+	// Check magic and length cap before allocating; DecodeMsg
+	// re-checks everything on the assembled frame.
+	n, err := codec.Len(hdr[:])
+	if err != nil {
 		return nil, err
 	}
-	m, _, err := DecodeMsg(frame)
+	buf := make([]byte, n)
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(conn, buf[frame.HeaderLen:]); err != nil {
+		return nil, err
+	}
+	m, _, err := DecodeMsg(buf)
 	return m, err
 }
 

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/sweep"
 )
@@ -73,7 +71,7 @@ type shardState struct {
 
 // Coordinator partitions a sweep's cell matrix and leases the shards to
 // worker processes. Create with NewCoordinator (which starts listening
-// immediately), point workers at Addr(), then Wait for the merged result.
+// immediately), point workers at Addr(), then Wait for the result.
 type Coordinator struct {
 	opts    CoordinatorOptions
 	sweepID string
@@ -232,7 +230,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	for {
 		req, err := readMsg(conn)
 		if err != nil {
-			if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion) {
+			if errors.Is(err, frame.ErrCorrupt) || errors.Is(err, frame.ErrVersion) {
 				c.countReject()
 				c.opts.Log("shard: dropping connection: %v", err)
 			}
@@ -283,7 +281,7 @@ func (c *Coordinator) hello(req *Msg, worker *string) *Msg {
 	}
 	if !validWorkerName(req.Name) {
 		c.countReject()
-		return &Msg{Type: MsgHelloAck, OK: false, Reason: fmt.Sprintf("worker name %q is not path-safe", req.Name)}
+		return &Msg{Type: MsgHelloAck, OK: false, Reason: fmt.Sprintf("worker name %q has characters outside [A-Za-z0-9._-]", req.Name)}
 	}
 	*worker = req.Name
 	c.mu.Lock()
@@ -405,12 +403,11 @@ func (c *Coordinator) Close() {
 	c.ln.Close()
 }
 
-// Wait blocks until every shard is done (or ctx fires), merges the
-// per-worker manifests into the sweep's main manifest, and runs the
+// Wait blocks until every shard is done (or ctx fires), then runs the
 // final warm pass: the whole sweep replayed from the now-fully-populated
 // cache in this single process. Because cached replay is proven
-// byte-identical to recomputation (PR 6's equivalence suite), the
-// returned Result's CSV and report are byte-identical to an
+// byte-identical to recomputation (the sweep package's equivalence
+// suite), the returned Result's CSV and report are byte-identical to an
 // uninterrupted single-process sweep — no matter how many workers ran,
 // died, or were reassigned. Any cell that somehow never reached the
 // cache is recomputed here, so the output is correct even under total
@@ -423,11 +420,7 @@ func (c *Coordinator) Wait(ctx context.Context) (*sweep.Result, error) {
 		return nil, ctx.Err()
 	}
 	c.Close()
-	if err := c.mergeWorkerManifests(); err != nil {
-		return nil, err
-	}
 	final := c.opts.Sweep
-	final.Resume = true
 	if final.Log == nil {
 		final.Log = c.opts.Log
 	}
@@ -437,56 +430,9 @@ func (c *Coordinator) Wait(ctx context.Context) (*sweep.Result, error) {
 	return sweep.Run(ctx, final)
 }
 
-// mergeWorkerManifests folds every worker-*.jsonl in the cache dir into
-// the sweep's main manifest. Merge rules: entries parse with the same
-// torn-tail tolerance as resume (a SIGKILLed worker's last line may be
-// torn — dropped, its cell revalidates from the cache); entries from a
-// different sweep configuration are skipped whole-file; duplicate keys
-// across workers (a reassigned shard's overlap) collapse via the
-// manifest's own append-dedupe.
-func (c *Coordinator) mergeWorkerManifests() error {
-	paths, err := filepath.Glob(filepath.Join(c.opts.Sweep.Dir, "worker-*.jsonl"))
-	if err != nil {
-		return fmt.Errorf("shard: merge manifests: %w", err)
-	}
-	sort.Strings(paths)
-	var m *sweep.Manifest
-	if c.opts.Sweep.Resume {
-		m, err = sweep.ResumeManifest(sweep.ManifestPath(c.opts.Sweep.Dir), c.sweepID)
-	} else {
-		m, err = sweep.CreateManifest(sweep.ManifestPath(c.opts.Sweep.Dir), c.sweepID)
-	}
-	if err != nil {
-		return fmt.Errorf("shard: merge manifests: %w", err)
-	}
-	defer m.Close()
-	merged, files := 0, 0
-	for _, p := range paths {
-		data, rerr := os.ReadFile(p)
-		if rerr != nil {
-			return fmt.Errorf("shard: merge manifests: %w", rerr)
-		}
-		gotID, entries, dropped, perr := sweep.ParseManifest(data)
-		if perr != nil || gotID != c.sweepID {
-			c.opts.Log("shard: skipping worker manifest %s (different sweep or unparseable)", filepath.Base(p))
-			continue
-		}
-		if dropped > 0 {
-			c.opts.Log("shard: worker manifest %s: dropped %d torn line(s)", filepath.Base(p), dropped)
-		}
-		for _, e := range entries {
-			if aerr := m.Append(e); aerr != nil {
-				return fmt.Errorf("shard: merge manifests: %w", aerr)
-			}
-		}
-		merged += len(entries)
-		files++
-	}
-	c.opts.Log("shard: merged %d entries from %d worker manifest(s)", merged, files)
-	return m.Close()
-}
-
-// validWorkerName accepts names safe to embed in a manifest file name.
+// validWorkerName accepts short names of letters, digits, '.', '_' and
+// '-' (not leading with '.' or '-'), so a name is safe to print in logs
+// and command lines.
 func validWorkerName(s string) bool {
 	if s == "" || len(s) > maxName || s[0] == '.' || s[0] == '-' {
 		return false

@@ -11,6 +11,7 @@ import (
 
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/faults"
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/sweep"
@@ -246,7 +247,7 @@ func TestShardCorruptFrameCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[headerLen] ^= 0xff
+	b[frame.HeaderLen] ^= 0xff
 	if _, err := conn.Write(b); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestShardMetricsRegistered(t *testing.T) {
 }
 
 // TestShardResumeSkipsWarmCells: a second cluster over the same cache
-// dir (Resume) must replay everything from the cache — zero computes.
+// dir must replay everything from the cache — zero computes.
 func TestShardResumeSkipsWarmCells(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts(dir)
@@ -297,7 +298,6 @@ func TestShardResumeSkipsWarmCells(t *testing.T) {
 		t.Fatal("cold cluster computed nothing")
 	}
 	warm := smallOpts(dir)
-	warm.Resume = true
 	second, wstats := runCluster(t, warm, 2, CoordinatorOptions{Shards: 4, Log: t.Logf}, nil)
 	if wstats.CellsComputed != 0 {
 		t.Errorf("warm cluster computed %d cells, want 0", wstats.CellsComputed)

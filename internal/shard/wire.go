@@ -2,10 +2,9 @@
 // partitions the sweep's cell matrix into shards (rendezvous-hashed over
 // cell content addresses, so the assignment is a pure function of the
 // sweep configuration), leases shards to worker processes over a small
-// framed control protocol, and — once every shard is done — merges the
-// per-worker JSONL manifests and replays the whole sweep warm from the
-// shared content-addressed cache, producing a CSV/report byte-identical
-// to a single-process run.
+// framed control protocol, and — once every shard is done — replays the
+// whole sweep warm from the shared content-addressed cache, producing a
+// CSV/report byte-identical to a single-process run.
 //
 // Design rules, inherited from the fleet plane and the sweep cache:
 //
@@ -13,67 +12,45 @@
 //     protocol exchanges shard numbers and lease renewals, never cell
 //     configs or samples (workers re-derive the cell list from the same
 //     sweep options, verified by the sweep configuration ID at Hello);
-//   - every frame is length-prefixed and CRC-32C checksummed (the
-//     fleetwire framing discipline), so a torn stream or bit flip is a
-//     counted rejection at the frame boundary, never a misparsed lease;
+//   - every message travels in the shared internal/frame codec (length-
+//     prefixed, CRC-32C over header and payload), so a torn stream or
+//     bit flip is a counted rejection at the frame boundary, never a
+//     misparsed lease;
 //   - worker death is survivable by construction: per-cell cache files
 //     are content-addressed, self-checking and written temp-then-rename,
 //     so a reassigned shard replays the dead worker's completed cells
-//     from the cache instead of recomputing them, and the final merged
-//     output cannot depend on which worker computed what.
+//     from the cache instead of recomputing them, and the final output
+//     cannot depend on which worker computed what.
 //
-// Frame layout (integers little-endian):
-//
-//	[4]byte  magic "bmsh"
-//	u16      wire version (Version)
-//	u16      message type
-//	u32      payload length
-//	payload  (per-type encoding, uvarint-length strings)
-//	u32      CRC-32 (Castagnoli) over version, type, length and payload
+// Frame (see internal/frame): magic "bmsh", version Version, kind the
+// message type; the payload is the per-type encoding below, strings as
+// uvarint length plus bytes.
 package shard
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
+
+	"github.com/browsermetric/browsermetric/internal/frame"
 )
 
 // Version is the control-protocol version this package speaks.
 const Version = 1
 
-// magic opens every control frame.
-var magic = [4]byte{'b', 'm', 's', 'h'}
+// codec frames control messages. They are tens of bytes; the 64 KiB cap
+// keeps a corrupt length prefix from becoming an allocation bomb.
+var codec = frame.Codec{Magic: [4]byte{'b', 'm', 's', 'h'}, Version: Version, MaxPayload: 1 << 16}
 
 const (
-	headerLen = 12 // magic + version + type + payload length
-	crcLen    = 4
-
-	// maxPayload bounds one control frame. Control messages are tens of
-	// bytes; the cap keeps a corrupt length prefix from becoming an
-	// allocation bomb.
-	maxPayload = 1 << 16
-
-	// maxName bounds a worker name; names become manifest file names, so
-	// they are further restricted to path-safe characters at Hello.
+	// maxName bounds a worker name; names are further restricted to
+	// log-safe characters at Hello.
 	maxName = 64
 	// maxReason bounds a rejection reason string.
 	maxReason = 512
 	// sweepIDLen is the exact length of a sweep configuration ID
 	// (lowercase hex SHA-256).
 	sweepIDLen = 64
-)
-
-// Sentinel errors; DecodeMsg wraps them with positional detail.
-var (
-	// ErrTruncated marks an input that ends mid-frame: a stream reader
-	// may retry with more bytes.
-	ErrTruncated = errors.New("shard: truncated frame")
-	// ErrCorrupt marks a structurally invalid or checksum-failing frame.
-	ErrCorrupt = errors.New("shard: corrupt frame")
-	// ErrVersion marks a well-formed frame of an unsupported version.
-	ErrVersion = errors.New("shard: unsupported wire version")
 )
 
 // MsgType enumerates the control messages.
@@ -161,11 +138,9 @@ type Msg struct {
 	Computed, Cached uint32
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // AppendMsg appends the canonical encoding of m to b.
 func AppendMsg(b []byte, m *Msg) ([]byte, error) {
-	var payload []byte
+	b, start := codec.Begin(b, uint16(m.Type))
 	switch m.Type {
 	case MsgHello:
 		if len(m.Name) == 0 || len(m.Name) > maxName {
@@ -174,46 +149,36 @@ func AppendMsg(b []byte, m *Msg) ([]byte, error) {
 		if len(m.SweepID) != sweepIDLen {
 			return nil, fmt.Errorf("shard: sweep ID length %d, want %d", len(m.SweepID), sweepIDLen)
 		}
-		payload = appendString(payload, m.Name)
-		payload = appendString(payload, m.SweepID)
+		b = appendString(b, m.Name)
+		b = appendString(b, m.SweepID)
 	case MsgHelloAck:
 		if len(m.Reason) > maxReason {
 			return nil, fmt.Errorf("shard: reason too long")
 		}
-		payload = appendBool(payload, m.OK)
-		payload = appendString(payload, m.Reason)
-		payload = binary.LittleEndian.AppendUint32(payload, m.Shards)
+		b = appendBool(b, m.OK)
+		b = appendString(b, m.Reason)
+		b = binary.LittleEndian.AppendUint32(b, m.Shards)
 	case MsgLeaseReq, MsgAllDone:
 		// empty payload
 	case MsgLeaseGrant:
-		payload = binary.LittleEndian.AppendUint32(payload, m.Shard)
-		payload = binary.LittleEndian.AppendUint32(payload, m.Shards)
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(m.TTL))
+		b = binary.LittleEndian.AppendUint32(b, m.Shard)
+		b = binary.LittleEndian.AppendUint32(b, m.Shards)
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.TTL))
 	case MsgNoWork:
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(m.Retry))
+		b = binary.LittleEndian.AppendUint64(b, uint64(m.Retry))
 	case MsgRenew:
-		payload = binary.LittleEndian.AppendUint32(payload, m.Shard)
-		payload = binary.LittleEndian.AppendUint32(payload, m.Done)
+		b = binary.LittleEndian.AppendUint32(b, m.Shard)
+		b = binary.LittleEndian.AppendUint32(b, m.Done)
 	case MsgRenewAck, MsgDoneAck:
-		payload = appendBool(payload, m.OK)
+		b = appendBool(b, m.OK)
 	case MsgShardDone:
-		payload = binary.LittleEndian.AppendUint32(payload, m.Shard)
-		payload = binary.LittleEndian.AppendUint32(payload, m.Computed)
-		payload = binary.LittleEndian.AppendUint32(payload, m.Cached)
+		b = binary.LittleEndian.AppendUint32(b, m.Shard)
+		b = binary.LittleEndian.AppendUint32(b, m.Computed)
+		b = binary.LittleEndian.AppendUint32(b, m.Cached)
 	default:
 		return nil, fmt.Errorf("shard: cannot encode message type %v", m.Type)
 	}
-	start := len(b)
-	b = append(b, magic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, Version)
-	b = binary.LittleEndian.AppendUint16(b, uint16(m.Type))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	// The CRC covers everything after the magic — version, type, length
-	// and payload — so a flipped type field cannot alias two messages
-	// that share a payload shape.
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start+4:], castagnoli))
-	return b, nil
+	return codec.Seal(b, start)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -229,39 +194,20 @@ func appendBool(b []byte, v bool) []byte {
 }
 
 // DecodeMsg parses the first control frame in b and returns it with the
-// number of bytes consumed. Errors wrap ErrTruncated (incomplete input),
-// ErrVersion (recognizable frame of another version; consumed reports
-// the full frame length so a stream can skip it) or ErrCorrupt.
+// number of bytes consumed. Errors wrap the internal/frame sentinels:
+// ErrTruncated (incomplete input), ErrVersion (intact frame of another
+// version; consumed reports the full frame length so a stream can skip
+// it) or ErrCorrupt.
 func DecodeMsg(b []byte) (*Msg, int, error) {
-	if len(b) < headerLen {
-		return nil, 0, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
+	typ, payload, n, err := codec.Decode(b)
+	if err != nil {
+		return nil, n, err
 	}
-	if [4]byte(b[:4]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	version := binary.LittleEndian.Uint16(b[4:])
-	typ := MsgType(binary.LittleEndian.Uint16(b[6:]))
-	payloadLen := int(binary.LittleEndian.Uint32(b[8:]))
-	if payloadLen > maxPayload {
-		return nil, 0, fmt.Errorf("%w: payload length %d", ErrCorrupt, payloadLen)
-	}
-	total := headerLen + payloadLen + crcLen
-	if len(b) < total {
-		return nil, 0, fmt.Errorf("%w: have %d of %d bytes", ErrTruncated, len(b), total)
-	}
-	if version != Version {
-		return nil, total, fmt.Errorf("%w: got %d, want %d", ErrVersion, version, Version)
-	}
-	payload := b[headerLen : headerLen+payloadLen]
-	wantCRC := binary.LittleEndian.Uint32(b[headerLen+payloadLen:])
-	if crc32.Checksum(b[4:headerLen+payloadLen], castagnoli) != wantCRC {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	m, err := decodePayload(typ, payload)
+	m, err := decodePayload(MsgType(typ), payload)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m, total, nil
+	return m, n, nil
 }
 
 func decodePayload(typ MsgType, p []byte) (*Msg, error) {
@@ -271,70 +217,70 @@ func decodePayload(typ MsgType, p []byte) (*Msg, error) {
 	switch typ {
 	case MsgHello:
 		if m.Name, ok = d.str(maxName); !ok || m.Name == "" {
-			return nil, fmt.Errorf("%w: hello name", ErrCorrupt)
+			return nil, fmt.Errorf("%w: hello name", frame.ErrCorrupt)
 		}
 		if m.SweepID, ok = d.str(sweepIDLen); !ok || len(m.SweepID) != sweepIDLen {
-			return nil, fmt.Errorf("%w: hello sweep ID", ErrCorrupt)
+			return nil, fmt.Errorf("%w: hello sweep ID", frame.ErrCorrupt)
 		}
 	case MsgHelloAck:
 		if m.OK, ok = d.boolean(); !ok {
-			return nil, fmt.Errorf("%w: hello-ack flag", ErrCorrupt)
+			return nil, fmt.Errorf("%w: hello-ack flag", frame.ErrCorrupt)
 		}
 		if m.Reason, ok = d.str(maxReason); !ok {
-			return nil, fmt.Errorf("%w: hello-ack reason", ErrCorrupt)
+			return nil, fmt.Errorf("%w: hello-ack reason", frame.ErrCorrupt)
 		}
 		if m.Shards, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: hello-ack shards", ErrCorrupt)
+			return nil, fmt.Errorf("%w: hello-ack shards", frame.ErrCorrupt)
 		}
 	case MsgLeaseReq, MsgAllDone:
 		// empty payload
 	case MsgLeaseGrant:
 		var ttl uint64
 		if m.Shard, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: grant shard", ErrCorrupt)
+			return nil, fmt.Errorf("%w: grant shard", frame.ErrCorrupt)
 		}
 		if m.Shards, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: grant shards", ErrCorrupt)
+			return nil, fmt.Errorf("%w: grant shards", frame.ErrCorrupt)
 		}
 		if ttl, ok = d.u64(); !ok || ttl > uint64(time.Hour) {
-			return nil, fmt.Errorf("%w: grant ttl", ErrCorrupt)
+			return nil, fmt.Errorf("%w: grant ttl", frame.ErrCorrupt)
 		}
 		if m.Shards == 0 || m.Shard >= m.Shards {
-			return nil, fmt.Errorf("%w: grant shard %d of %d", ErrCorrupt, m.Shard, m.Shards)
+			return nil, fmt.Errorf("%w: grant shard %d of %d", frame.ErrCorrupt, m.Shard, m.Shards)
 		}
 		m.TTL = time.Duration(ttl)
 	case MsgNoWork:
 		var retry uint64
 		if retry, ok = d.u64(); !ok || retry > uint64(time.Hour) {
-			return nil, fmt.Errorf("%w: no-work retry", ErrCorrupt)
+			return nil, fmt.Errorf("%w: no-work retry", frame.ErrCorrupt)
 		}
 		m.Retry = time.Duration(retry)
 	case MsgRenew:
 		if m.Shard, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: renew shard", ErrCorrupt)
+			return nil, fmt.Errorf("%w: renew shard", frame.ErrCorrupt)
 		}
 		if m.Done, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: renew done", ErrCorrupt)
+			return nil, fmt.Errorf("%w: renew done", frame.ErrCorrupt)
 		}
 	case MsgRenewAck, MsgDoneAck:
 		if m.OK, ok = d.boolean(); !ok {
-			return nil, fmt.Errorf("%w: ack flag", ErrCorrupt)
+			return nil, fmt.Errorf("%w: ack flag", frame.ErrCorrupt)
 		}
 	case MsgShardDone:
 		if m.Shard, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: done shard", ErrCorrupt)
+			return nil, fmt.Errorf("%w: done shard", frame.ErrCorrupt)
 		}
 		if m.Computed, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: done computed", ErrCorrupt)
+			return nil, fmt.Errorf("%w: done computed", frame.ErrCorrupt)
 		}
 		if m.Cached, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: done cached", ErrCorrupt)
+			return nil, fmt.Errorf("%w: done cached", frame.ErrCorrupt)
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown message type %d", ErrCorrupt, uint16(typ))
+		return nil, fmt.Errorf("%w: unknown message type %d", frame.ErrCorrupt, uint16(typ))
 	}
 	if d.off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(p)-d.off)
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", frame.ErrCorrupt, len(p)-d.off)
 	}
 	return m, nil
 }

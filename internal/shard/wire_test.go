@@ -3,10 +3,11 @@ package shard
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/browsermetric/browsermetric/internal/frame"
 )
 
 // sampleMsgs covers every message type with every per-type field set to
@@ -85,7 +86,7 @@ func TestWireTruncation(t *testing.T) {
 			if err == nil {
 				t.Fatalf("%v: decoded from %d of %d bytes", m.Type, n, len(b))
 			}
-			if !errors.Is(err, ErrTruncated) {
+			if !errors.Is(err, frame.ErrTruncated) {
 				t.Fatalf("%v: prefix %d/%d: got %v, want ErrTruncated", m.Type, n, len(b), err)
 			}
 		}
@@ -93,10 +94,9 @@ func TestWireTruncation(t *testing.T) {
 }
 
 // TestWireBitFlips flips every bit of every encoded message; each flip
-// must either fail to decode or decode to a different-but-valid message
-// whose frame is internally consistent — a flip may never pass CRC and
-// still misreport fields. (Flips inside the CRC or the length prefix are
-// what make "decodes differently" impossible; this asserts it.)
+// must fail to decode — a flip may never pass CRC and still misreport
+// fields — and a flip in the version field must be corruption, never
+// version skew.
 func TestWireBitFlips(t *testing.T) {
 	for _, m := range sampleMsgs() {
 		b, err := AppendMsg(nil, m)
@@ -107,7 +107,12 @@ func TestWireBitFlips(t *testing.T) {
 			mut := make([]byte, len(b))
 			copy(mut, b)
 			mut[i/8] ^= 1 << (i % 8)
-			got, _, err := DecodeMsg(mut)
+			got, n, err := DecodeMsg(mut)
+			if i/8 == 4 || i/8 == 5 {
+				if !errors.Is(err, frame.ErrCorrupt) || n != 0 {
+					t.Fatalf("%v: version bit %d flip: n=%d err=%v, want ErrCorrupt consuming 0", m.Type, i, n, err)
+				}
+			}
 			if err != nil {
 				continue // rejection is the expected outcome
 			}
@@ -120,16 +125,24 @@ func TestWireBitFlips(t *testing.T) {
 	}
 }
 
-// TestWireVersionSkew rewrites the version field; decode must return
-// ErrVersion and still report the full frame length so a stream can skip.
+// TestWireVersionSkew rewrites the version field. Without resealing,
+// the CRC (which covers the header) fails: ErrCorrupt, nothing consumed.
+// Resealed, the frame is intact skew: ErrVersion with the full frame
+// length reported so a stream can skip it.
 func TestWireVersionSkew(t *testing.T) {
 	b, err := AppendMsg(nil, &Msg{Type: MsgLeaseReq})
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint16(b[4:], Version+1)
+	if _, n, err := DecodeMsg(b); !errors.Is(err, frame.ErrCorrupt) || n != 0 {
+		t.Fatalf("unsealed rewrite: n=%d err=%v, want ErrCorrupt consuming 0", n, err)
+	}
+	if b, err = codec.Seal(b[:len(b)-frame.TrailerLen], 0); err != nil {
+		t.Fatal(err)
+	}
 	_, n, err := DecodeMsg(b)
-	if !errors.Is(err, ErrVersion) {
+	if !errors.Is(err, frame.ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
 	if n != len(b) {
@@ -142,8 +155,8 @@ func TestWireRejectsOversizedPayloadLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(b[8:], maxPayload+1)
-	if _, _, err := DecodeMsg(b); !errors.Is(err, ErrCorrupt) {
+	binary.LittleEndian.PutUint32(b[8:], uint32(codec.MaxPayload)+1)
+	if _, _, err := DecodeMsg(b); !errors.Is(err, frame.ErrCorrupt) {
 		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 }
@@ -169,7 +182,7 @@ func TestWireEncodeValidation(t *testing.T) {
 // capped, so a corrupt-but-CRC-valid peer cannot push a worker out of
 // range.
 func TestWireDecodeRejectsInvalidGrants(t *testing.T) {
-	frame := func(shard, shards uint32, ttl time.Duration) []byte {
+	grant := func(shard, shards uint32, ttl time.Duration) []byte {
 		var payload []byte
 		payload = binary.LittleEndian.AppendUint32(payload, shard)
 		payload = binary.LittleEndian.AppendUint32(payload, shards)
@@ -177,15 +190,15 @@ func TestWireDecodeRejectsInvalidGrants(t *testing.T) {
 		return rawFrame(MsgLeaseGrant, payload)
 	}
 	cases := [][]byte{
-		frame(5, 5, time.Second),         // shard == shards
-		frame(0, 0, time.Second),         // zero shards
-		frame(0, 1, 2*time.Hour),         // TTL over cap
+		grant(5, 5, time.Second),         // shard == shards
+		grant(0, 0, time.Second),         // zero shards
+		grant(0, 1, 2*time.Hour),         // TTL over cap
 		rawFrame(MsgLeaseGrant, nil),     // empty payload
 		rawFrame(MsgLeaseReq, []byte{0}), // trailing bytes
 		rawFrame(MsgRenewAck, []byte{2}), // non-canonical bool
 	}
 	for i, b := range cases {
-		if _, _, err := DecodeMsg(b); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeMsg(b); !errors.Is(err, frame.ErrCorrupt) {
 			t.Errorf("case %d: got %v, want ErrCorrupt", i, err)
 		}
 	}
@@ -194,11 +207,10 @@ func TestWireDecodeRejectsInvalidGrants(t *testing.T) {
 // rawFrame assembles a frame around an arbitrary payload, bypassing
 // AppendMsg's validation — for testing decode's own checks.
 func rawFrame(typ MsgType, payload []byte) []byte {
-	var b []byte
-	b = append(b, magic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, Version)
-	b = binary.LittleEndian.AppendUint16(b, uint16(typ))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[4:], castagnoli))
+	b, start := codec.Begin(nil, uint16(typ))
+	b, err := codec.Seal(append(b, payload...), start)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

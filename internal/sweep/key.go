@@ -1,9 +1,10 @@
 // Package sweep turns the study scheduler into a resumable, cache-backed
 // sweep engine. Each cell of a methods × browsers × fault-profiles matrix
 // is content-addressed by the SHA-256 of its full configuration (plus a
-// code-version salt), its samples are persisted byte-exactly on disk, and
-// a manifest written atomically per completed cell lets a killed sweep
-// restart where it left off. The repo's determinism contract — byte-
+// code-version salt) and its samples are persisted byte-exactly on disk,
+// each file written atomically and self-checked on load. That cache is
+// the sweep's only state: a killed sweep re-run on the same directory
+// replays the cells it finished and computes the rest. The repo's determinism contract — byte-
 // identical exports at any worker count — is what makes the cache sound,
 // and the package's tests extend that contract to "cached replay is
 // bit-identical to recomputation".

@@ -158,7 +158,7 @@ func TestSweepMatchesUncachedStudies(t *testing.T) {
 }
 
 // TestSweepInterruptResumeEquivalence: a sweep cancelled mid-flight and
-// then resumed exports byte-identically to an uninterrupted sweep, at
+// then re-run on the same cache dir exports byte-identically to an uninterrupted sweep, at
 // every worker count the repo's determinism contract covers.
 func TestSweepInterruptResumeEquivalence(t *testing.T) {
 	baseline, err := Run(context.Background(), smallOpts(t.TempDir()))
@@ -184,15 +184,15 @@ func TestSweepInterruptResumeEquivalence(t *testing.T) {
 			t.Fatalf("Workers=%d: interrupted run returned %v, want context.Canceled", w, err)
 		}
 
-		// Resume from the manifest: only the missing cells run.
+		// Re-run on the same cache: the finished cells replay, only the
+		// missing cells run.
 		opts.OnCell = nil
-		opts.Resume = true
 		res, err := Run(context.Background(), opts)
 		if err != nil {
 			t.Fatalf("Workers=%d: resume: %v", w, err)
 		}
-		if res.Stats.Resumed < 3 {
-			t.Errorf("Workers=%d: manifest recorded %d cells before the kill, want ≥ 3", w, res.Stats.Resumed)
+		if res.Stats.CachedHits < 3 {
+			t.Errorf("Workers=%d: cache held %d cells from before the kill, want ≥ 3", w, res.Stats.CachedHits)
 		}
 		if res.Stats.Computed+res.Stats.CachedHits+res.Stats.Skipped != res.Stats.Cells {
 			t.Errorf("Workers=%d: stats don't add up: %+v", w, res.Stats)
@@ -257,58 +257,33 @@ func TestSweepCorruptCellRecovery(t *testing.T) {
 	}
 }
 
-// TestSweepManifestTornTailResume: a manifest torn mid-entry (the SIGKILL
-// case) resumes cleanly — the torn cell revalidates from the cache and the
-// exports are unchanged.
-func TestSweepManifestTornTailResume(t *testing.T) {
-	opts := smallOpts(t.TempDir())
-	cold, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sweepExportBytes(t, cold)
-	recorded := cold.Manifest.Len()
-
-	mpath := ManifestPath(opts.Dir)
-	data, err := os.ReadFile(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mpath, data[:len(data)-12], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Resume = true
-	res, err := Run(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Resumed != recorded-1 {
-		t.Errorf("Resumed = %d, want %d (one torn entry dropped)", res.Stats.Resumed, recorded-1)
-	}
-	if res.Stats.Computed != 0 {
-		t.Errorf("Computed = %d, want 0: the torn cell's data is still cached", res.Stats.Computed)
-	}
-	if res.Manifest.Len() != recorded {
-		t.Errorf("manifest ends with %d entries, want %d", res.Manifest.Len(), recorded)
-	}
-	if got := sweepExportBytes(t, res); !bytes.Equal(got, want) {
-		t.Errorf("torn-tail resume is not byte-identical to the original")
-	}
-}
-
-// TestSweepResumeRejectsDifferentConfig: -resume against a manifest from a
-// differently configured sweep must fail loudly, not blend two sweeps.
-func TestSweepResumeRejectsDifferentConfig(t *testing.T) {
-	opts := smallOpts(t.TempDir())
-	if _, err := Run(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	opts.Runs++
-	opts.Resume = true
-	if _, err := Run(context.Background(), opts); err == nil ||
-		!strings.Contains(err.Error(), "different sweep") {
-		t.Fatalf("err = %v, want a different-sweep rejection", err)
+// TestSweepConfigsShareCacheDir: two differently configured sweeps
+// interleaved on one cache dir never see each other's cells (their keys
+// differ), each second pass replays entirely from the cache, and every
+// pass exports byte-identically to a run in a fresh dir.
+func TestSweepConfigsShareCacheDir(t *testing.T) {
+	shared := t.TempDir()
+	a := smallOpts(shared)
+	b := smallOpts(shared)
+	b.Runs++
+	b.Faults = []faults.Profile{faults.Lossy1pct, faults.Clean}
+	for i, opts := range []Options{a, b, a, b} {
+		got, err := Run(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm := i >= 2; warm != (got.Stats.Computed == 0) {
+			t.Errorf("pass %d: stats %+v, want computed only on the first pass", i, got.Stats)
+		}
+		fresh := opts
+		fresh.Dir = t.TempDir()
+		want, err := Run(context.Background(), fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sweepExportBytes(t, got), sweepExportBytes(t, want)) {
+			t.Errorf("runs=%d faults=%v: shared-dir export differs from a fresh dir", opts.Runs, opts.Faults)
+		}
 	}
 }
 
