@@ -17,10 +17,11 @@
 #   make sweep-shard-cluster  coordinator + 3 shard workers over loopback,
 #                             SIGKILL one mid-run, final export must be
 #                             byte-identical to the single-process sweep
+#   make artifacts   regenerate the committed outputs in artifacts/
 
 GO ?= go
 
-.PHONY: all build vet test lint race race-core race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-shard-cluster
+.PHONY: all build vet test lint race race-core race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-shard-cluster artifacts
 
 all: tier1
 
@@ -300,3 +301,14 @@ sweep-shard-cluster:
 		{ echo "sweep-shard-cluster: cluster report differs from the single-process sweep"; exit 1; }; \
 	echo "sweep-shard-cluster: cluster export byte-identical to the single-process sweep after a SIGKILLed worker"
 	@rm -rf $(SHARD_CLUSTER_DIR)
+
+# artifacts regenerates the committed outputs in artifacts/ with the
+# commands artifacts/README.md lists. Every output is deterministic, and
+# cmd/appraise's TestGoldenArtifacts compares the first four byte for
+# byte, so a change that moves any of them must regenerate them here.
+artifacts:
+	$(GO) run ./cmd/appraise -all -runs 50 > artifacts/appraise_all.txt
+	$(GO) run ./cmd/appraise -fig 3 -ascii -runs 50 > artifacts/fig3_ascii.txt
+	$(GO) run ./cmd/appraise -markdown artifacts/report.md > /dev/null
+	$(GO) run ./cmd/appraise -csv artifacts/study.csv > /dev/null
+	$(GO) run ./cmd/pcaptool -gen artifacts/websocket_run.pcap -method 3 -browser C -os W

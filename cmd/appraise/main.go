@@ -30,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -469,14 +470,17 @@ func main() {
 		flag.Usage()
 		exit(2)
 	}
-	if err := run(*table, *fig, *runs, *all, *recommend, *ascii, *attribution, *impact,
+	if err := run(os.Stdout, *table, *fig, *runs, *all, *recommend, *ascii, *attribution, *impact,
 		*csvPath, *mdPath, *tracePath, *metricsPath, *cellstats, *faultimpact); err != nil {
 		fmt.Fprintln(os.Stderr, "appraise:", err)
 		exit(1)
 	}
 }
 
-func run(table, fig, runs int, all, recommend, ascii, attribution, impact bool, csvPath, mdPath, tracePath, metricsPath string, cellstats, faultimpact bool) error {
+// run regenerates the selected artifacts onto w (stdout in main). Files
+// named by the path flags are written as side outputs, and progress goes
+// to stderr.
+func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, impact bool, csvPath, mdPath, tracePath, metricsPath string, cellstats, faultimpact bool) error {
 	var study *bm.Study
 	needStudy := all || fig == 3 || recommend || csvPath != "" || mdPath != "" ||
 		tracePath != "" || metricsPath != "" || cellstats
@@ -489,16 +493,16 @@ func run(table, fig, runs int, all, recommend, ascii, attribution, impact bool, 
 	}
 
 	if all || table == 1 {
-		fmt.Println(bm.Table1())
+		fmt.Fprintln(w, bm.Table1())
 	}
 	if all || table == 2 {
-		fmt.Println(bm.Table2())
+		fmt.Fprintln(w, bm.Table2())
 	}
 	if all || fig == 3 {
 		if ascii {
-			fmt.Println(bm.Fig3ASCII(study, 72))
+			fmt.Fprintln(w, bm.Fig3ASCII(study, 72))
 		} else {
-			fmt.Println(bm.Fig3(study))
+			fmt.Fprintln(w, bm.Fig3(study))
 		}
 	}
 	if all || fig == 4 {
@@ -506,32 +510,32 @@ func run(table, fig, runs int, all, recommend, ascii, attribution, impact bool, 
 		if err != nil {
 			return err
 		}
-		fmt.Println(report)
+		fmt.Fprintln(w, report)
 		if ascii {
 			art, err := bm.Fig4ASCII(runs, 50)
 			if err != nil {
 				return err
 			}
-			fmt.Println(art)
+			fmt.Fprintln(w, art)
 		}
 	}
 	if all || fig == 5 {
 		report, _ := bm.Fig5(12)
-		fmt.Println(report)
+		fmt.Fprintln(w, report)
 	}
 	if all || table == 3 {
 		report, _, err := bm.Table3(runs)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report)
+		fmt.Fprintln(w, report)
 	}
 	if all || table == 4 {
 		report, _, err := bm.Table4(runs)
 		if err != nil {
 			return err
 		}
-		fmt.Println(report)
+		fmt.Fprintln(w, report)
 	}
 	if all || recommend {
 		if study == nil {
@@ -542,20 +546,20 @@ func run(table, fig, runs int, all, recommend, ascii, attribution, impact bool, 
 			}
 		}
 		rec := bm.Recommend(study)
-		fmt.Println("Section 5: practical considerations (derived from the study)")
-		fmt.Printf("  best method overall:   %v\n", rec.BestMethod)
-		fmt.Printf("  best plugin-free:      %v\n", rec.BestNative)
+		fmt.Fprintln(w, "Section 5: practical considerations (derived from the study)")
+		fmt.Fprintf(w, "  best method overall:   %v\n", rec.BestMethod)
+		fmt.Fprintf(w, "  best plugin-free:      %v\n", rec.BestNative)
 		oses := make([]string, 0, len(rec.BestBrowser))
 		for os := range rec.BestBrowser {
 			oses = append(oses, os)
 		}
 		sort.Strings(oses)
 		for _, os := range oses {
-			fmt.Printf("  preferred browser on %s: %v\n", os, rec.BestBrowser[os])
+			fmt.Fprintf(w, "  preferred browser on %s: %v\n", os, rec.BestBrowser[os])
 		}
-		fmt.Printf("  avoid (uncalibratable): %v\n", rec.AvoidMethods)
+		fmt.Fprintf(w, "  avoid (uncalibratable): %v\n", rec.AvoidMethods)
 		for _, n := range rec.Notes {
-			fmt.Printf("  note: %s\n", n)
+			fmt.Fprintf(w, "  note: %s\n", n)
 		}
 	}
 	if all || attribution {
@@ -576,7 +580,7 @@ func run(table, fig, runs int, all, recommend, ascii, attribution, impact bool, 
 			if err != nil {
 				return err
 			}
-			fmt.Println(report)
+			fmt.Fprintln(w, report)
 		}
 	}
 	if csvPath != "" {
@@ -621,12 +625,12 @@ func run(table, fig, runs int, all, recommend, ascii, attribution, impact bool, 
 		if err != nil {
 			return err
 		}
-		fmt.Println(report)
+		fmt.Fprintln(w, report)
 		sweep, err := bm.ServerOverheadReport(bm.Firefox, bm.Windows, bm.NanoTime, runs)
 		if err != nil {
 			return err
 		}
-		fmt.Println(sweep)
+		fmt.Fprintln(w, sweep)
 	}
 	if faultimpact {
 		fmt.Fprintf(os.Stderr, "running the fault-impact study (%d profiles x %d methods x %d runs)...\n",
@@ -639,12 +643,12 @@ func run(table, fig, runs int, all, recommend, ascii, attribution, impact bool, 
 		if err != nil {
 			return err
 		}
-		fmt.Println(fi.Report())
+		fmt.Fprintln(w, fi.Report())
 	}
 	// Last so the regenerated artifacts above stay byte-identical with
 	// and without the flag.
 	if cellstats {
-		fmt.Println(bm.CellStatsTable(study, 15))
+		fmt.Fprintln(w, bm.CellStatsTable(study, 15))
 	}
 	return nil
 }

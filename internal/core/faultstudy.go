@@ -28,11 +28,11 @@ type FaultImpactOptions struct {
 	// Runs per (method, fault profile) cell (default 50), Gap between runs.
 	Runs int
 	Gap  time.Duration
-	// BaseSeed is shared by every fault profile: profile f's study runs
-	// the exact seed schedule of the Clean study, so distribution shifts
+	// BaseSeed is shared by every fault profile: profile f's cells run
+	// the exact seed schedule of the Clean cells, so distribution shifts
 	// are attributable to the impairment alone, not to reseeding.
 	BaseSeed int64
-	// Workers caps per-study concurrency (see StudyOptions.Workers).
+	// Workers caps cell concurrency (see StudyOptions.Workers).
 	Workers int
 	// Timing selects the timestamping API (default Date.getTime).
 	Timing browser.TimingFunc
@@ -82,48 +82,38 @@ type FaultImpact struct {
 	Studies []*Study
 }
 
-// RunFaultImpact executes one study per fault profile — identical matrix,
-// identical seeds, only the impairment differs — and tabulates per-method
-// Δd quantiles. Deterministic: same options ⇒ byte-identical Report.
+// RunFaultImpact runs the faults × methods matrix over the one browser —
+// identical cells and seeds under every fault profile, only the
+// impairment differs — and tabulates per-method Δd quantiles.
+// Deterministic: same options ⇒ byte-identical Report.
 func RunFaultImpact(ctx context.Context, opts FaultImpactOptions) (*FaultImpact, error) {
 	opts.fillDefaults()
-	fi := &FaultImpact{Options: opts, Profiles: opts.Profiles, Browser: opts.Browser}
-
-	for _, fp := range opts.Profiles {
-		so := StudyOptions{
-			Methods:  opts.Methods,
-			Profiles: []*browser.Profile{opts.Browser},
-			Timing:   opts.Timing,
-			Runs:     opts.Runs,
-			Gap:      opts.Gap,
-			BaseSeed: opts.BaseSeed,
-			Workers:  opts.Workers,
-		}
-		so.Testbed.Faults = fp
-		st, err := RunStudyContext(ctx, so)
-		if err != nil {
-			return nil, fmt.Errorf("fault profile %s: %w", fp, err)
-		}
-		fi.Studies = append(fi.Studies, st)
+	studies, err := RunFaultStudies(ctx, StudyOptions{
+		Methods:  opts.Methods,
+		Profiles: []*browser.Profile{opts.Browser},
+		Timing:   opts.Timing,
+		Runs:     opts.Runs,
+		Gap:      opts.Gap,
+		BaseSeed: opts.BaseSeed,
+		Workers:  opts.Workers,
+	}, opts.Profiles)
+	if err != nil {
+		return nil, err
 	}
+	fi := &FaultImpact{Options: opts, Profiles: opts.Profiles, Browser: opts.Browser, Studies: studies}
 
 	for _, k := range opts.Methods {
 		spec := methods.Get(k)
+		if !opts.Browser.Supports(spec.API) {
+			continue
+		}
 		row := MethodFaultImpact{Method: k, Name: spec.Name, Transport: spec.Transport}
-		usable := true
 		for _, st := range fi.Studies {
-			c := st.Cell(k, opts.Browser.Label())
-			if c == nil || c.Skipped || c.Exp == nil {
-				usable = false
-				break
-			}
-			s := c.Exp.roundSamples(2)
+			s := st.Cell(k, opts.Browser.Label()).Exp.roundSamples(2)
 			row.P50 = append(row.P50, s.Quantile(0.5))
 			row.P95 = append(row.P95, s.Quantile(0.95))
 		}
-		if usable {
-			fi.Rows = append(fi.Rows, row)
-		}
+		fi.Rows = append(fi.Rows, row)
 	}
 	return fi, nil
 }

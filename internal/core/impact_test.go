@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,36 @@ func TestAttributionSumsToOverhead(t *testing.T) {
 		sum := a.SendPath + a.RecvPath + a.Attribution.Handshake + a.Residual
 		if sum != a.Overhead {
 			t.Fatalf("sample %d: attribution sums to %v, overhead %v", i, sum, a.Overhead)
+		}
+	}
+}
+
+// TestRunAttributedMatchesRun is a differential test of RunAttributed's
+// own run loop (a fresh Runner per run, no BeginRun) against RunContext's
+// recycled one: for every compared method on every Table 2 profile, under
+// both timing functions and a clock warp, both must produce identical
+// samples, so the attribution view never explains numbers the
+// experiments did not report.
+func TestRunAttributedMatchesRun(t *testing.T) {
+	for _, spec := range methods.Compared() {
+		for pi, prof := range browser.Profiles() {
+			if !prof.Supports(spec.API) {
+				continue
+			}
+			timing := []browser.TimingFunc{browser.GetTime, browser.NanoTime}[pi%2]
+			cfg := Config{Method: spec.Kind, Profile: prof, Timing: timing, Runs: 20, Warp: 5 * time.Minute,
+				Testbed: testbed.Config{Seed: CellSeed(11, int(spec.Kind), pi)}}
+			want, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, attributed, err := RunAttributed(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Samples, want.Samples) || len(attributed) != len(want.Samples) {
+				t.Errorf("%s / %s (%v): RunAttributed samples differ from Run's", spec.Name, prof.Label(), timing)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -167,26 +168,20 @@ func Fig4(runs int) (string, []Fig4Row, error) {
 		browser.Lookup(browser.Safari, browser.Windows),
 		browser.AppletviewerProfile(),
 	}
+	exps, err := runArtifact(fig4Cells(runs, 100, profiles))
+	if err != nil {
+		return "", nil, err
+	}
 	var rows []Fig4Row
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 4: CDF of Δd, Java applet TCP socket on Windows (Date.getTime)\n")
 	for i, p := range profiles {
-		exp, err := Run(Config{
-			Method:  methods.JavaTCP,
-			Profile: p,
-			Timing:  browser.GetTime,
-			Runs:    runs,
-			Testbed: testbed.Config{Seed: int64(100 + i)},
-		})
-		if err != nil {
-			return "", nil, err
-		}
 		part := "(a) in browsers"
 		if p.Browser == browser.Appletviewer {
 			part = "(b) appletviewer control"
 		}
 		for round := 1; round <= methods.Rounds; round++ {
-			sm := exp.roundSamples(round)
+			sm := exps[i].roundSamples(round)
 			cdf := sm.CDF()
 			centers, counts := sm.Levels(3)
 			var levels []float64
@@ -217,29 +212,47 @@ func Fig4ASCII(runs int, width int) (string, error) {
 	if runs <= 0 {
 		runs = 50
 	}
+	profiles := []*browser.Profile{browser.Lookup(browser.Firefox, browser.Windows), browser.AppletviewerProfile()}
+	exps, err := runArtifact(fig4Cells(runs, 150, profiles))
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Figure 4 (ASCII): Δd CDFs, Java TCP socket on Windows, Date.getTime\n\n")
-	for i, p := range []*browser.Profile{
-		browser.Lookup(browser.Firefox, browser.Windows),
-		browser.AppletviewerProfile(),
-	} {
-		exp, err := Run(Config{
-			Method:  methods.JavaTCP,
-			Profile: p,
-			Timing:  browser.GetTime,
-			Runs:    runs,
-			Testbed: testbed.Config{Seed: int64(150 + i)},
-		})
-		if err != nil {
-			return "", err
-		}
+	for i, p := range profiles {
 		for round := 1; round <= methods.Rounds; round++ {
 			label := fmt.Sprintf("%s Δd%d", p.Label(), round)
-			b.WriteString(stats.RenderCDF(label, exp.CDF(round), width))
+			b.WriteString(stats.RenderCDF(label, exps[i].CDF(round), width))
 			b.WriteByte('\n')
 		}
 	}
 	return b.String(), nil
+}
+
+// fig4Cells declares the Figure 4 cells: the Java applet TCP socket with
+// Date.getTime() on each profile, profile i seeded base+i.
+func fig4Cells(runs int, base int64, profiles []*browser.Profile) []Config {
+	cfgs := make([]Config, len(profiles))
+	for i, p := range profiles {
+		cfgs[i] = Config{Method: methods.JavaTCP, Profile: p, Timing: browser.GetTime, Runs: runs,
+			Testbed: testbed.Config{Seed: base + int64(i)}}
+	}
+	return cfgs
+}
+
+// runArtifact runs an artifact's few short cells through RunCells on one
+// worker (a pool's hand-offs and per-worker arenas cost more CPU time than
+// the overlap saves there) and returns their experiments in cell order.
+func runArtifact(cfgs []Config) ([]*Experiment, error) {
+	st, err := RunCells(context.TODO(), StudyOptions{Workers: 1}, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	exps := make([]*Experiment, len(st.Cells))
+	for i := range st.Cells {
+		exps[i] = st.Cells[i].Exp
+	}
+	return exps, nil
 }
 
 func fmtLevels(ls []float64) string {
@@ -296,24 +309,29 @@ func Table3(runs int) (string, map[string][4]float64, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3: median Δd1/Δd2 for the Flash HTTP methods in Opera (ms)\n")
 	fmt.Fprintf(&b, "%-8s %10s %10s %10s %10s\n", "combo", "GET Δd1", "GET Δd2", "POST Δd1", "POST Δd2")
-	for i, os := range []browser.OS{browser.Windows, browser.Ubuntu} {
+	oses := []browser.OS{browser.Windows, browser.Ubuntu}
+	var cfgs []Config // per OS: GET, then POST
+	for i, os := range oses {
 		prof := browser.Lookup(browser.Opera, os)
-		get, err := Run(Config{Method: methods.FlashGet, Profile: prof, Timing: browser.GetTime,
-			Runs: runs, Testbed: testbed.Config{Seed: int64(300 + i)}})
-		if err != nil {
-			return "", nil, err
-		}
-		post, err := Run(Config{Method: methods.FlashPost, Profile: prof, Timing: browser.GetTime,
-			Runs: runs, Testbed: testbed.Config{Seed: int64(310 + i)}})
-		if err != nil {
-			return "", nil, err
-		}
+		cfgs = append(cfgs,
+			Config{Method: methods.FlashGet, Profile: prof, Timing: browser.GetTime, Runs: runs,
+				Testbed: testbed.Config{Seed: int64(300 + i)}},
+			Config{Method: methods.FlashPost, Profile: prof, Timing: browser.GetTime, Runs: runs,
+				Testbed: testbed.Config{Seed: int64(310 + i)}})
+	}
+	exps, err := runArtifact(cfgs)
+	if err != nil {
+		return "", nil, err
+	}
+	for i := range oses {
+		get, post := exps[2*i], exps[2*i+1]
+		label := get.Config.Profile.Label()
 		vals := [4]float64{
 			get.MedianOverhead(1), get.MedianOverhead(2),
 			post.MedianOverhead(1), post.MedianOverhead(2),
 		}
-		out[prof.Label()] = vals
-		fmt.Fprintf(&b, "%-8s %10.1f %10.1f %10.1f %10.1f\n", prof.Label(), vals[0], vals[1], vals[2], vals[3])
+		out[label] = vals
+		fmt.Fprintf(&b, "%-8s %10.1f %10.1f %10.1f %10.1f\n", label, vals[0], vals[1], vals[2], vals[3])
 	}
 	return b.String(), out, nil
 }
@@ -342,22 +360,28 @@ func Table4(runs int) (string, map[string]map[string][2]Table4Cell, error) {
 		fmt.Fprintf(&b, " %11s Δd1 %11s Δd2", n, n)
 	}
 	b.WriteByte('\n')
+	var cfgs []Config // browser-major, then method
 	for bi, name := range browsers {
 		prof := browser.Lookup(name, browser.Windows)
 		if name == browser.Safari {
 			prof = prof.WithOracleJRE()
 		}
+		for ki, kind := range kinds {
+			cfgs = append(cfgs, Config{Method: kind, Profile: prof, Timing: browser.NanoTime, Runs: runs,
+				Testbed: testbed.Config{Seed: int64(400 + 10*bi + ki)}})
+		}
+	}
+	exps, err := runArtifact(cfgs)
+	if err != nil {
+		return "", nil, err
+	}
+	for bi, name := range browsers {
 		row := map[string][2]Table4Cell{}
 		fmt.Fprintf(&b, "%-9s", name)
-		for ki, kind := range kinds {
-			exp, err := Run(Config{Method: kind, Profile: prof, Timing: browser.NanoTime,
-				Runs: runs, Testbed: testbed.Config{Seed: int64(400 + 10*bi + ki)}})
-			if err != nil {
-				return "", nil, err
-			}
+		for ki := range kinds {
 			var cells [2]Table4Cell
 			for round := 1; round <= 2; round++ {
-				m, h := exp.MeanCI(round)
+				m, h := exps[bi*len(kinds)+ki].MeanCI(round)
 				cells[round-1] = Table4Cell{Mean: m, Half: h}
 				fmt.Fprintf(&b, "  %6.2f±%-7.2f", m, h)
 			}

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/arena"
 	"github.com/browsermetric/browsermetric/internal/browser"
+	"github.com/browsermetric/browsermetric/internal/faults"
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/obs"
 )
@@ -33,21 +35,10 @@ func RunStudy(opts StudyOptions) (*Study, error) {
 	return RunStudyContext(context.Background(), opts)
 }
 
-// RunStudyContext executes the matrix on a pool of opts.Workers
-// goroutines. Every cell runs on its own freshly built testbed (simulator,
-// clock, capture) with a seed derived from its matrix position via
-// CellSeed, so no simulation state is shared between workers and results
-// are independent of scheduling order; Cells keeps the stable
-// method-major ordering regardless of completion order.
-//
-// Canceling ctx aborts the study and returns ctx.Err(). The first cell
-// failure cancels the remaining work and is returned after in-flight
-// cells drain ("first" = lowest cell index among the failures observed,
-// so the returned error is deterministic too).
+// RunStudyContext executes the methods × profiles matrix: its cells are
+// built by FaultCells (method-major) and run through RunCells, so Cells
+// keeps that stable ordering regardless of completion order.
 func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(opts.Methods) == 0 {
 		for _, s := range methods.Compared() {
 			opts.Methods = append(opts.Methods, s.Kind)
@@ -56,18 +47,81 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 	if len(opts.Profiles) == 0 {
 		opts.Profiles = browser.Profiles()
 	}
+	return RunCells(ctx, opts, FaultCells(opts, []faults.Profile{opts.Testbed.Faults}))
+}
 
-	total := len(opts.Methods) * len(opts.Profiles)
+// FaultCells expands opts' methods × profiles matrix once per fault
+// profile, fault-profile major, then method, then browser profile. Each
+// cell carries every knob that can influence its measurement, with the
+// testbed seed derived from its matrix position via CellSeed; every fault
+// profile reuses the same seed schedule, so differences between profiles
+// are attributable to the impairment alone. Unsupported combos are
+// included (RunCells marks them skipped). It is the one construction
+// site for cell configs — studies, fault-impact studies, sweeps and sweep
+// plans all go through it, so a cell is content-addressed identically no
+// matter which of them, or which process, computes it. opts.Methods and
+// opts.Profiles must already be populated.
+func FaultCells(opts StudyOptions, fps []faults.Profile) []Config {
+	out := make([]Config, 0, len(fps)*len(opts.Methods)*len(opts.Profiles))
+	for _, fp := range fps {
+		for mi, kind := range opts.Methods {
+			for pi, prof := range opts.Profiles {
+				cfg := Config{Method: kind, Profile: prof, Timing: opts.Timing, Runs: opts.Runs, Gap: opts.Gap,
+					Testbed: opts.Testbed}
+				cfg.Testbed.Faults = fp
+				cfg.Testbed.Seed = CellSeed(opts.BaseSeed, mi, pi)
+				out = append(out, cfg)
+			}
+		}
+	}
+	return out
+}
+
+// RunFaultStudies runs FaultCells(opts, fps) in one RunCells call and
+// splits the result into one Study per fault profile. opts.Methods and
+// opts.Profiles must already be populated. OnCellDone indexes the flat
+// cell list; the split studies' Stats are left zero.
+func RunFaultStudies(ctx context.Context, opts StudyOptions, fps []faults.Profile) ([]*Study, error) {
+	all, err := RunCells(ctx, opts, FaultCells(opts, fps))
+	if err != nil {
+		return nil, err
+	}
+	n := len(opts.Methods) * len(opts.Profiles)
+	out := make([]*Study, len(fps))
+	for i, fp := range fps {
+		out[i] = &Study{Options: opts, Cells: all.Cells[i*n : (i+1)*n : (i+1)*n]}
+		out[i].Options.Testbed.Faults = fp
+	}
+	return out, nil
+}
+
+// RunCells is the cell engine: every study, artifact, sweep and shard
+// worker executes its cells through it. The cells run on a pool of
+// opts.Workers goroutines (0 = GOMAXPROCS), each with one arena that
+// backs its cells' hot-path buffers, and every cell runs on its own
+// freshly built testbed under its own Config (seed included), so results
+// are independent of scheduling order. Cells of the returned Study align
+// index-for-index with cfgs; every cfg needs a Profile, and a cell whose
+// profile cannot run its method is Skipped. Of opts, only Workers,
+// OnCellDone, Tracing, Metrics and Cache are used; the Study's Options
+// is opts as given.
+//
+// Canceling ctx aborts the run and returns ctx.Err(). The first cell
+// failure cancels the remaining work and is returned after in-flight
+// cells drain ("first" = lowest cell index among the failures observed,
+// so the returned error is deterministic too).
+func RunCells(ctx context.Context, opts StudyOptions, cfgs []Config) (*Study, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	total := len(cfgs)
 	st := &Study{Options: opts}
 	st.Cells = make([]Cell, total)
 	st.Stats.CellWall = make([]time.Duration, total)
-	// Prefill every cell's identity so an aborted study still has
+	// Prefill every cell's identity so an aborted run still has
 	// well-formed (if experiment-less) rows.
-	for i := range st.Cells {
-		st.Cells[i] = Cell{
-			Spec:    methods.Get(opts.Methods[i/len(opts.Profiles)]),
-			Profile: opts.Profiles[i%len(opts.Profiles)],
-		}
+	for i := range cfgs {
+		st.Cells[i] = Cell{Spec: methods.Get(cfgs[i].Method), Profile: cfgs[i].Profile}
 	}
 
 	workers := opts.Workers
@@ -85,14 +139,9 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	jobs := make(chan int, total)
-	for i := 0; i < total; i++ {
-		jobs <- i
-	}
-	close(jobs)
-
 	var (
-		mu          sync.Mutex // guards st.Stats, firstErr*, and callback order
+		next        atomic.Int64 // cells are handed out in index order
+		mu          sync.Mutex   // guards st.Stats, firstErr*, and callback order
 		firstErr    error
 		firstErrIdx = total
 	)
@@ -107,7 +156,7 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 			// arena is single-goroutine by design, which is exactly the
 			// worker's execution model.
 			a := arena.New(0)
-			for idx := range jobs {
+			for idx := int(next.Add(1)) - 1; idx < total; idx = int(next.Add(1)) - 1 {
 				if ctx.Err() != nil {
 					return
 				}
@@ -115,14 +164,12 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 				st.Stats.CellsStarted++
 				mu.Unlock()
 
-				mi, pi := idx/len(opts.Profiles), idx%len(opts.Profiles)
+				cell := st.Cells[idx]
 				cellStart := time.Now()
-				cell, err := runCell(ctx, &opts, mi, pi, a)
+				err := runCell(ctx, &opts, cfgs[idx], &cell, a)
 				wall := time.Since(cellStart)
 
-				canceled := err != nil && errors.Is(err, context.Canceled) ||
-					err != nil && errors.Is(err, context.DeadlineExceeded)
-				if canceled {
+				if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 					// The cell was cut short by cancellation (ours after a
 					// failure elsewhere, or the caller's): not a result, not
 					// a failure of this cell.
@@ -148,8 +195,8 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 				if cb := opts.OnCellDone; cb != nil {
 					cb(CellStatus{
 						Index:   idx,
-						Method:  opts.Methods[mi],
-						Profile: opts.Profiles[pi],
+						Method:  cfgs[idx].Method,
+						Profile: cfgs[idx].Profile,
 						Skipped: cell.Skipped,
 						Cached:  cell.Cached,
 						Err:     err,
@@ -205,45 +252,13 @@ func mergeStudyMetrics(st *Study, m *obs.Metrics) {
 	m.Set("study_wall_ms", float64(st.Stats.Wall)/float64(time.Millisecond))
 }
 
-// CellConfig builds the exact configuration cell (mi, pi) of a study
-// runs under: the method/profile identity plus every knob that can
-// influence the measurement, with the testbed seed derived from the
-// matrix position via CellSeed. ok is false when the profile cannot run
-// the method (the cell is skipped). It is the single construction site
-// for cell configs — the scheduler's runCell and any out-of-process
-// executor (the shard runner) both go through it, so a cell is
-// content-addressed identically no matter which process computes it.
-// opts.Methods and opts.Profiles must already be populated.
-func CellConfig(opts *StudyOptions, mi, pi int) (Config, bool) {
-	kind := opts.Methods[mi]
-	spec := methods.Get(kind)
-	prof := opts.Profiles[pi]
-	if !prof.Supports(spec.API) {
-		return Config{}, false
-	}
-	cfg := Config{
-		Method:  kind,
-		Profile: prof,
-		Timing:  opts.Timing,
-		Runs:    opts.Runs,
-		Gap:     opts.Gap,
-		Testbed: opts.Testbed,
-	}
-	cfg.Testbed.Seed = CellSeed(opts.BaseSeed, mi, pi)
-	return cfg, true
-}
-
-// runCell executes one (method, profile) cell on an isolated testbed.
+// runCell executes one cell on an isolated testbed, filling in cell.
 // a is the calling worker's arena; it backs the cell's hot-path buffers
 // and recycles between cells.
-func runCell(ctx context.Context, opts *StudyOptions, mi, pi int, a *arena.Arena) (Cell, error) {
-	spec := methods.Get(opts.Methods[mi])
-	prof := opts.Profiles[pi]
-	cell := Cell{Spec: spec, Profile: prof}
-	cfg, ok := CellConfig(opts, mi, pi)
-	if !ok {
+func runCell(ctx context.Context, opts *StudyOptions, cfg Config, cell *Cell, a *arena.Arena) error {
+	if !cfg.Profile.Supports(cell.Spec.API) {
 		cell.Skipped = true
-		return cell, nil
+		return nil
 	}
 	// The cache is consulted before the tracer/registry are attached:
 	// a hit replays the experiment without observability (the key does
@@ -253,7 +268,7 @@ func runCell(ctx context.Context, opts *StudyOptions, mi, pi int, a *arena.Arena
 		if exp, ok := opts.Cache.Load(cfg); ok {
 			cell.Exp = exp
 			cell.Cached = true
-			return cell, nil
+			return nil
 		}
 	}
 	cfg.Testbed.Arena = a
@@ -269,23 +284,25 @@ func runCell(ctx context.Context, opts *StudyOptions, mi, pi int, a *arena.Arena
 		cell.Metrics = cfg.Metrics
 	}
 	exp, err := runExperiment(ctx, cfg)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return cell, err
-		}
-		return cell, fmt.Errorf("core: cell %s / %s: %w", spec.Name, prof.Label(), err)
-	}
-	cell.Exp = exp
-	if opts.Cache != nil {
+	if err == nil && opts.Cache != nil {
 		// Persist with the observability fields stripped so the stored
 		// entry is keyed and reconstructed from the measurement-relevant
 		// config alone.
 		stored := cfg
-		stored.Tracer, stored.Metrics = nil, nil
-		stored.Testbed.Arena = nil
-		if serr := opts.Cache.Store(stored, exp); serr != nil {
-			return cell, fmt.Errorf("core: cell %s / %s: cache store: %w", spec.Name, prof.Label(), serr)
+		stored.Tracer, stored.Metrics, stored.Testbed.Arena = nil, nil, nil
+		if err = opts.Cache.Store(stored, exp); err != nil {
+			err = fmt.Errorf("cache store: %w", err)
 		}
 	}
-	return cell, nil
+	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		// Name the cell: method / browser×OS, plus the fault profile when
+		// the path is impaired.
+		name := cell.Spec.Name + " / " + cfg.Profile.Label()
+		if cfg.Testbed.Faults.Enabled() {
+			name += " / " + cfg.Testbed.Faults.String()
+		}
+		err = fmt.Errorf("core: cell %s: %w", name, err)
+	}
+	cell.Exp = exp
+	return err
 }

@@ -45,15 +45,18 @@ func MeasureServerOverhead(cfg Config, parseCosts []time.Duration) ([]ServerOver
 	if len(parseCosts) == 0 {
 		parseCosts = []time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond}
 	}
-	out := make([]ServerOverhead, 0, len(parseCosts))
+	cfgs := make([]Config, len(parseCosts))
 	for i, pc := range parseCosts {
-		c := cfg
-		c.Testbed.ServerParseCost = pc
-		c.Testbed.Seed = cfg.Testbed.Seed + int64(i) + 1
-		exp, err := Run(c)
-		if err != nil {
-			return nil, err
-		}
+		cfgs[i] = cfg
+		cfgs[i].Testbed.ServerParseCost = pc
+		cfgs[i].Testbed.Seed = cfg.Testbed.Seed + int64(i) + 1
+	}
+	exps, err := runArtifact(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ServerOverhead, 0, len(parseCosts))
+	for i, exp := range exps {
 		var wires []float64
 		for _, s := range exp.Samples {
 			if s.Round == 2 {
@@ -61,7 +64,7 @@ func MeasureServerOverhead(cfg Config, parseCosts []time.Duration) ([]ServerOver
 			}
 		}
 		out = append(out, ServerOverhead{
-			ParseCost:      pc,
+			ParseCost:      parseCosts[i],
 			WireRTT:        time.Duration(stats.Median(wires) * float64(time.Millisecond)),
 			PathRTT:        50 * time.Millisecond,
 			ClientOverhead: exp.MedianOverhead(2),

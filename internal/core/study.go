@@ -229,15 +229,32 @@ type Recommendation struct {
 	Notes []string
 }
 
+// agg accumulates a mean score.
+type agg struct {
+	sum float64
+	n   int
+}
+
+// lowest returns the key whose mean score is lowest (ties go to the
+// smaller key) among those keep accepts (all when keep is nil); ok is
+// false when there is none.
+func lowest[K methods.Kind | browser.Name](scores map[K]agg, keep func(K) bool) (best K, ok bool) {
+	bestV := 0.0
+	for k, a := range scores {
+		if keep != nil && !keep(k) {
+			continue
+		}
+		if v := a.sum / float64(a.n); !ok || v < bestV || v == bestV && k < best {
+			best, bestV, ok = k, v, true
+		}
+	}
+	return best, ok
+}
+
 // Recommend distills Section 5 from a study.
 func Recommend(s *Study) Recommendation {
 	rec := Recommendation{BestBrowser: map[string]browser.Name{}}
-
-	type agg struct {
-		sum float64
-		n   int
-	}
-	methodScore := map[methods.Kind]*agg{}
+	methodScore := map[methods.Kind]agg{}
 	methodMedians := map[methods.Kind][]float64{}
 
 	for i := range s.Cells {
@@ -245,14 +262,8 @@ func Recommend(s *Study) Recommendation {
 		if c.Skipped {
 			continue
 		}
-		sc := c.Score()
 		a := methodScore[c.Spec.Kind]
-		if a == nil {
-			a = &agg{}
-			methodScore[c.Spec.Kind] = a
-		}
-		a.sum += sc
-		a.n++
+		methodScore[c.Spec.Kind] = agg{a.sum + c.Score(), a.n + 1}
 		methodMedians[c.Spec.Kind] = append(methodMedians[c.Spec.Kind], c.Exp.Box(2).Median)
 	}
 
@@ -274,71 +285,26 @@ func Recommend(s *Study) Recommendation {
 
 	// Browser preference is judged over the methods one would actually
 	// deploy, i.e. excluding the uncalibratable ones.
-	browserScore := map[browser.OS]map[browser.Name]*agg{}
+	browserScore := map[browser.OS]map[browser.Name]agg{}
 	for i := range s.Cells {
 		c := &s.Cells[i]
 		if c.Skipped || avoided[c.Spec.Kind] {
 			continue
 		}
-		if browserScore[c.Profile.OS] == nil {
-			browserScore[c.Profile.OS] = map[browser.Name]*agg{}
+		perBrowser := browserScore[c.Profile.OS]
+		if perBrowser == nil {
+			perBrowser = map[browser.Name]agg{}
+			browserScore[c.Profile.OS] = perBrowser
 		}
-		ba := browserScore[c.Profile.OS][c.Profile.Browser]
-		if ba == nil {
-			ba = &agg{}
-			browserScore[c.Profile.OS][c.Profile.Browser] = ba
-		}
-		ba.sum += c.Score()
-		ba.n++
+		a := perBrowser[c.Profile.Browser]
+		perBrowser[c.Profile.Browser] = agg{a.sum + c.Score(), a.n + 1}
 	}
 
-	best := func(filter func(methods.Kind) bool) (methods.Kind, bool) {
-		type kv struct {
-			k methods.Kind
-			v float64
-		}
-		var list []kv
-		for k, a := range methodScore {
-			if filter != nil && !filter(k) {
-				continue
-			}
-			list = append(list, kv{k, a.sum / float64(a.n)})
-		}
-		if len(list) == 0 {
-			return 0, false
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].v != list[j].v {
-				return list[i].v < list[j].v
-			}
-			return list[i].k < list[j].k
-		})
-		return list[0].k, true
-	}
-	if k, ok := best(nil); ok {
-		rec.BestMethod = k
-	}
-	if k, ok := best(func(k methods.Kind) bool { return methods.Get(k).Availability == "native" }); ok {
-		rec.BestNative = k
-	}
-
+	rec.BestMethod, _ = lowest(methodScore, nil)
+	rec.BestNative, _ = lowest(methodScore, func(k methods.Kind) bool { return methods.Get(k).Availability == "native" })
 	for os, perBrowser := range browserScore {
-		type kv struct {
-			b browser.Name
-			v float64
-		}
-		var list []kv
-		for b, a := range perBrowser {
-			list = append(list, kv{b, a.sum / float64(a.n)})
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].v != list[j].v {
-				return list[i].v < list[j].v
-			}
-			return list[i].b < list[j].b
-		})
-		if len(list) > 0 {
-			rec.BestBrowser[os.String()] = list[0].b
+		if b, ok := lowest(perBrowser, nil); ok {
+			rec.BestBrowser[os.String()] = b
 		}
 	}
 

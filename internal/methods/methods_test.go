@@ -2,6 +2,7 @@ package methods
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -255,5 +256,25 @@ func TestRepeatedRunsOnSharedTestbed(t *testing.T) {
 func TestTransportString(t *testing.T) {
 	if TransportHTTP.String() == "" || TransportSocket.String() == "" {
 		t.Fatal("empty transport strings")
+	}
+}
+
+// TestDrainedQueueReportsStalled: with every frame lost, the connection
+// aborts after its retransmission timeouts and the event queue drains
+// long before the 30 s virtual deadline. The run must say it stalled,
+// with the virtual time it got to, not that it timed out; a deadline
+// that passes first is still reported as a timeout.
+func TestDrainedQueueReportsStalled(t *testing.T) {
+	prof := browser.Lookup(browser.Chrome, browser.Ubuntu)
+	r := &Runner{TB: testbed.New(testbed.Config{Seed: 1, LossRate: 1.0}), Profile: prof}
+	_, err := r.Run(XHRGet)
+	if err == nil || !strings.Contains(err.Error(), "XHR GET stalled after ") ||
+		!strings.HasSuffix(err.Error(), " (virtual): event queue drained") {
+		t.Fatalf("err = %v, want a stalled error naming the drained event queue", err)
+	}
+
+	r = &Runner{TB: testbed.New(testbed.Config{Seed: 1, LossRate: 1.0}), Profile: prof, Timeout: time.Second}
+	if _, err := r.Run(XHRGet); err == nil || err.Error() != "methods: XHR GET timed out after 1s (virtual)" {
+		t.Fatalf("err = %v, want the 1s virtual timeout", err)
 	}
 }

@@ -169,7 +169,8 @@ func (r *Runner) Run(kind Kind) (*Result, error) {
 		r.ss.begin(r, spec)
 	}
 
-	deadline := r.TB.Sim.Now() + timeout
+	start := r.TB.Sim.Now()
+	deadline := start + timeout
 	for !r.done && r.TB.Sim.Now() < deadline && r.TB.Sim.Pending() > 0 {
 		r.TB.Sim.Step()
 	}
@@ -181,9 +182,20 @@ func (r *Runner) Run(kind Kind) (*Result, error) {
 		return nil, r.fail
 	}
 	if !r.done {
-		return nil, fmt.Errorf("methods: %s timed out after %v (virtual)", spec.Name, timeout)
+		return nil, errUnfinished(r.TB.Sim, spec.Name, start, timeout)
 	}
 	return res, nil
+}
+
+// errUnfinished says why a run loop ended before its run finished: the
+// event queue drained with virtual time to spare (the run stalled, e.g.
+// its connection aborted after repeated retransmission timeouts), or
+// the virtual deadline passed.
+func errUnfinished(sim *eventsim.Simulator, what string, start, timeout time.Duration) error {
+	if elapsed := sim.Now() - start; elapsed < timeout {
+		return fmt.Errorf("methods: %s stalled after %v (virtual): event queue drained", what, elapsed)
+	}
+	return fmt.Errorf("methods: %s timed out after %v (virtual)", what, timeout)
 }
 
 // httpState is the Runner's persistent state for the HTTP-based methods:

@@ -85,7 +85,8 @@ func (r *Runner) RunTrain(kind Kind, probes int) (*TrainResult, error) {
 		cleanup = r.trainSocket(spec, clk.Now, res, probes, finish)
 	}
 
-	deadline := r.TB.Sim.Now() + timeout
+	start := r.TB.Sim.Now()
+	deadline := start + timeout
 	for !done && r.TB.Sim.Now() < deadline && r.TB.Sim.Pending() > 0 {
 		r.TB.Sim.Step()
 	}
@@ -96,7 +97,7 @@ func (r *Runner) RunTrain(kind Kind, probes int) (*TrainResult, error) {
 		return nil, fail
 	}
 	if !done {
-		return nil, fmt.Errorf("methods: %s train timed out after %v (virtual)", spec.Name, timeout)
+		return nil, errUnfinished(r.TB.Sim, spec.Name+" train", start, timeout)
 	}
 	return res, nil
 }
@@ -401,7 +402,8 @@ func (r *Runner) RunThroughput(kind Kind, size int) (*ThroughputResult, error) {
 		}
 	}
 
-	deadline := sim.Now() + timeout
+	start := sim.Now()
+	deadline := start + timeout
 	for !done && sim.Now() < deadline && sim.Pending() > 0 {
 		sim.Step()
 	}
@@ -409,7 +411,7 @@ func (r *Runner) RunThroughput(kind Kind, size int) (*ThroughputResult, error) {
 		return nil, fail
 	}
 	if !done {
-		return nil, fmt.Errorf("methods: %s throughput timed out after %v (virtual)", spec.Name, timeout)
+		return nil, errUnfinished(sim, spec.Name+" throughput", start, timeout)
 	}
 	return res, nil
 }

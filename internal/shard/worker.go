@@ -5,12 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/browsermetric/browsermetric/internal/arena"
 	"github.com/browsermetric/browsermetric/internal/core"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/sweep"
@@ -161,10 +158,10 @@ type workerRun struct {
 	crashed atomic.Int64 // completed-cell counter for the crash hook
 }
 
-// runShard executes one leased shard: the cells run on a local worker
-// pool while this goroutine — the connection's only user — renews the
+// runShard executes one leased shard: the cells run through the cell
+// engine while this goroutine — the connection's only user — renews the
 // lease at TTL/3. Returns errLeaseRevoked if the coordinator reclaimed
-// the lease mid-run.
+// the lease mid-run (canceling the engine's context).
 func (w *workerRun) runShard(parent context.Context, grant *Msg) (computed, cached int, err error) {
 	if w.parts == nil || w.nShards != int(grant.Shards) {
 		w.nShards = int(grant.Shards)
@@ -223,105 +220,47 @@ func (w *workerRun) runShard(parent context.Context, grant *Msg) (computed, cach
 	}
 }
 
-// runCells executes the shard's cells on a pool: cache hit → count it;
-// miss → simulate (arena-backed, same as the study scheduler) and store.
+// runCells executes the shard's cells through core.RunCells with the
+// shared cache installed: a hit counts as cached, a miss is simulated and
+// stored, exactly as the in-process sweep does it. Progress, the OnCell
+// hook and the crash hook run in OnCellDone; the crash hook aborts the
+// remaining cells by canceling their context.
 func (w *workerRun) runCells(ctx context.Context, idxs []int, doneCells *atomic.Int64) (computed, cached int, err error) {
-	if len(idxs) == 0 {
-		return 0, 0, nil
+	cfgs := make([]core.Config, len(idxs))
+	for j, i := range idxs {
+		cfgs[j] = w.plan[i].Config
 	}
-	workers := w.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
-	jobs := make(chan int, len(idxs))
-	for _, i := range idxs {
-		jobs <- i
-	}
-	close(jobs)
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(e error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = e
-		}
-		mu.Unlock()
-		cancel()
-	}
-	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := arena.New(0)
-			for i := range jobs {
-				if ctx.Err() != nil {
-					return
-				}
-				pc := &w.plan[i]
-				if _, ok := w.cache.Load(pc.Config); ok {
-					mu.Lock()
-					cached++
-					mu.Unlock()
-					if !w.cellDone(pc, true, doneCells) {
-						fail(errCrashInjected)
-						return
-					}
-					continue
-				}
-				cfg := pc.Config
-				cfg.Testbed.Arena = a
-				exp, rerr := core.RunContext(ctx, cfg)
-				if rerr != nil {
-					if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
-						return
-					}
-					fail(fmt.Errorf("shard: cell %s: %w", pc.Hash[:8], rerr))
-					return
-				}
-				// Store under the plan's pristine config (no arena), the
-				// exact key the study scheduler uses.
-				if serr := w.cache.Store(pc.Config, exp); serr != nil {
-					fail(serr)
-					return
-				}
-				mu.Lock()
-				computed++
-				mu.Unlock()
-				if !w.cellDone(pc, false, doneCells) {
-					fail(errCrashInjected)
-					return
-				}
+	crashed := false
+	_, err = core.RunCells(ctx, core.StudyOptions{
+		Workers: w.opts.Workers,
+		Cache:   w.cache,
+		OnCellDone: func(cs core.CellStatus) {
+			if cs.Err != nil {
+				return
 			}
-		}()
+			if cs.Cached {
+				cached++
+			} else {
+				computed++
+			}
+			doneCells.Add(1)
+			if cb := w.opts.OnCell; cb != nil {
+				cb(&w.plan[idxs[cs.Index]], cs.Cached)
+			}
+			if w.opts.crashAfterCells > 0 && w.crashed.Add(1) == int64(w.opts.crashAfterCells) {
+				// Die the way SIGKILL dies: no ShardDone, no goodbye — just
+				// a severed connection. The coordinator must reassign the
+				// lease.
+				w.conn.Close()
+				crashed = true
+				cancel()
+			}
+		},
+	}, cfgs)
+	if crashed {
+		return computed, cached, errCrashInjected
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return computed, cached, firstErr
-	}
-	return computed, cached, ctx.Err()
-}
-
-// cellDone fires the progress hook and the crash-injection hook; a false
-// return means the injected crash tripped (the conn is already severed).
-func (w *workerRun) cellDone(pc *sweep.PlannedCell, cachedHit bool, doneCells *atomic.Int64) bool {
-	doneCells.Add(1)
-	if cb := w.opts.OnCell; cb != nil {
-		cb(pc, cachedHit)
-	}
-	if w.opts.crashAfterCells > 0 && w.crashed.Add(1) == int64(w.opts.crashAfterCells) {
-		// Die the way SIGKILL dies: no ShardDone, no goodbye — just a
-		// severed connection. The coordinator must reassign the lease.
-		w.conn.Close()
-		return false
-	}
-	return true
+	return computed, cached, err
 }

@@ -16,7 +16,7 @@ type PlannedCell struct {
 	Method  methods.Kind
 	Profile *browser.Profile
 	// Config is the cell's full execution config, built by the same
-	// core.CellConfig path the study scheduler uses, so executing it
+	// core.FaultCells expansion Run executes, so executing it
 	// out-of-process stores into the same cache entry.
 	Config core.Config
 	// Hash is the cell's content address under the sweep's salt — the
@@ -25,31 +25,25 @@ type PlannedCell struct {
 }
 
 // Plan enumerates every executable cell of the sweep in the deterministic
-// matrix order Run executes them: fault-profile major, then method, then
-// browser profile. Every process planning the same Options (same ID())
-// derives the same cell list with the same content addresses — the
-// property the distributed shard runner rests on: the coordinator ships
-// only shard numbers, and workers re-derive the cells locally.
+// order Run executes them (core.FaultCells: fault-profile major, then
+// method, then browser profile). Every process planning the same Options
+// (same ID()) derives the same cell list with the same content addresses
+// — the property the distributed shard runner rests on: the coordinator
+// ships only shard numbers, and workers re-derive the cells locally.
 func Plan(opts Options) []PlannedCell {
 	opts.fillDefaults()
 	var out []PlannedCell
-	for _, fp := range opts.Faults {
-		so := opts.studyOptions(fp)
-		for mi := range so.Methods {
-			for pi := range so.Profiles {
-				cfg, ok := core.CellConfig(&so, mi, pi)
-				if !ok {
-					continue
-				}
-				out = append(out, PlannedCell{
-					Faults:  fp,
-					Method:  so.Methods[mi],
-					Profile: so.Profiles[pi],
-					Config:  cfg,
-					Hash:    KeyFromConfig(cfg, opts.Salt).Hash(),
-				})
-			}
+	for _, cfg := range core.FaultCells(opts.studyOptions(), opts.Faults) {
+		if !cfg.Profile.Supports(methods.Get(cfg.Method).API) {
+			continue
 		}
+		out = append(out, PlannedCell{
+			Faults:  cfg.Testbed.Faults,
+			Method:  cfg.Method,
+			Profile: cfg.Profile,
+			Config:  cfg,
+			Hash:    KeyFromConfig(cfg, opts.Salt).Hash(),
+		})
 	}
 	return out
 }

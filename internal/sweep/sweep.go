@@ -37,8 +37,8 @@ type Options struct {
 	// per-cell seed schedule, so differences between profiles are
 	// attributable to the impairment alone.
 	BaseSeed int64
-	// Workers caps per-study concurrency. Exports are byte-identical for
-	// any value; the sweep identity deliberately excludes it.
+	// Workers caps cell concurrency. Exports are byte-identical for any
+	// value; the sweep identity deliberately excludes it.
 	Workers int
 
 	// Dir is the cache directory (required): one cells/<hash>.cell entry
@@ -54,8 +54,11 @@ type Options struct {
 	// store counters as sweep_cache_* series. Excluded from the sweep
 	// identity: observability never changes what is computed.
 	Metrics *obs.Metrics
-	// OnCell, when non-nil, fires per completed cell with the fault
-	// profile it belongs to (see core.StudyOptions.OnCellDone caveats).
+	// OnCell, when non-nil, fires per completed cell (skipped cells
+	// included) with the fault profile it belongs to (see
+	// core.StudyOptions.OnCellDone caveats). CellStatus.Index is the
+	// cell's position in that profile's study; Done and Total count the
+	// whole sweep.
 	OnCell func(fp faults.Profile, cs core.CellStatus)
 }
 
@@ -137,12 +140,12 @@ type Result struct {
 	Stats   Stats
 }
 
-// studyOptions builds the per-fault-profile study configuration exactly
-// as Run executes it. Plan goes through the same construction, so a cell
-// planned out-of-process is content-addressed identically to one the
-// sweep scheduler runs. Callers fill Cache/OnCellDone themselves.
-func (o *Options) studyOptions(fp faults.Profile) core.StudyOptions {
-	so := core.StudyOptions{
+// studyOptions is the fault-free matrix every fault profile of the sweep
+// expands through core.FaultCells. Plan goes through the same expansion,
+// so a cell planned out-of-process is content-addressed identically to
+// one Run executes.
+func (o *Options) studyOptions() core.StudyOptions {
+	return core.StudyOptions{
 		Methods:  o.Methods,
 		Profiles: o.Profiles,
 		Timing:   o.Timing,
@@ -151,17 +154,14 @@ func (o *Options) studyOptions(fp faults.Profile) core.StudyOptions {
 		BaseSeed: o.BaseSeed,
 		Workers:  o.Workers,
 	}
-	so.Testbed.Faults = fp
-	return so
 }
 
-// Run executes the sweep: for each fault profile, the full methods ×
-// profiles study runs under the deterministic scheduler with the
-// content-addressed cache installed, so every completed cell is on disk
-// as soon as it finishes. The cache is the sweep's only state: cancelling
-// ctx aborts between cells, and a later Run on the same Dir replays the
-// finished cells, computes only the missing ones, and exports
-// byte-identically to an uninterrupted run.
+// Run executes the sweep: every cell of every fault profile runs in one
+// core.RunFaultStudies call with the content-addressed cache installed,
+// so every completed cell is on disk as soon as it finishes. The cache
+// is the sweep's only state: cancelling ctx aborts between cells, and a
+// later Run on the same Dir replays the finished cells, computes only
+// the missing ones, and exports byte-identically to an uninterrupted run.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts.fillDefaults()
 	cache, err := OpenCache(opts.Dir, opts.Salt)
@@ -171,24 +171,34 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	cache.SetLog(opts.Log)
 	cache.SetMetrics(opts.Metrics)
 
-	res := &Result{Options: opts, Faults: opts.Faults}
+	so := opts.studyOptions()
+	so.Cache = cache
+	if cb := opts.OnCell; cb != nil {
+		n := len(opts.Methods) * len(opts.Profiles)
+		so.OnCellDone = func(cs core.CellStatus) {
+			fp := opts.Faults[cs.Index/n]
+			cs.Index %= n // the position in the fault profile's study
+			cb(fp, cs)
+		}
+	}
 	start := time.Now()
-	for _, fp := range opts.Faults {
-		so := opts.studyOptions(fp)
-		so.Cache = cache
-		if cb := opts.OnCell; cb != nil {
-			prof := fp
-			so.OnCellDone = func(cs core.CellStatus) { cb(prof, cs) }
+	studies, err := core.RunFaultStudies(ctx, so, opts.Faults)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
+	res := &Result{Options: opts, Faults: opts.Faults, Studies: studies}
+	for _, st := range studies {
+		for _, c := range st.Cells {
+			res.Stats.Cells++
+			switch {
+			case c.Skipped:
+				res.Stats.Skipped++
+			case c.Cached:
+				res.Stats.CachedHits++
+			default:
+				res.Stats.Computed++
+			}
 		}
-		st, err := core.RunStudyContext(ctx, so)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: fault profile %s: %w", fp, err)
-		}
-		res.Studies = append(res.Studies, st)
-		res.Stats.Cells += len(st.Cells)
-		res.Stats.Skipped += st.Stats.CellsSkipped
-		res.Stats.CachedHits += st.Stats.CellsCached
-		res.Stats.Computed += st.Stats.CellsFinished - st.Stats.CellsSkipped - st.Stats.CellsCached
 	}
 	res.Stats.Wall = time.Since(start)
 	res.Stats.Corrupt = cache.Stats().Corrupt

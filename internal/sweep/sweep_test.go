@@ -157,6 +157,52 @@ func TestSweepMatchesUncachedStudies(t *testing.T) {
 	}
 }
 
+// TestSweepOnCellIndexesEachProfilesStudy: the whole sweep runs as one
+// cell list, yet OnCell fires exactly once per cell of every fault
+// profile's study, skipped cells included, with the profile the cell ran
+// under and its index in that profile's study.
+func TestSweepOnCellIndexesEachProfilesStudy(t *testing.T) {
+	opts := smallOpts(t.TempDir())
+	opts.Profiles = append(opts.Profiles, browser.Lookup(browser.IE, browser.Windows)) // no WebSocket
+	type key struct {
+		fp  faults.Profile
+		idx int
+	}
+	seen := map[key]core.CellStatus{}
+	opts.OnCell = func(fp faults.Profile, cs core.CellStatus) {
+		if _, dup := seen[key{fp, cs.Index}]; dup {
+			t.Errorf("OnCell fired twice for %s cell %d", fp, cs.Index)
+		}
+		seen[key{fp, cs.Index}] = cs
+	}
+	res, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != res.Stats.Cells {
+		t.Fatalf("OnCell fired for %d cells, sweep has %d", len(seen), res.Stats.Cells)
+	}
+	skipped := 0
+	for si, fp := range res.Faults {
+		for i, c := range res.Studies[si].Cells {
+			cs, ok := seen[key{fp, i}]
+			if !ok {
+				t.Fatalf("no OnCell for %s cell %d", fp, i)
+			}
+			if cs.Method != c.Spec.Kind || cs.Profile != c.Profile || cs.Skipped != c.Skipped || cs.Cached != c.Cached {
+				t.Errorf("%s cell %d: OnCell reported %v/%s, study has %v/%s", fp, i,
+					cs.Method, cs.Profile.Label(), c.Spec.Kind, c.Profile.Label())
+			}
+			if c.Skipped {
+				skipped++
+			}
+		}
+	}
+	if skipped == 0 || skipped != res.Stats.Skipped {
+		t.Errorf("skipped cells: %d reported, Stats.Skipped = %d, want equal and > 0", skipped, res.Stats.Skipped)
+	}
+}
+
 // TestSweepInterruptResumeEquivalence: a sweep cancelled mid-flight and
 // then re-run on the same cache dir exports byte-identically to an uninterrupted sweep, at
 // every worker count the repo's determinism contract covers.
