@@ -132,6 +132,14 @@ func Run(cfg Config) (*Experiment, error) {
 // repetitions, so an abort takes effect within one run's simulation time.
 // A canceled context returns ctx.Err() unwrapped.
 func RunContext(ctx context.Context, cfg Config) (*Experiment, error) {
+	return runLoop(ctx, cfg, nil)
+}
+
+// runLoop is the one repetition loop behind RunContext and
+// RunAttributed. After each run it hands onRun (when non-nil) the
+// testbed, the run's result and the Rounds samples it appended; the
+// result is recycled by the next run, so onRun must not retain it.
+func runLoop(ctx context.Context, cfg Config, onRun func(tb *testbed.Testbed, res *methods.Result, run []Sample)) (*Experiment, error) {
 	cfg.fillDefaults()
 	if cfg.Profile == nil {
 		return nil, fmt.Errorf("core: Config.Profile is nil")
@@ -185,6 +193,9 @@ func RunContext(ctx context.Context, cfg Config) (*Experiment, error) {
 				Handshake: res.NewConnRounds[round-1],
 			})
 			cfg.Metrics.ObserveDur("delta_d_ms", browserRTT-wp.RTT())
+		}
+		if onRun != nil {
+			onRun(tb, res, exp.Samples[len(exp.Samples)-methods.Rounds:])
 		}
 		tb.Advance(cfg.Gap)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -42,45 +43,17 @@ type AttributedSample struct {
 // RunAttributed is Run plus per-sample attribution: it returns the
 // experiment and the decomposed samples in the same order.
 func RunAttributed(cfg Config) (*Experiment, []AttributedSample, error) {
-	cfg.fillDefaults()
-	if cfg.Profile == nil {
-		return nil, nil, fmt.Errorf("core: Config.Profile is nil")
-	}
-	tb := testbed.New(cfg.Testbed)
-	if cfg.Warp > 0 {
-		tb.Advance(cfg.Warp)
-	}
-	exp := &Experiment{Config: cfg}
 	var attributed []AttributedSample
-	for run := 0; run < cfg.Runs; run++ {
-		r := &methods.Runner{TB: tb, Profile: cfg.Profile, Timing: cfg.Timing}
-		tb.Cap.Reset()
-		res, err := r.Run(cfg.Method)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: run %d: %w", run, err)
-		}
-		pairs := tb.Cap.MatchRTT(res.ServerPort)
-		if len(pairs) < methods.Rounds {
-			return nil, nil, fmt.Errorf("core: run %d captured %d wire pairs", run, len(pairs))
-		}
-		pairs = pairs[len(pairs)-methods.Rounds:]
-		for round := 1; round <= methods.Rounds; round++ {
-			wp := pairs[round-1]
-			s := Sample{
-				Run:        run,
-				Round:      round,
-				BrowserRTT: res.BrowserRTT(round),
-				WireRTT:    wp.RTT(),
-				Handshake:  res.NewConnRounds[round-1],
-			}
-			s.Overhead = s.BrowserRTT - s.WireRTT
-			exp.Samples = append(exp.Samples, s)
+	exp, err := runLoop(context.Background(), cfg, func(tb *testbed.Testbed, res *methods.Result, run []Sample) {
+		for i, s := range run {
 			attributed = append(attributed, AttributedSample{
 				Sample:      s,
-				Attribution: Attribute(s, res.SendCosts[round-1], res.RecvCosts[round-1], tb.RTTBase()),
+				Attribution: Attribute(s, res.SendCosts[i], res.RecvCosts[i], tb.RTTBase()),
 			})
 		}
-		tb.Advance(cfg.Gap)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return exp, attributed, nil
 }

@@ -63,14 +63,14 @@ func wireSeedCorpus(t testing.TB) [][]byte {
 	blob = binary.AppendUvarint(blob[:len(blob)-1], 768614336404564651)
 	blob = append(blob, make([]byte, 8)...)
 	var p []byte
-	p = appendString(p, "n")
+	p = frame.AppendString(p, "n")
 	p = binary.LittleEndian.AppendUint64(p, 1) // epoch
 	p = binary.LittleEndian.AppendUint64(p, 1) // seq
 	p = binary.LittleEndian.AppendUint64(p, 0) // sessions
 	p = binary.AppendUvarint(p, 1)
-	p = appendString(p, "m")
-	p = appendString(p, "b")
-	p = appendString(p, "r")
+	p = frame.AppendString(p, "m")
+	p = frame.AppendString(p, "b")
+	p = frame.AppendString(p, "r")
 	p = append(p, make([]byte, 32)...) // count, lost, jitterSum, jitterN
 	p = binary.AppendUvarint(p, uint64(len(blob)))
 	overflowTuples := rawFrame(append(p, blob...))
@@ -78,7 +78,7 @@ func wireSeedCorpus(t testing.TB) [][]byte {
 	// CRC-valid frame claiming far more keys than its bytes can hold:
 	// the count must be rejected before the per-key pre-allocation.
 	var q []byte
-	q = appendString(q, "n")
+	q = frame.AppendString(q, "n")
 	q = append(q, make([]byte, 24)...) // epoch, seq, sessions
 	q = binary.AppendUvarint(q, 4096)
 	lyingKeys := rawFrame(append(q, make([]byte, 4200)...))

@@ -22,10 +22,12 @@
 //     rejections, never to misparsed tuples.
 //
 // Frame (see internal/frame): magic "bmwf", version Version, kind 0.
-// Version 2 moved the CRC from the payload alone to header and payload;
-// a version-1 root therefore counts a version-2 frame as version skew.
+// Version 2 moved the CRC from the payload alone to header and payload.
+// Version 3 reads every payload field, sketch blobs included, through
+// the strict frame.Reader, so a non-minimal varint is corruption; a
+// version-2 frame is counted as version skew.
 //
-// Payload (integers little-endian):
+// Payload (the frame package's payload grammar):
 //
 //	uvarint+bytes  node name
 //	u64            epoch (collector boot id; sequence numbers are
@@ -52,7 +54,7 @@ import (
 )
 
 // Version is the wire format version this package encodes and accepts.
-const Version = 2
+const Version = 3
 
 const (
 	// MaxPayload bounds a single frame (64 MiB). Real frames are a few
@@ -135,33 +137,27 @@ func AppendFrame(b []byte, f *Frame) ([]byte, error) {
 	}
 
 	b, start := codec.Begin(b, 0)
-	b = appendString(b, f.Node)
+	b = frame.AppendString(b, f.Node)
 	b = binary.LittleEndian.AppendUint64(b, f.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, f.Seq)
 	b = binary.LittleEndian.AppendUint64(b, f.Sessions)
 	b = binary.AppendUvarint(b, uint64(len(order)))
 	for _, kd := range order {
-		b = appendString(b, kd.Method)
-		b = appendString(b, kd.Browser)
-		b = appendString(b, kd.Region)
+		b = frame.AppendString(b, kd.Method)
+		b = frame.AppendString(b, kd.Browser)
+		b = frame.AppendString(b, kd.Region)
 		b = binary.LittleEndian.AppendUint64(b, kd.Count)
 		b = binary.LittleEndian.AppendUint64(b, kd.Lost)
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(kd.JitterSum))
+		b = frame.AppendF64(b, kd.JitterSum)
 		b = binary.LittleEndian.AppendUint64(b, kd.JitterN)
 		sk := kd.Sketch
 		if sk == nil {
 			sk = obs.NewSketch()
 		}
-		enc := sk.AppendBinary(nil)
-		b = binary.AppendUvarint(b, uint64(len(enc)))
-		b = append(b, enc...)
+		b = binary.AppendUvarint(b, uint64(sk.EncodedLen()))
+		b = sk.AppendBinary(b)
 	}
 	return codec.Seal(b, start)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // DecodeFrame parses the first frame in b and returns it with the
@@ -187,121 +183,33 @@ func DecodeFrame(b []byte) (*Frame, int, error) {
 }
 
 func decodePayload(p []byte) (*Frame, error) {
-	d := wireReader{buf: p}
-	node, ok := d.str()
-	if !ok || node == "" {
+	r := frame.NewReader(p)
+	f := &Frame{Node: r.String(maxLabel), Epoch: r.U64(), Seq: r.U64(), Sessions: r.U64()}
+	if f.Node == "" {
 		return nil, fmt.Errorf("%w: node name", frame.ErrCorrupt)
 	}
-	f := &Frame{Node: node}
-	if f.Epoch, ok = d.u64(); !ok {
-		return nil, fmt.Errorf("%w: epoch", frame.ErrCorrupt)
-	}
-	if f.Seq, ok = d.u64(); !ok {
-		return nil, fmt.Errorf("%w: sequence", frame.ErrCorrupt)
-	}
-	if f.Sessions, ok = d.u64(); !ok {
-		return nil, fmt.Errorf("%w: sessions", frame.ErrCorrupt)
-	}
-	nk, ok := d.uvarint()
-	// Bound the claimed count by the fewest bytes one encoded key can
-	// occupy in the remaining payload, so a lying count cannot force a
-	// large pre-allocation that the first failed key parse discards.
-	if !ok || nk > maxKeys || nk > uint64(len(p)-d.off)/minKeyEnc {
-		return nil, fmt.Errorf("%w: key count", frame.ErrCorrupt)
-	}
-	f.Keys = make([]KeyDelta, 0, nk)
-	for i := uint64(0); i < nk; i++ {
-		var kd KeyDelta
-		var jb uint64
-		ok1 := true
-		if kd.Method, ok = d.str(); !ok {
-			ok1 = false
+	f.Keys = make([]KeyDelta, r.Count(maxKeys, minKeyEnc))
+	for i := range f.Keys {
+		kd := &f.Keys[i]
+		kd.Method, kd.Browser, kd.Region = r.String(maxLabel), r.String(maxLabel), r.String(maxLabel)
+		kd.Count, kd.Lost, kd.JitterSum, kd.JitterN = r.U64(), r.U64(), r.F64(), r.U64()
+		blob := r.Bytes(MaxPayload)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("key %d: %w", i, err)
 		}
-		if kd.Browser, ok = d.str(); !ok {
-			ok1 = false
-		}
-		if kd.Region, ok = d.str(); !ok {
-			ok1 = false
-		}
-		if kd.Count, ok = d.u64(); !ok {
-			ok1 = false
-		}
-		if kd.Lost, ok = d.u64(); !ok {
-			ok1 = false
-		}
-		if jb, ok = d.u64(); !ok {
-			ok1 = false
-		}
-		if kd.JitterN, ok = d.u64(); !ok {
-			ok1 = false
-		}
-		if !ok1 {
-			return nil, fmt.Errorf("%w: key %d truncated", frame.ErrCorrupt, i)
-		}
-		kd.JitterSum = math.Float64frombits(jb)
 		if math.IsNaN(kd.JitterSum) || kd.Lost > kd.Count {
 			return nil, fmt.Errorf("%w: key %d counters out of range", frame.ErrCorrupt, i)
 		}
-		skBytes, ok := d.blob()
-		if !ok {
-			return nil, fmt.Errorf("%w: key %d sketch truncated", frame.ErrCorrupt, i)
-		}
-		sk, err := obs.DecodeSketch(skBytes)
-		if err != nil {
-			return nil, fmt.Errorf("%w: key %d sketch: %v", frame.ErrCorrupt, i, err)
-		}
-		kd.Sketch = sk
-		if len(f.Keys) > 0 && !keyLess(&f.Keys[len(f.Keys)-1], &kd) {
+		if i > 0 && !keyLess(&f.Keys[i-1], kd) {
 			return nil, fmt.Errorf("%w: keys not in canonical order", frame.ErrCorrupt)
 		}
-		f.Keys = append(f.Keys, kd)
+		var err error
+		if kd.Sketch, err = obs.DecodeSketch(blob); err != nil {
+			return nil, fmt.Errorf("%w: key %d sketch: %v", frame.ErrCorrupt, i, err)
+		}
 	}
-	if d.off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", frame.ErrCorrupt, len(p)-d.off)
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return f, nil
-}
-
-// wireReader is a bounds-checked cursor over one payload.
-type wireReader struct {
-	buf []byte
-	off int
-}
-
-func (d *wireReader) u64() (uint64, bool) {
-	if d.off+8 > len(d.buf) {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, true
-}
-
-func (d *wireReader) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, false
-	}
-	d.off += n
-	return v, true
-}
-
-func (d *wireReader) str() (string, bool) {
-	n, ok := d.uvarint()
-	if !ok || n > maxLabel || d.off+int(n) > len(d.buf) {
-		return "", false
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, true
-}
-
-func (d *wireReader) blob() ([]byte, bool) {
-	n, ok := d.uvarint()
-	if !ok || n > uint64(len(d.buf)-d.off) {
-		return nil, false
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b, true
 }

@@ -228,7 +228,7 @@ func TestDecodeRejectsBadMagicAndVersion(t *testing.T) {
 // the CRC is valid.
 func TestDecodeRejectsLyingKeyCount(t *testing.T) {
 	var p []byte
-	p = appendString(p, "n")
+	p = frame.AppendString(p, "n")
 	p = binary.LittleEndian.AppendUint64(p, 1) // epoch
 	p = binary.LittleEndian.AppendUint64(p, 1) // seq
 	p = binary.LittleEndian.AppendUint64(p, 0) // sessions
@@ -337,5 +337,56 @@ func TestFourNodeFanInAnyOrder(t *testing.T) {
 					tg.Quantile, got, exact(tg.Quantile))
 			}
 		}
+	}
+}
+
+// stretch rewrites the minimal uvarint at p[off:] in a form one byte
+// longer: the last group gains a continuation bit and a 0x00 group
+// follows. binary.Uvarint reads the same value from both forms.
+func stretch(p []byte, off int) []byte {
+	_, n := binary.Uvarint(p[off:])
+	out := append([]byte(nil), p[:off+n]...)
+	out[off+n-1] |= 0x80
+	out = append(out, 0)
+	return append(out, p[off+n:]...)
+}
+
+// TestDecodeRejectsNonMinimalLengths: a sealed frame whose node-name,
+// key-label or sketch-blob length is written non-minimally would decode
+// to a frame that re-encodes to other bytes, so it is corrupt.
+func TestDecodeRejectsNonMinimalLengths(t *testing.T) {
+	enc := encode(t, &Frame{Node: "n", Epoch: 1, Seq: 2, Sessions: 3, Keys: []KeyDelta{
+		{Method: "m", Browser: "b", Region: "r", Count: 4, Sketch: sketchOf(1, 2, 3, 4)},
+	}})
+	payload := enc[frame.HeaderLen : len(enc)-frame.TrailerLen]
+	// Node length at 0; then "n", three u64s and the key count (1 + 1 +
+	// 24 + 1 bytes), the method length at 27; then the three one-byte
+	// labels with their lengths and four u64s put the blob length at 65.
+	if _, _, err := DecodeFrame(rawFrame(payload)); err != nil {
+		t.Fatalf("resealed canonical payload: %v", err)
+	}
+	for _, f := range []struct {
+		name string
+		off  int
+	}{{"node name", 0}, {"method label", 27}, {"region label", 31}, {"sketch blob", 65}} {
+		bad := rawFrame(stretch(payload, f.off))
+		if _, n, err := DecodeFrame(bad); !errors.Is(err, frame.ErrCorrupt) || n != 0 {
+			t.Errorf("non-minimal %s length: n=%d err=%v, want ErrCorrupt", f.name, n, err)
+		}
+	}
+}
+
+// TestDecodeSkipsVersion2Frame: a root speaking this version counts an
+// intact version-2 frame as version skew and steps over all of it.
+func TestDecodeSkipsVersion2Frame(t *testing.T) {
+	enc := encode(t, testFrame(t, 8))
+	v2 := append([]byte(nil), enc[:len(enc)-frame.TrailerLen]...)
+	binary.LittleEndian.PutUint16(v2[4:], 2)
+	v2, err := codec.Seal(v2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, n, err := DecodeFrame(v2); !errors.Is(err, frame.ErrVersion) || n != len(v2) {
+		t.Fatalf("version-2 frame: n=%d err=%v, want ErrVersion consuming %d", n, err, len(v2))
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+
+	"github.com/browsermetric/browsermetric/internal/frame"
 )
 
 // Binary sketch codec: the exact-state serialization the fleet wire
@@ -16,7 +19,8 @@ import (
 // (the GK COMBINE machinery is already order-invariant and
 // property-tested in-process).
 //
-// Layout (all integers little-endian, floats as IEEE 754 bits):
+// Layout (the internal/frame payload grammar: integers little-endian,
+// floats as IEEE 754 bits, uvarints minimal):
 //
 //	u8       codec version (sketchBinVersion)
 //	uvarint  target count
@@ -51,93 +55,74 @@ func (s *Sketch) AppendBinary(b []byte) []byte {
 	b = append(b, sketchBinVersion)
 	b = binary.AppendUvarint(b, uint64(len(s.targets)))
 	for _, t := range s.targets {
-		b = appendF64(b, t.Quantile)
-		b = appendF64(b, t.Epsilon)
+		b = frame.AppendF64(b, t.Quantile)
+		b = frame.AppendF64(b, t.Epsilon)
 	}
-	b = appendF64(b, s.n)
+	b = frame.AppendF64(b, s.n)
 	b = binary.LittleEndian.AppendUint64(b, s.count)
-	b = appendF64(b, s.sum)
-	b = appendF64(b, s.min)
-	b = appendF64(b, s.max)
+	b = frame.AppendF64(b, s.sum)
+	b = frame.AppendF64(b, s.min)
+	b = frame.AppendF64(b, s.max)
 	b = binary.AppendUvarint(b, uint64(len(s.samples)))
 	for _, c := range s.samples {
-		b = appendF64(b, c.value)
-		b = appendF64(b, c.width)
-		b = appendF64(b, c.delta)
+		b = frame.AppendF64(b, c.value)
+		b = frame.AppendF64(b, c.width)
+		b = frame.AppendF64(b, c.delta)
 	}
 	return b
 }
 
+// EncodedLen is the length AppendBinary appends, so a container can
+// write the blob's length prefix and then encode the sketch in place.
+// Like AppendBinary it flushes the receiver.
+func (s *Sketch) EncodedLen() int {
+	s.flush()
+	// A uvarint carries 7 bits per byte.
+	size := func(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+	return 1 + size(len(s.targets)) + 16*len(s.targets) + 5*8 + size(len(s.samples)) + 24*len(s.samples)
+}
+
 // DecodeSketch parses one sketch encoding occupying the whole of b. It
-// rejects truncated, oversized, version-mismatched and structurally
-// inconsistent inputs (unsorted targets or tuples, non-positive widths,
-// NaN state, width sum disagreeing with n), so a torn or bit-flipped
-// wire payload surfaces as an error rather than a silently skewed
-// summary.
+// rejects truncated, oversized, version-mismatched, non-minimal and
+// structurally inconsistent inputs (unsorted targets or tuples,
+// non-positive widths, NaN state, width sum disagreeing with n), so a
+// torn or bit-flipped wire payload surfaces as an error rather than a
+// silently skewed summary.
 func DecodeSketch(b []byte) (*Sketch, error) {
-	d := binReader{buf: b}
-	v, ok := d.u8()
-	if !ok {
-		return nil, fmt.Errorf("%w: empty", ErrSketchCorrupt)
-	}
-	if v != sketchBinVersion {
+	r := frame.NewReader(b)
+	if v := r.U8(); v != sketchBinVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrSketchCorrupt, v)
 	}
-	nt, ok := d.uvarint()
-	if !ok || nt > sketchBinMaxTargets {
-		return nil, fmt.Errorf("%w: target count", ErrSketchCorrupt)
-	}
-	targets := make([]SketchTarget, 0, nt)
-	for i := uint64(0); i < nt; i++ {
-		q, ok1 := d.f64()
-		eps, ok2 := d.f64()
-		if !ok1 || !ok2 || !(q > 0 && q < 1) || !(eps > 0 && eps <= 1) {
+	targets := make([]SketchTarget, r.Count(sketchBinMaxTargets, 16))
+	for i := range targets {
+		q, eps := r.F64(), r.F64()
+		if !(q > 0 && q < 1) || !(eps > 0 && eps <= 1) {
 			return nil, fmt.Errorf("%w: target %d", ErrSketchCorrupt, i)
 		}
-		if len(targets) > 0 && q <= targets[len(targets)-1].Quantile {
+		if i > 0 && q <= targets[i-1].Quantile {
 			return nil, fmt.Errorf("%w: targets not ascending", ErrSketchCorrupt)
 		}
-		targets = append(targets, SketchTarget{Quantile: q, Epsilon: eps})
+		targets[i] = SketchTarget{Quantile: q, Epsilon: eps}
 	}
-	n, okN := d.f64()
-	count, okC := d.u64()
-	sum, okS := d.f64()
-	minV, okMin := d.f64()
-	maxV, okMax := d.f64()
-	if !okN || !okC || !okS || !okMin || !okMax {
-		return nil, fmt.Errorf("%w: truncated state", ErrSketchCorrupt)
-	}
+	n, count, sum, minV, maxV := r.F64(), r.U64(), r.F64(), r.F64(), r.F64()
 	if math.IsNaN(n) || math.IsNaN(sum) || math.IsNaN(minV) || math.IsNaN(maxV) {
 		return nil, fmt.Errorf("%w: NaN state", ErrSketchCorrupt)
 	}
-	ns, ok := d.uvarint()
-	// Each tuple is 24 bytes; bounding by the remaining input rejects
-	// absurd counts before allocating. Divide rather than multiply: ns
-	// is attacker-controlled up to 2^64-1 and ns*24 can wrap past the
-	// remaining length.
-	if !ok || ns > uint64(len(d.buf)-d.off)/24 {
-		return nil, fmt.Errorf("%w: tuple count", ErrSketchCorrupt)
-	}
-	samples := make([]sketchSample, 0, ns)
+	samples := make([]sketchSample, r.Count(math.MaxInt, 24))
 	var widthSum float64
-	for i := uint64(0); i < ns; i++ {
-		val, ok1 := d.f64()
-		width, ok2 := d.f64()
-		delta, ok3 := d.f64()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("%w: truncated tuple %d", ErrSketchCorrupt, i)
-		}
-		if math.IsNaN(val) || math.IsNaN(width) || math.IsNaN(delta) || width < 1 || delta < 0 {
+	for i := range samples {
+		c := sketchSample{value: r.F64(), width: r.F64(), delta: r.F64()}
+		if math.IsNaN(c.value) || math.IsNaN(c.width) || math.IsNaN(c.delta) || c.width < 1 || c.delta < 0 {
 			return nil, fmt.Errorf("%w: tuple %d out of range", ErrSketchCorrupt, i)
 		}
-		if len(samples) > 0 && val < samples[len(samples)-1].value {
+		if i > 0 && c.value < samples[i-1].value {
 			return nil, fmt.Errorf("%w: tuples not sorted", ErrSketchCorrupt)
 		}
-		widthSum += width
-		samples = append(samples, sketchSample{value: val, width: width, delta: delta})
+		widthSum += c.width
+		samples[i] = c
 	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSketchCorrupt, len(d.buf)-d.off)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSketchCorrupt, err)
 	}
 	// Cross-field consistency: the encoder writes flushed sketches, where
 	// the tuple widths sum exactly to n and n mirrors count (widths are
@@ -145,11 +130,14 @@ func DecodeSketch(b []byte) (*Sketch, error) {
 	if widthSum != n || float64(count) != n {
 		return nil, fmt.Errorf("%w: width sum %g != n %g (count %d)", ErrSketchCorrupt, widthSum, n, count)
 	}
-	if ns > 0 && (minV > samples[0].value || maxV < samples[len(samples)-1].value || minV > maxV) {
+	ns := len(samples)
+	if ns > 0 && (minV > samples[0].value || maxV < samples[ns-1].value || minV > maxV) {
 		return nil, fmt.Errorf("%w: min/max inconsistent", ErrSketchCorrupt)
 	}
-	if ns == 0 && count != 0 {
-		return nil, fmt.Errorf("%w: count without tuples", ErrSketchCorrupt)
+	// An empty sketch's min/max are the ±Inf sentinels; other values
+	// would not survive the round trip.
+	if ns == 0 && (count != 0 || !math.IsInf(minV, 1) || !math.IsInf(maxV, -1)) {
+		return nil, fmt.Errorf("%w: empty sketch with count or min/max", ErrSketchCorrupt)
 	}
 	s := NewSketch(targets...)
 	if len(s.targets) != len(targets) {
@@ -157,54 +145,6 @@ func DecodeSketch(b []byte) (*Sketch, error) {
 		return nil, fmt.Errorf("%w: unusable targets", ErrSketchCorrupt)
 	}
 	s.samples = samples
-	s.n = n
-	s.count = count
-	s.sum = sum
-	if ns > 0 {
-		s.min, s.max = minV, maxV
-	}
+	s.n, s.count, s.sum, s.min, s.max = n, count, sum, minV, maxV
 	return s, nil
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-// binReader is a bounds-checked little-endian cursor; every accessor
-// reports false instead of panicking on truncated input.
-type binReader struct {
-	buf []byte
-	off int
-}
-
-func (d *binReader) u8() (byte, bool) {
-	if d.off+1 > len(d.buf) {
-		return 0, false
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v, true
-}
-
-func (d *binReader) u64() (uint64, bool) {
-	if d.off+8 > len(d.buf) {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, true
-}
-
-func (d *binReader) f64() (float64, bool) {
-	v, ok := d.u64()
-	return math.Float64frombits(v), ok
-}
-
-func (d *binReader) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, false
-	}
-	d.off += n
-	return v, true
 }

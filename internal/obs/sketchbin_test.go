@@ -161,3 +161,136 @@ func TestSketchBinaryRejectsOverflowingTupleCount(t *testing.T) {
 		t.Fatalf("overflowing tuple count: err = %v, want ErrSketchCorrupt", err)
 	}
 }
+
+// stretchUvarint rewrites the minimal uvarint at p[off:] in a form one
+// byte longer, which binary.Uvarint reads as the same value.
+func stretchUvarint(p []byte, off int) []byte {
+	_, n := binary.Uvarint(p[off:])
+	out := append([]byte(nil), p[:off+n]...)
+	out[off+n-1] |= 0x80
+	out = append(out, 0)
+	return append(out, p[off+n:]...)
+}
+
+// TestSketchBinaryRejectsNonMinimalCounts: a target or tuple count
+// written non-minimally decodes to a sketch whose encoding differs from
+// the input, so it is corrupt.
+func TestSketchBinaryRejectsNonMinimalCounts(t *testing.T) {
+	s := randomSketch(t, 5, 300)
+	enc := s.AppendBinary(nil)
+	targetsAt := 1
+	tuplesAt := 1 + 1 + 16*len(s.Targets()) + 5*8
+	for name, off := range map[string]int{"target count": targetsAt, "tuple count": tuplesAt} {
+		if _, err := DecodeSketch(stretchUvarint(enc, off)); !errors.Is(err, ErrSketchCorrupt) {
+			t.Errorf("non-minimal %s: err = %v, want ErrSketchCorrupt", name, err)
+		}
+	}
+}
+
+// TestSketchEncodedLen: EncodedLen predicts AppendBinary's length
+// exactly, for the shapes the fleet ships (buffered observations
+// included, which both flush).
+func TestSketchEncodedLen(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	shapes := map[string]func() float64{
+		"uniform":     func() float64 { return rng.Float64() * 100 },
+		"exponential": func() float64 { return 10 + rng.ExpFloat64()*25 },
+		"bimodal": func() float64 {
+			if rng.Intn(4) == 0 {
+				return 200 + rng.NormFloat64()*5
+			}
+			return 15 + rng.NormFloat64()*2
+		},
+	}
+	for name, draw := range shapes {
+		for _, n := range []int{0, 1, 100, 5000} {
+			s := NewSketch()
+			for i := 0; i < n; i++ {
+				s.Observe(draw())
+			}
+			if got, want := s.EncodedLen(), len(s.AppendBinary(nil)); got != want {
+				t.Errorf("%s n=%d: EncodedLen = %d, AppendBinary wrote %d", name, n, got, want)
+			}
+		}
+	}
+}
+
+// sketchSeedCorpus covers DecodeSketch's shapes: valid encodings (empty,
+// small, with custom targets), torn tails, a flipped width, a wrong
+// version byte, trailing garbage, non-minimal counts, a tuple count
+// that wraps a multiplying bound, an empty sketch with finite min/max,
+// and garbage.
+func sketchSeedCorpus(t testing.TB) [][]byte {
+	full := NewSketch()
+	for i := 0; i < 400; i++ {
+		full.Observe(float64(i%53) + 1)
+	}
+	valid := full.AppendBinary(nil)
+	empty := NewSketch().AppendBinary(nil)
+	custom := NewSketch(SketchTarget{Quantile: 0.5, Epsilon: 0.05})
+	custom.Observe(3)
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-10] ^= 0x40
+	badVersion := append([]byte(nil), valid...)
+	badVersion[0]++
+	wrapped := append(binary.AppendUvarint(append([]byte(nil), empty[:len(empty)-1]...), 768614336404564651), make([]byte, 8)...)
+	// An empty sketch whose min and max are finite rather than the ±Inf
+	// sentinels: decoding it and re-encoding would write the sentinels.
+	finiteEmpty := append([]byte(nil), empty...)
+	binary.LittleEndian.PutUint64(finiteEmpty[len(finiteEmpty)-17:], 0)
+	binary.LittleEndian.PutUint64(finiteEmpty[len(finiteEmpty)-9:], 0)
+	return [][]byte{
+		valid,
+		empty,
+		custom.AppendBinary(nil),
+		valid[:len(valid)-5],
+		valid[:1],
+		flipped,
+		badVersion,
+		append(append([]byte(nil), valid...), 0),
+		stretchUvarint(valid, 1),
+		stretchUvarint(empty, len(empty)-1),
+		wrapped,
+		finiteEmpty,
+		nil,
+		[]byte("not a sketch"),
+	}
+}
+
+// checkSketchDecode holds DecodeSketch's invariants: no panic, errors
+// wrap ErrSketchCorrupt, and an accepted input re-encodes to itself.
+func checkSketchDecode(t *testing.T, data []byte) {
+	t.Helper()
+	s, err := DecodeSketch(data)
+	if err != nil {
+		if !errors.Is(err, ErrSketchCorrupt) {
+			t.Fatalf("error does not wrap ErrSketchCorrupt: %v", err)
+		}
+		return
+	}
+	if !bytes.Equal(s.AppendBinary(nil), data) {
+		t.Fatal("accepted sketch is not canonical: re-encoding differs")
+	}
+}
+
+func FuzzSketchDecode(f *testing.F) {
+	for _, seed := range sketchSeedCorpus(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkSketchDecode(t, data) })
+}
+
+// TestSketchFuzzSeedCorpus replays the seed corpus under plain `go test`
+// and pins the valid seeds to the accept path.
+func TestSketchFuzzSeedCorpus(t *testing.T) {
+	seeds := sketchSeedCorpus(t)
+	for _, seed := range seeds {
+		seed := seed
+		t.Run("seed", func(t *testing.T) { checkSketchDecode(t, seed) })
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := DecodeSketch(seeds[i]); err != nil {
+			t.Errorf("valid seed %d rejected: %v", i, err)
+		}
+	}
+}

@@ -168,7 +168,7 @@ func (s *Server) initSeries() {
 		return
 	}
 	m.SetHelp("bm_requests_total", "Exchanges served, by service and endpoint.")
-	m.SetHelp("bm_service_latency_ms", "Server-side service time per exchange in milliseconds (streaming quantile sketch).")
+	m.SetHelp("bm_service_latency_ms", "Server-side service time per exchange in milliseconds, from request receipt to the reply write, which it excludes (streaming quantile sketch).")
 	m.SetHelp("bm_artificial_delay_ms", "Artificial response delay applied per exchange in milliseconds (the testbed's +delay knob).")
 	m.SetHelp("bm_artificial_delay_config_ms", "Configured artificial response delay in milliseconds.")
 	m.Set("bm_artificial_delay_config_ms", float64(s.cfg.Delay)/float64(time.Millisecond))
@@ -428,11 +428,11 @@ func (s *Server) wsSession(conn net.Conn) {
 					start := time.Now()
 					s.pause()
 					s.count(&s.wsMessages)
+					s.observe(s.serWS, start)
 					out := &wssim.Frame{Fin: true, Opcode: f.Opcode, Payload: f.Payload}
 					if _, err := conn.Write(out.Marshal()); err != nil {
 						return
 					}
-					s.observe(s.serWS, start)
 				}
 			}
 		}
@@ -461,10 +461,10 @@ func (s *Server) serveTCPEcho() {
 					start := time.Now()
 					s.pause()
 					s.count(&s.tcpEchoes)
+					s.observe(s.serTCP, start)
 					if _, werr := conn.Write(buf[:n]); werr != nil {
 						return
 					}
-					s.observe(s.serTCP, start)
 				}
 				if err != nil {
 					return
@@ -486,7 +486,7 @@ func (s *Server) serveUDPEcho() {
 		s.count(&s.udpEchoes)
 		payload := make([]byte, n)
 		copy(payload, buf[:n])
-		_, _ = s.udpConn.WriteToUDP(payload, addr)
 		s.observe(s.serUDP, start)
+		_, _ = s.udpConn.WriteToUDP(payload, addr)
 	}
 }

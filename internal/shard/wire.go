@@ -23,8 +23,8 @@
 //     cannot depend on which worker computed what.
 //
 // Frame (see internal/frame): magic "bmsh", version Version, kind the
-// message type; the payload is the per-type encoding below, strings as
-// uvarint length plus bytes.
+// message type; the payload is the per-type encoding below in the frame
+// package's payload grammar, read back through its strict Reader.
 package shard
 
 import (
@@ -149,14 +149,14 @@ func AppendMsg(b []byte, m *Msg) ([]byte, error) {
 		if len(m.SweepID) != sweepIDLen {
 			return nil, fmt.Errorf("shard: sweep ID length %d, want %d", len(m.SweepID), sweepIDLen)
 		}
-		b = appendString(b, m.Name)
-		b = appendString(b, m.SweepID)
+		b = frame.AppendString(b, m.Name)
+		b = frame.AppendString(b, m.SweepID)
 	case MsgHelloAck:
 		if len(m.Reason) > maxReason {
 			return nil, fmt.Errorf("shard: reason too long")
 		}
-		b = appendBool(b, m.OK)
-		b = appendString(b, m.Reason)
+		b = frame.AppendBool(b, m.OK)
+		b = frame.AppendString(b, m.Reason)
 		b = binary.LittleEndian.AppendUint32(b, m.Shards)
 	case MsgLeaseReq, MsgAllDone:
 		// empty payload
@@ -170,7 +170,7 @@ func AppendMsg(b []byte, m *Msg) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, m.Shard)
 		b = binary.LittleEndian.AppendUint32(b, m.Done)
 	case MsgRenewAck, MsgDoneAck:
-		b = appendBool(b, m.OK)
+		b = frame.AppendBool(b, m.OK)
 	case MsgShardDone:
 		b = binary.LittleEndian.AppendUint32(b, m.Shard)
 		b = binary.LittleEndian.AppendUint32(b, m.Computed)
@@ -179,18 +179,6 @@ func AppendMsg(b []byte, m *Msg) ([]byte, error) {
 		return nil, fmt.Errorf("shard: cannot encode message type %v", m.Type)
 	}
 	return codec.Seal(b, start)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }
 
 // DecodeMsg parses the first control frame in b and returns it with the
@@ -211,135 +199,38 @@ func DecodeMsg(b []byte) (*Msg, int, error) {
 }
 
 func decodePayload(typ MsgType, p []byte) (*Msg, error) {
-	d := wireReader{buf: p}
+	r := frame.NewReader(p)
 	m := &Msg{Type: typ}
-	ok := true
 	switch typ {
 	case MsgHello:
-		if m.Name, ok = d.str(maxName); !ok || m.Name == "" {
-			return nil, fmt.Errorf("%w: hello name", frame.ErrCorrupt)
-		}
-		if m.SweepID, ok = d.str(sweepIDLen); !ok || len(m.SweepID) != sweepIDLen {
-			return nil, fmt.Errorf("%w: hello sweep ID", frame.ErrCorrupt)
-		}
+		m.Name, m.SweepID = r.String(maxName), r.String(sweepIDLen)
 	case MsgHelloAck:
-		if m.OK, ok = d.boolean(); !ok {
-			return nil, fmt.Errorf("%w: hello-ack flag", frame.ErrCorrupt)
-		}
-		if m.Reason, ok = d.str(maxReason); !ok {
-			return nil, fmt.Errorf("%w: hello-ack reason", frame.ErrCorrupt)
-		}
-		if m.Shards, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: hello-ack shards", frame.ErrCorrupt)
-		}
+		m.OK, m.Reason, m.Shards = r.Bool(), r.String(maxReason), r.U32()
 	case MsgLeaseReq, MsgAllDone:
 		// empty payload
 	case MsgLeaseGrant:
-		var ttl uint64
-		if m.Shard, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: grant shard", frame.ErrCorrupt)
-		}
-		if m.Shards, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: grant shards", frame.ErrCorrupt)
-		}
-		if ttl, ok = d.u64(); !ok || ttl > uint64(time.Hour) {
-			return nil, fmt.Errorf("%w: grant ttl", frame.ErrCorrupt)
-		}
-		if m.Shards == 0 || m.Shard >= m.Shards {
-			return nil, fmt.Errorf("%w: grant shard %d of %d", frame.ErrCorrupt, m.Shard, m.Shards)
-		}
-		m.TTL = time.Duration(ttl)
+		m.Shard, m.Shards, m.TTL = r.U32(), r.U32(), time.Duration(r.U64())
 	case MsgNoWork:
-		var retry uint64
-		if retry, ok = d.u64(); !ok || retry > uint64(time.Hour) {
-			return nil, fmt.Errorf("%w: no-work retry", frame.ErrCorrupt)
-		}
-		m.Retry = time.Duration(retry)
+		m.Retry = time.Duration(r.U64())
 	case MsgRenew:
-		if m.Shard, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: renew shard", frame.ErrCorrupt)
-		}
-		if m.Done, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: renew done", frame.ErrCorrupt)
-		}
+		m.Shard, m.Done = r.U32(), r.U32()
 	case MsgRenewAck, MsgDoneAck:
-		if m.OK, ok = d.boolean(); !ok {
-			return nil, fmt.Errorf("%w: ack flag", frame.ErrCorrupt)
-		}
+		m.OK = r.Bool()
 	case MsgShardDone:
-		if m.Shard, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: done shard", frame.ErrCorrupt)
-		}
-		if m.Computed, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: done computed", frame.ErrCorrupt)
-		}
-		if m.Cached, ok = d.u32(); !ok {
-			return nil, fmt.Errorf("%w: done cached", frame.ErrCorrupt)
-		}
+		m.Shard, m.Computed, m.Cached = r.U32(), r.U32(), r.U32()
 	default:
 		return nil, fmt.Errorf("%w: unknown message type %d", frame.ErrCorrupt, uint16(typ))
 	}
-	if d.off != len(p) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", frame.ErrCorrupt, len(p)-d.off)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("%v: %w", typ, err)
+	}
+	switch {
+	case typ == MsgHello && (m.Name == "" || len(m.SweepID) != sweepIDLen):
+		return nil, fmt.Errorf("%w: hello name %q, sweep ID length %d", frame.ErrCorrupt, m.Name, len(m.SweepID))
+	case uint64(m.TTL) > uint64(time.Hour) || uint64(m.Retry) > uint64(time.Hour):
+		return nil, fmt.Errorf("%w: %v duration out of range", frame.ErrCorrupt, typ)
+	case typ == MsgLeaseGrant && m.Shard >= m.Shards:
+		return nil, fmt.Errorf("%w: grant shard %d of %d", frame.ErrCorrupt, m.Shard, m.Shards)
 	}
 	return m, nil
-}
-
-// uvarintLen is the minimal encoded size of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// wireReader is a bounds-checked cursor over one payload.
-type wireReader struct {
-	buf []byte
-	off int
-}
-
-func (d *wireReader) u32() (uint32, bool) {
-	if d.off+4 > len(d.buf) {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, true
-}
-
-func (d *wireReader) u64() (uint64, bool) {
-	if d.off+8 > len(d.buf) {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, true
-}
-
-func (d *wireReader) boolean() (bool, bool) {
-	if d.off >= len(d.buf) || d.buf[d.off] > 1 {
-		return false, false
-	}
-	v := d.buf[d.off] == 1
-	d.off++
-	return v, true
-}
-
-func (d *wireReader) str(max int) (string, bool) {
-	n, sz := binary.Uvarint(d.buf[d.off:])
-	if sz <= 0 || n > uint64(max) || d.off+sz+int(n) > len(d.buf) {
-		return "", false
-	}
-	// Reject non-minimal varints so every accepted frame has exactly one
-	// encoding (the fuzz harness asserts decode∘encode is the identity).
-	if sz != uvarintLen(n) {
-		return "", false
-	}
-	d.off += sz
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, true
 }
