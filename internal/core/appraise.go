@@ -140,26 +140,16 @@ func RunContext(ctx context.Context, cfg Config) (*Experiment, error) {
 // testbed, the run's result and the Rounds samples it appended; the
 // result is recycled by the next run, so onRun must not retain it.
 func runLoop(ctx context.Context, cfg Config, onRun func(tb *testbed.Testbed, res *methods.Result, run []Sample)) (*Experiment, error) {
-	cfg.fillDefaults()
-	if cfg.Profile == nil {
-		return nil, fmt.Errorf("core: Config.Profile is nil")
+	r, err := newRunner(&cfg)
+	if err != nil {
+		return nil, err
 	}
-	tbCfg := cfg.Testbed
-	tbCfg.Tracer = cfg.Tracer
-	tbCfg.Metrics = cfg.Metrics
-	tb := testbed.New(tbCfg)
-	// The arena is observational-tier plumbing (a worker-owned buffer
-	// pool); the experiment's stored config must not retain it.
-	cfg.Testbed.Arena = nil
-	if cfg.Warp > 0 {
-		tb.Advance(cfg.Warp)
-	}
+	tb := r.TB
 	exp := &Experiment{Config: cfg}
 	exp.Samples = make([]Sample, 0, cfg.Runs*methods.Rounds)
 	// One Runner serves every repetition: its result storage, client
 	// connections and callbacks recycle run over run, and BeginRun
 	// recycles the arena-backed buffers below them.
-	r := &methods.Runner{TB: tb, Profile: cfg.Profile, Timing: cfg.Timing}
 	for run := 0; run < cfg.Runs; run++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -200,6 +190,28 @@ func runLoop(ctx context.Context, cfg Config, onRun func(tb *testbed.Testbed, re
 		tb.Advance(cfg.Gap)
 	}
 	return exp, nil
+}
+
+// newRunner is the one testbed set-up of the repetition loop and the
+// impact measurements: it fills cfg's defaults, builds its testbed with
+// cfg's tracer and metrics installed, applies its warp and returns a
+// Runner on that testbed.
+func newRunner(cfg *Config) (*methods.Runner, error) {
+	cfg.fillDefaults()
+	if cfg.Profile == nil {
+		return nil, fmt.Errorf("core: Config.Profile is nil")
+	}
+	tbCfg := cfg.Testbed
+	tbCfg.Tracer = cfg.Tracer
+	tbCfg.Metrics = cfg.Metrics
+	tb := testbed.New(tbCfg)
+	// The arena is observational-tier plumbing (a worker-owned buffer
+	// pool); the experiment's stored config must not retain it.
+	cfg.Testbed.Arena = nil
+	if cfg.Warp > 0 {
+		tb.Advance(cfg.Warp)
+	}
+	return &methods.Runner{TB: tb, Profile: cfg.Profile, Timing: cfg.Timing}, nil
 }
 
 // Overheads returns the Δd samples of one round in milliseconds, in run

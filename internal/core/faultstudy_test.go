@@ -159,3 +159,30 @@ func TestRunFaultImpactDeterministic(t *testing.T) {
 		t.Errorf("reports differ:\n%s\nvs\n%s", a.Report(), b.Report())
 	}
 }
+
+// TestFlashPolicyResetSparesLaterRuns: every run's Flash policy
+// connection shares the Runner's callbacks. In the sweep's Opera (W)
+// Flash TCP cell under burstywifi, a reset reaches an earlier run's
+// policy connection while run 100 fetches its own. That connection must
+// have dropped the callbacks once its policy arrived, so the cell
+// completes instead of failing run 100 with "flash policy fetch refused".
+func TestFlashPolicyResetSparesLaterRuns(t *testing.T) {
+	opts := StudyOptions{Profiles: browser.Profiles(), Runs: 101, BaseSeed: 1}
+	for _, s := range methods.Compared() {
+		opts.Methods = append(opts.Methods, s.Kind)
+	}
+	for _, cfg := range FaultCells(opts, []faults.Profile{faults.BurstyWiFi}) {
+		if cfg.Method != methods.FlashTCP || cfg.Profile.Label() != "O (W)" {
+			continue
+		}
+		exp, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(exp.Samples) != 101*methods.Rounds {
+			t.Fatalf("samples = %d, want %d", len(exp.Samples), 101*methods.Rounds)
+		}
+		return
+	}
+	t.Fatal("no Opera (W) Flash TCP cell")
+}

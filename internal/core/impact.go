@@ -72,22 +72,17 @@ func (j JitterImpact) Inflation() float64 { return j.BrowserJitter - j.WireJitte
 
 // MeasureJitter runs a probe train and computes both jitters.
 func MeasureJitter(cfg Config, probes int) (JitterImpact, error) {
-	cfg.fillDefaults()
-	if cfg.Profile == nil {
-		return JitterImpact{}, fmt.Errorf("core: Config.Profile is nil")
+	r, err := newRunner(&cfg)
+	if err != nil {
+		return JitterImpact{}, err
 	}
-	tb := testbed.New(cfg.Testbed)
-	if cfg.Warp > 0 {
-		tb.Advance(cfg.Warp)
-	}
-	r := &methods.Runner{TB: tb, Profile: cfg.Profile, Timing: cfg.Timing}
-	tb.Cap.Reset()
+	r.TB.Cap.Reset()
 	train, err := r.RunTrain(cfg.Method, probes)
 	if err != nil {
 		return JitterImpact{}, err
 	}
 	browserRTTs := stats.DurationsToMs(train.BrowserRTTs())
-	pairs := tb.Cap.MatchRTT(train.ServerPort)
+	pairs := r.TB.Cap.MatchRTT(train.ServerPort)
 	wireRTTs := make([]float64, 0, len(pairs))
 	for _, p := range pairs {
 		wireRTTs = append(wireRTTs, stats.Ms(p.RTT()))
@@ -140,21 +135,16 @@ func (t ThroughputImpact) Bias() float64 {
 
 // MeasureThroughput runs one bulk transfer and compares both estimates.
 func MeasureThroughput(cfg Config, size int) (ThroughputImpact, error) {
-	cfg.fillDefaults()
-	if cfg.Profile == nil {
-		return ThroughputImpact{}, fmt.Errorf("core: Config.Profile is nil")
+	r, err := newRunner(&cfg)
+	if err != nil {
+		return ThroughputImpact{}, err
 	}
-	tb := testbed.New(cfg.Testbed)
-	if cfg.Warp > 0 {
-		tb.Advance(cfg.Warp)
-	}
-	r := &methods.Runner{TB: tb, Profile: cfg.Profile, Timing: cfg.Timing}
-	tb.Cap.Reset()
+	r.TB.Cap.Reset()
 	res, err := r.RunThroughput(cfg.Method, size)
 	if err != nil {
 		return ThroughputImpact{}, err
 	}
-	tr, ok := tb.Cap.MatchTransfer(res.ServerPort)
+	tr, ok := r.TB.Cap.MatchTransfer(res.ServerPort)
 	if !ok {
 		return ThroughputImpact{}, fmt.Errorf("core: capture saw no transfer")
 	}
@@ -178,28 +168,23 @@ type LossImpact struct {
 
 // MeasureLoss runs a UDP train under the configured link loss rate.
 func MeasureLoss(cfg Config, probes int) (LossImpact, error) {
-	cfg.fillDefaults()
-	if cfg.Profile == nil {
-		return LossImpact{}, fmt.Errorf("core: Config.Profile is nil")
-	}
 	if cfg.Method != methods.JavaUDP {
 		return LossImpact{}, fmt.Errorf("core: loss measurement needs the Java UDP method")
 	}
-	tb := testbed.New(cfg.Testbed)
-	if cfg.Warp > 0 {
-		tb.Advance(cfg.Warp)
+	r, err := newRunner(&cfg)
+	if err != nil {
+		return LossImpact{}, err
 	}
-	r := &methods.Runner{TB: tb, Profile: cfg.Profile, Timing: cfg.Timing}
-	tb.Cap.Reset()
+	r.TB.Cap.Reset()
 	train, err := r.RunTrain(methods.JavaUDP, probes)
 	if err != nil {
 		return LossImpact{}, err
 	}
-	sent, lost := tb.Cap.CountUnanswered(train.ServerPort)
+	sent, lost := r.TB.Cap.CountUnanswered(train.ServerPort)
 	li := LossImpact{
 		Probes:      probes,
 		BrowserLoss: train.LossRate(),
-		LinkDropped: tb.ServerLink.Dropped,
+		LinkDropped: r.TB.ServerLink.Dropped,
 	}
 	if sent > 0 {
 		li.WireLoss = float64(lost) / float64(sent)

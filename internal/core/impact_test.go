@@ -9,6 +9,7 @@ import (
 
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/methods"
+	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/stats"
 	"github.com/browsermetric/browsermetric/internal/testbed"
 )
@@ -35,11 +36,10 @@ func TestAttributionSumsToOverhead(t *testing.T) {
 	}
 }
 
-// TestRunAttributedMatchesRun is a differential test of RunAttributed's
-// own run loop (a fresh Runner per run, no BeginRun) against RunContext's
-// recycled one: for every compared method on every Table 2 profile, under
-// both timing functions and a clock warp, both must produce identical
-// samples, so the attribution view never explains numbers the
+// TestRunAttributedMatchesRun checks that RunAttributed reports the
+// samples Run does: for every compared method on every Table 2 profile,
+// under both timing functions and a clock warp, both must produce
+// identical samples, so the attribution view never explains numbers the
 // experiments did not report.
 func TestRunAttributedMatchesRun(t *testing.T) {
 	for _, spec := range methods.Compared() {
@@ -357,5 +357,41 @@ func TestKSDistinguishesTimingAPIs(t *testing.T) {
 	}
 	if stats.KSDifferent(even, odd) {
 		t.Error("two halves of the same cell flagged as different distributions")
+	}
+}
+
+// TestMeasureHonoursObservability: the impact measurements install
+// cfg.Tracer and cfg.Metrics on their testbed, as Run does, so the
+// stack's connect spans and frame counters reach them.
+func TestMeasureHonoursObservability(t *testing.T) {
+	prof := browser.Lookup(browser.Chrome, browser.Ubuntu)
+	measure := map[string]func(cfg Config) error{
+		"jitter": func(cfg Config) error {
+			cfg.Method = methods.JavaTCP
+			_, err := MeasureJitter(cfg, 5)
+			return err
+		},
+		"throughput": func(cfg Config) error {
+			cfg.Method = methods.XHRGet
+			_, err := MeasureThroughput(cfg, 16<<10)
+			return err
+		},
+		"loss": func(cfg Config) error {
+			cfg.Method = methods.JavaUDP
+			_, err := MeasureLoss(cfg, 5)
+			return err
+		},
+	}
+	for name, m := range measure {
+		cfg := Config{Profile: prof, Tracer: obs.NewTracer(), Metrics: obs.NewMetrics()}
+		if err := m(cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cfg.Metrics.Counter("wire_frames") == 0 {
+			t.Errorf("%s: metrics saw no wire frames", name)
+		}
+		if name != "loss" && len(cfg.Tracer.Find("connect")) == 0 {
+			t.Errorf("%s: tracer saw no connect span", name)
+		}
 	}
 }

@@ -75,7 +75,9 @@ type Runner struct {
 	// Timing selects the timestamping API (the paper's default is
 	// Date.getTime; Section 4.2 switches Java methods to System.nanoTime).
 	Timing browser.TimingFunc
-	// Timeout bounds one run in virtual time (default 30 s).
+	// Timeout bounds one run, train or transfer in virtual time
+	// (default 30 s for a run, probes·5 s + 30 s for a train, 60 s for
+	// a transfer).
 	Timeout time.Duration
 	// DisableCacheBust removes the cache-busting query parameter from the
 	// DOM method's probe URL, reproducing the Section 5 pitfall: the
@@ -103,6 +105,7 @@ type Runner struct {
 
 	hs httpState
 	ss sockState
+	sc sockConn
 	fp policyState
 }
 
@@ -135,20 +138,11 @@ func (r *Runner) readClock(clk clock.Clock, at string, round int) time.Duration 
 // The returned Result is reused storage owned by the Runner: it is valid
 // until the next Run call. Callers that need it longer must copy it.
 func (r *Runner) Run(kind Kind) (*Result, error) {
-	spec := Get(kind)
-	if !r.Profile.Supports(spec.API) {
-		return nil, fmt.Errorf("%w: %s cannot run %s", ErrUnsupported, r.Profile.Label(), spec.Name)
-	}
-	timeout := r.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
-	if r.clk == nil || r.clkAPI != spec.API {
-		r.clk = r.Profile.Clock(spec.API, r.Timing, r.TB.Sim.Now)
-		r.clkAPI = spec.API
+	spec, err := r.begin(kind)
+	if err != nil {
+		return nil, err
 	}
 	r.res = Result{Kind: kind}
-	res := &r.res
 
 	var runSpan *obs.Span
 	if tr := r.TB.Trace; tr.Enabled() {
@@ -159,43 +153,84 @@ func (r *Runner) Run(kind Kind) (*Result, error) {
 			Int("run", int64(r.RunIndex))
 	}
 
-	r.done, r.fail = false, nil
-
-	switch spec.Transport {
-	case TransportHTTP:
-		res.ServerPort = testbed.HTTPPort
+	if spec.Transport == TransportHTTP {
+		r.res.ServerPort = testbed.HTTPPort
 		r.hs.begin(r, spec)
-	default:
+	} else {
 		r.ss.begin(r, spec)
 	}
-
-	start := r.TB.Sim.Now()
-	deadline := start + timeout
-	for !r.done && r.TB.Sim.Now() < deadline && r.TB.Sim.Pending() > 0 {
-		r.TB.Sim.Step()
-	}
+	err = r.drive(spec.Name, 30*time.Second)
 	runSpan.Done()
-	if r.ss.hasCleanup {
-		r.ss.cleanup()
+	r.ss.retry.Cancel()
+	if err != nil {
+		return nil, err
 	}
-	if r.fail != nil {
-		return nil, r.fail
-	}
-	if !r.done {
-		return nil, errUnfinished(r.TB.Sim, spec.Name, start, timeout)
-	}
-	return res, nil
+	return &r.res, nil
 }
 
-// errUnfinished says why a run loop ended before its run finished: the
-// event queue drained with virtual time to spare (the run stalled, e.g.
-// its connection aborted after repeated retransmission timeouts), or
-// the virtual deadline passed.
-func errUnfinished(sim *eventsim.Simulator, what string, start, timeout time.Duration) error {
-	if elapsed := sim.Now() - start; elapsed < timeout {
-		return fmt.Errorf("methods: %s stalled after %v (virtual): event queue drained", what, elapsed)
+// begin is the preamble of every run, train and transfer: it checks that
+// the profile supports kind, points the cached clock at kind's timing
+// API and clears the finish state.
+func (r *Runner) begin(kind Kind) (Spec, error) {
+	spec := Get(kind)
+	if !r.Profile.Supports(spec.API) {
+		return spec, fmt.Errorf("%w: %s cannot run %s", ErrUnsupported, r.Profile.Label(), spec.Name)
 	}
-	return fmt.Errorf("methods: %s timed out after %v (virtual)", what, timeout)
+	if r.clk == nil || r.clkAPI != spec.API {
+		r.clk = r.Profile.Clock(spec.API, r.Timing, r.TB.Sim.Now)
+		r.clkAPI = spec.API
+	}
+	r.done, r.fail = false, nil
+	return spec, nil
+}
+
+// drive is the one run loop of runs, trains and transfers. It steps the
+// simulator until the measurement started on r finishes, then releases
+// the UDP port a Java UDP socket holds. A measurement that ends early
+// gets an error saying why: the event queue drained with virtual time to
+// spare (it stalled, e.g. its connection aborted after repeated
+// retransmission timeouts), or its virtual deadline (r.Timeout, else
+// timeout) passed.
+func (r *Runner) drive(what string, timeout time.Duration) error {
+	if r.Timeout != 0 {
+		timeout = r.Timeout
+	}
+	start := r.TB.Sim.Now()
+	for !r.done && r.TB.Sim.Now() < start+timeout && r.TB.Sim.Pending() > 0 {
+		r.TB.Sim.Step()
+	}
+	r.sc.close()
+	switch elapsed := r.TB.Sim.Now() - start; {
+	case r.fail != nil:
+		return r.fail
+	case r.done:
+		return nil
+	case elapsed < timeout:
+		return fmt.Errorf("methods: %s stalled after %v (virtual): event queue drained", what, elapsed)
+	default:
+		return fmt.Errorf("methods: %s timed out after %v (virtual)", what, timeout)
+	}
+}
+
+// dial opens a client connection to the server's port. A failed dial
+// fails the measurement and returns nil.
+func (r *Runner) dial(port uint16) *tcpsim.Conn {
+	tcp, err := r.TB.Client.Dial(r.TB.ServerAddr, port)
+	if err != nil {
+		r.finish(err)
+		return nil
+	}
+	return tcp
+}
+
+// dialHTTP is the one HTTP connect path: it dials the server's HTTP
+// port, attaches cc to the connection and calls est once it is
+// established.
+func (r *Runner) dialHTTP(cc *httpsim.ClientConn, est func()) {
+	if tcp := r.dial(testbed.HTTPPort); tcp != nil {
+		cc.Attach(tcp)
+		tcp.OnEstablished = est
+	}
 }
 
 // httpState is the Runner's persistent state for the HTTP-based methods:
@@ -255,6 +290,7 @@ func (s *httpState) begin(r *Runner, spec Spec) {
 	}
 	if s.in == nil {
 		s.in = httpsim.NewInterner()
+		s.container.In, s.fresh.In = s.in, s.in
 	}
 	if s.req.Headers == nil {
 		s.req.Headers = httpsim.Headers{{Key: "Host", Value: "server"}}
@@ -263,14 +299,7 @@ func (s *httpState) begin(r *Runner, spec Spec) {
 
 	// Preparation phase: download the container page on a keep-alive
 	// connection. This connection is what PolicyReuse methods measure on.
-	tcp, err := r.TB.Client.Dial(r.TB.ServerAddr, testbed.HTTPPort)
-	if err != nil {
-		r.finish(err)
-		return
-	}
-	s.container.Attach(tcp)
-	s.container.In = s.in
-	tcp.OnEstablished = s.onContainerEst
+	r.dialHTTP(&s.container, s.onContainerEst)
 }
 
 func (s *httpState) initCallbacks() {
@@ -308,18 +337,9 @@ func (s *httpState) initCallbacks() {
 			r.res.NewConnRounds[s.k-1] = true
 			s.dialAt = r.TB.Sim.Now()
 			s.hsSpan = r.TB.Trace.Begin("handshake").Int("run", int64(r.RunIndex)).Int("round", int64(s.k))
-			tcp, err := r.TB.Client.Dial(r.TB.ServerAddr, testbed.HTTPPort)
-			if err != nil {
-				r.finish(err)
-				return
-			}
-			s.fresh.Attach(tcp)
-			s.fresh.In = s.in
-			if s.policy == browser.PolicyNewOnFirst {
-				s.freshSet = true
-			}
+			r.dialHTTP(&s.fresh, s.onNewEst)
+			s.freshSet = s.policy == browser.PolicyNewOnFirst
 			s.cur = &s.fresh
-			tcp.OnEstablished = s.onNewEst
 		}
 	}
 	s.onNewEst = func() {
@@ -423,7 +443,6 @@ type policyState struct {
 	r    *Runner
 	pc   *tcpsim.Conn
 	next func()
-	got  bool
 
 	onEst   func()
 	onData  func([]byte)
@@ -434,31 +453,26 @@ func (r *Runner) fetchFlashPolicy(next func()) {
 	s := &r.fp
 	s.r = r
 	s.next = next
-	s.got = false
 	if s.onEst == nil {
 		s.onEst = func() {
 			if err := s.pc.Send(policyRequest); err != nil {
 				s.r.finish(err)
 			}
 		}
+		// Every policy connection shares these callbacks, so once the
+		// policy is in, the connection drops them: a reset or a stray
+		// segment on it must not reach a later run's fetch.
 		s.onData = func([]byte) {
-			if s.got {
-				return
-			}
-			s.got = true
+			s.pc.OnData, s.pc.OnReset = nil, nil
 			s.next()
 		}
 		s.onReset = func() { s.r.finish(errPolicyRefused) }
 	}
-	pc, err := r.TB.Client.Dial(r.TB.ServerAddr, testbed.FlashPolicyPort)
-	if err != nil {
-		r.finish(err)
-		return
+	if s.pc = r.dial(testbed.FlashPolicyPort); s.pc != nil {
+		s.pc.OnEstablished = s.onEst
+		s.pc.OnData = s.onData
+		s.pc.OnReset = s.onReset
 	}
-	s.pc = pc
-	pc.OnEstablished = s.onEst
-	pc.OnData = s.onData
-	pc.OnReset = s.onReset
 }
 
 // probeTarget renders "/probe?m=<kind>&r=<round>" with one allocation
@@ -482,6 +496,113 @@ func payloadFor(k Kind, round int) []byte {
 	return b
 }
 
+// sockConn is the one connect path of the socket methods, shared by
+// runs, trains and transfers: the WebSocket dial and upgrade, the TCP
+// echo dial (behind the socket-policy fetch for Flash) and the UDP
+// listen. It calls open once the socket can carry probes and echo with
+// every echo that arrives. Its callbacks are allocated once per Runner.
+type sockConn struct {
+	r    *Runner
+	kind Kind
+	open func()
+	echo func([]byte)
+
+	ws      *wssim.Conn
+	tcp     *tcpsim.Conn
+	udpPort uint16
+	udpOpen bool
+
+	dialEcho   func()
+	onWSEst    func()
+	onWSMsg    func(wssim.Opcode, []byte)
+	onTCPReset func()
+	onUDP      func(netip.Addr, uint16, []byte)
+}
+
+// connect opens kind's socket and returns the server port it probes.
+func (c *sockConn) connect(r *Runner, kind Kind, open func(), echo func([]byte)) uint16 {
+	c.r, c.kind, c.open, c.echo = r, kind, open, echo
+	c.ws, c.tcp = nil, nil
+	if c.dialEcho == nil {
+		c.initCallbacks()
+	}
+	switch kind {
+	case WebSocket:
+		if c.tcp = r.dial(testbed.WSPort); c.tcp != nil {
+			c.tcp.OnEstablished = c.onWSEst
+		}
+		return testbed.WSPort
+	case FlashTCP:
+		// The Flash plugin fetches the socket policy file before it
+		// allows any Socket connection; this happens in the
+		// preparation phase, outside the timed window.
+		r.fetchFlashPolicy(c.dialEcho)
+		return testbed.TCPEchoPort
+	case JavaTCP:
+		c.dialEcho()
+		return testbed.TCPEchoPort
+	case JavaUDP:
+		c.udpPort = r.TB.NextUDPPort()
+		if err := r.TB.Client.ListenUDP(c.udpPort, c.onUDP); err != nil {
+			r.finish(err)
+		} else {
+			c.udpOpen = true
+			open()
+		}
+		return testbed.UDPEchoPort
+	}
+	r.finish(fmt.Errorf("methods: %s is not socket-based", Get(kind).Name))
+	return 0
+}
+
+func (c *sockConn) initCallbacks() {
+	c.dialEcho = func() {
+		if c.tcp = c.r.dial(testbed.TCPEchoPort); c.tcp != nil {
+			c.tcp.OnEstablished = c.open
+			c.tcp.OnData = c.echo
+			c.tcp.OnReset = c.onTCPReset
+		}
+	}
+	c.onWSEst = func() {
+		ws, err := wssim.Dial(c.tcp, "server", "/ws")
+		if err != nil {
+			c.r.finish(err)
+			return
+		}
+		c.ws = ws
+		ws.OnMessage = c.onWSMsg
+		ws.OnOpen = c.open
+	}
+	c.onWSMsg = func(_ wssim.Opcode, p []byte) { c.echo(p) }
+	c.onTCPReset = func() { c.r.finish(errEchoReset) }
+	c.onUDP = func(_ netip.Addr, _ uint16, p []byte) { c.echo(p) }
+}
+
+// send transmits one message on the open socket; a failed send fails
+// the measurement.
+func (c *sockConn) send(p []byte) {
+	var err error
+	switch c.kind {
+	case WebSocket:
+		err = c.ws.Send(wssim.OpBinary, p)
+	case JavaUDP:
+		c.r.TB.Client.SendUDP(c.r.TB.ServerAddr, c.udpPort, testbed.UDPEchoPort, p)
+	default:
+		err = c.tcp.Send(p)
+	}
+	if err != nil {
+		c.r.finish(err)
+	}
+}
+
+// close releases the UDP port a Java UDP socket holds.
+func (c *sockConn) close() {
+	if c.udpOpen {
+		c.r.TB.Client.CloseUDP(c.udpPort)
+		c.udpOpen = false
+	}
+}
+
 // sockState is the Runner's persistent state for the socket-based methods:
 // WebSocket, Flash TCP, Java TCP and Java UDP. Socket methods connect
 // during preparation, so no round ever opens a fresh connection.
@@ -492,34 +613,22 @@ type sockState struct {
 	k       int // current round, 1-based
 	pending int // round awaiting its echo; 0 when none
 
-	ws       *wssim.Conn
-	tcp      *tcpsim.Conn
-	udpLocal uint16
-
 	// payloads caches payloadFor renderings per round; the probe payload
 	// depends only on (kind, round).
 	payloads [Rounds][]byte
 	pKind    Kind
 
-	// UDP retry timer state (see begin's JavaUDP arm).
+	// UDP retry timer state (see initCallbacks).
 	retry  eventsim.Event
 	retryK int
 
-	hasCleanup bool
-
 	roundSpan, reqSpan, spSpan, edSpan *obs.Span
 
-	afterSend  func()
-	afterRecv  func()
-	connectFn  func()
-	retryFn    func()
-	onWSEst    func()
-	onWSMsg    func(wssim.Opcode, []byte)
-	onWSOpen   func()
-	onTCPData  func([]byte)
-	onTCPEst   func()
-	onTCPReset func()
-	onUDP      func(netip.Addr, uint16, []byte)
+	afterSend   func()
+	afterRecv   func()
+	retryFn     func()
+	startRound1 func()
+	onEchoFn    func([]byte)
 }
 
 func (s *sockState) begin(r *Runner, spec Spec) {
@@ -527,7 +636,6 @@ func (s *sockState) begin(r *Runner, spec Spec) {
 	s.spec = spec
 	s.k = 0
 	s.pending = 0
-	s.ws, s.tcp = nil, nil
 	s.retry = eventsim.Event{}
 	if s.payloads[0] == nil || s.pKind != spec.Kind {
 		s.pKind = spec.Kind
@@ -536,42 +644,7 @@ func (s *sockState) begin(r *Runner, spec Spec) {
 		}
 	}
 	s.initCallbacks()
-
-	switch spec.Kind {
-	case WebSocket:
-		r.res.ServerPort = testbed.WSPort
-		tcp, err := r.TB.Client.Dial(r.TB.ServerAddr, testbed.WSPort)
-		if err != nil {
-			r.finish(err)
-			return
-		}
-		s.tcp = tcp
-		tcp.OnEstablished = s.onWSEst
-
-	case FlashTCP, JavaTCP:
-		r.res.ServerPort = testbed.TCPEchoPort
-		if spec.Kind == FlashTCP {
-			// The Flash plugin fetches the socket policy file before it
-			// allows any Socket connection; this happens in the
-			// preparation phase, outside the timed window.
-			r.fetchFlashPolicy(s.connectFn)
-		} else {
-			s.connect()
-		}
-
-	case JavaUDP:
-		r.res.ServerPort = testbed.UDPEchoPort
-		s.udpLocal = r.TB.NextUDPPort()
-		if err := r.TB.Client.ListenUDP(s.udpLocal, s.onUDP); err != nil {
-			r.finish(err)
-			return
-		}
-		s.hasCleanup = true
-		s.round(1)
-
-	default:
-		r.finish(fmt.Errorf("methods: %s is not socket-based", spec.Name))
-	}
+	r.res.ServerPort = r.sc.connect(r, spec.Kind, s.startRound1, s.onEchoFn)
 }
 
 func (s *sockState) initCallbacks() {
@@ -594,7 +667,6 @@ func (s *sockState) initCallbacks() {
 			r.finish(nil)
 		}
 	}
-	s.connectFn = func() { s.connect() }
 	// UDP has no transport-layer recovery, so a single lost datagram
 	// would hang the round until the 30 s run timeout. Real Java probes
 	// guard against this with SO_TIMEOUT and a resend; mirror that with
@@ -607,39 +679,11 @@ func (s *sockState) initCallbacks() {
 		if s.pending != s.retryK {
 			return // round already completed
 		}
-		r := s.r
-		r.TB.Client.SendUDP(r.TB.ServerAddr, s.udpLocal, testbed.UDPEchoPort, s.payloads[s.retryK-1])
+		s.r.sc.send(s.payloads[s.retryK-1])
 		s.arm(s.retryK)
 	}
-	s.onWSEst = func() {
-		ws, err := wssim.Dial(s.tcp, "server", "/ws")
-		if err != nil {
-			s.r.finish(err)
-			return
-		}
-		s.ws = ws
-		ws.OnMessage = s.onWSMsg
-		ws.OnOpen = s.onWSOpen
-	}
-	s.onWSMsg = func(_ wssim.Opcode, _ []byte) { s.onEcho() }
-	s.onWSOpen = func() { s.round(1) }
-	s.onTCPData = func([]byte) { s.onEcho() }
-	s.onTCPEst = func() { s.round(1) }
-	s.onTCPReset = func() { s.r.finish(errEchoReset) }
-	s.onUDP = func(_ netip.Addr, _ uint16, _ []byte) { s.onEcho() }
-}
-
-func (s *sockState) connect() {
-	r := s.r
-	tcp, err := r.TB.Client.Dial(r.TB.ServerAddr, testbed.TCPEchoPort)
-	if err != nil {
-		r.finish(err)
-		return
-	}
-	s.tcp = tcp
-	tcp.OnData = s.onTCPData
-	tcp.OnEstablished = s.onTCPEst
-	tcp.OnReset = s.onTCPReset
+	s.startRound1 = func() { s.round(1) }
+	s.onEchoFn = func([]byte) { s.onEcho() }
 }
 
 // round runs the shared round logic: stamp tBs, descend the send path,
@@ -661,23 +705,10 @@ func (s *sockState) round(k int) {
 }
 
 func (s *sockState) sendProbe() {
-	r, k := s.r, s.k
-	payload := s.payloads[k-1]
-	switch s.spec.Kind {
-	case WebSocket:
-		s.pending = k
-		if err := s.ws.Send(wssim.OpBinary, payload); err != nil {
-			r.finish(err)
-		}
-	case FlashTCP, JavaTCP:
-		s.pending = k
-		if err := s.tcp.Send(payload); err != nil {
-			r.finish(err)
-		}
-	case JavaUDP:
-		s.pending = k
-		r.TB.Client.SendUDP(r.TB.ServerAddr, s.udpLocal, testbed.UDPEchoPort, payload)
-		s.arm(k)
+	s.pending = s.k
+	s.r.sc.send(s.payloads[s.k-1])
+	if s.spec.Kind == JavaUDP {
+		s.arm(s.k)
 	}
 }
 
@@ -703,10 +734,4 @@ func (s *sockState) onEcho() {
 	r.TB.Metrics.ObserveDur("stage_event_dispatch_ms", recvCost)
 	s.edSpan = r.TB.Trace.Begin("event-dispatch").Int("run", int64(r.RunIndex)).Int("round", int64(k))
 	r.TB.Sim.Schedule(recvCost, s.afterRecv)
-}
-
-func (s *sockState) cleanup() {
-	s.retry.Cancel()
-	s.r.TB.Client.CloseUDP(s.udpLocal)
-	s.hasCleanup = false
 }
