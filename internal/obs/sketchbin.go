@@ -135,9 +135,10 @@ func DecodeSketch(b []byte) (*Sketch, error) {
 		return nil, fmt.Errorf("%w: min/max inconsistent", ErrSketchCorrupt)
 	}
 	// An empty sketch's min/max are the ±Inf sentinels; other values
-	// would not survive the round trip.
-	if ns == 0 && (count != 0 || !math.IsInf(minV, 1) || !math.IsInf(maxV, -1)) {
-		return nil, fmt.Errorf("%w: empty sketch with count or min/max", ErrSketchCorrupt)
+	// would not survive the round trip. Nor may it carry a sum: that
+	// would be a total with no observations behind it.
+	if ns == 0 && (count != 0 || sum != 0 || !math.IsInf(minV, 1) || !math.IsInf(maxV, -1)) {
+		return nil, fmt.Errorf("%w: empty sketch with count, sum or min/max", ErrSketchCorrupt)
 	}
 	s := NewSketch(targets...)
 	if len(s.targets) != len(targets) {

@@ -162,6 +162,34 @@ func TestSketchBinaryRejectsOverflowingTupleCount(t *testing.T) {
 	}
 }
 
+// TestSketchBinaryRejectsInconsistentEmpty: a sketch with no tuples
+// must carry count 0, sum 0 and the ±Inf min/max sentinels; any other
+// value in one of those fields is corrupt.
+func TestSketchBinaryRejectsInconsistentEmpty(t *testing.T) {
+	empty := NewSketch().AppendBinary(nil)
+	if _, err := DecodeSketch(empty); err != nil {
+		t.Fatalf("empty sketch rejected: %v", err)
+	}
+	// The empty encoding ends count, sum, min, max (8 bytes each), then
+	// the one-byte tuple count.
+	for _, tc := range []struct {
+		name string
+		back int // offset of the field from the end of the encoding
+		bits uint64
+	}{
+		{"count", 33, 1},
+		{"sum", 25, 0x3030303030303030},
+		{"min", 17, 0},
+		{"max", 9, 0},
+	} {
+		bad := append([]byte(nil), empty...)
+		binary.LittleEndian.PutUint64(bad[len(bad)-tc.back:], tc.bits)
+		if _, err := DecodeSketch(bad); !errors.Is(err, ErrSketchCorrupt) {
+			t.Errorf("empty sketch with %s %#x: err = %v, want ErrSketchCorrupt", tc.name, tc.bits, err)
+		}
+	}
+}
+
 // stretchUvarint rewrites the minimal uvarint at p[off:] in a form one
 // byte longer, which binary.Uvarint reads as the same value.
 func stretchUvarint(p []byte, off int) []byte {
@@ -219,7 +247,7 @@ func TestSketchEncodedLen(t *testing.T) {
 // small, with custom targets), torn tails, a flipped width, a wrong
 // version byte, trailing garbage, non-minimal counts, a tuple count
 // that wraps a multiplying bound, an empty sketch with finite min/max,
-// and garbage.
+// one with a sum, and garbage.
 func sketchSeedCorpus(t testing.TB) [][]byte {
 	full := NewSketch()
 	for i := 0; i < 400; i++ {
@@ -239,6 +267,10 @@ func sketchSeedCorpus(t testing.TB) [][]byte {
 	finiteEmpty := append([]byte(nil), empty...)
 	binary.LittleEndian.PutUint64(finiteEmpty[len(finiteEmpty)-17:], 0)
 	binary.LittleEndian.PutUint64(finiteEmpty[len(finiteEmpty)-9:], 0)
+	// An empty sketch carrying a sum (the first crasher FuzzSketchDecode
+	// found): it round-trips, yet no observation backs the total.
+	sumEmpty := append([]byte(nil), empty...)
+	binary.LittleEndian.PutUint64(sumEmpty[len(sumEmpty)-25:], 0x3030303030303030)
 	return [][]byte{
 		valid,
 		empty,
@@ -252,6 +284,7 @@ func sketchSeedCorpus(t testing.TB) [][]byte {
 		stretchUvarint(empty, len(empty)-1),
 		wrapped,
 		finiteEmpty,
+		sumEmpty,
 		nil,
 		[]byte("not a sketch"),
 	}
