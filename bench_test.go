@@ -46,24 +46,11 @@ func BenchmarkTable2_Matrix(b *testing.B) {
 }
 
 // BenchmarkRunStudy times the full measurement matrix on the strictly
-// sequential scheduler (Workers: 1) — the perf baseline the parallel
-// engine is compared against (see EXPERIMENTS.md).
+// sequential scheduler (Workers: 1) — the study perf baseline (see
+// EXPERIMENTS.md).
 func BenchmarkRunStudy(b *testing.B) {
-	benchStudy(b, 1)
-}
-
-// BenchmarkRunStudyParallel times the same matrix on a GOMAXPROCS-wide
-// worker pool. Cells are embarrassingly parallel (isolated testbeds,
-// position-derived seeds), so speedup tracks core count; the determinism
-// suite in internal/core proves the exports stay byte-identical.
-func BenchmarkRunStudyParallel(b *testing.B) {
-	benchStudy(b, 0) // 0 = runtime.GOMAXPROCS(0) workers
-}
-
-func benchStudy(b *testing.B, workers int) {
-	b.Helper()
 	for i := 0; i < b.N; i++ {
-		st, err := RunStudy(StudyOptions{Runs: benchRuns, BaseSeed: int64(i), Workers: workers})
+		st, err := RunStudy(StudyOptions{Runs: benchRuns, BaseSeed: int64(i), Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
