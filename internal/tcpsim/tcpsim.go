@@ -13,6 +13,7 @@
 package tcpsim
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"time"
@@ -135,7 +136,7 @@ func NewStack(sim *eventsim.Simulator, nic *netsim.NIC) *Stack {
 		listeners:     make(map[uint16]*Listener),
 		conns:         make(map[fourTuple]*Conn),
 		udpHandlers:   make(map[uint16]func(netip.Addr, uint16, []byte)),
-		nextEphemeral: 49152,
+		nextEphemeral: ephemeralBase,
 	}
 	nic.SetHandler(s.receive)
 	return s
@@ -293,7 +294,10 @@ func (s *Stack) newConn() *Conn {
 // Dial opens a connection to dst:port. The returned Conn is in SYN_SENT;
 // OnEstablished fires when the handshake completes.
 func (s *Stack) Dial(dst netip.Addr, port uint16) (*Conn, error) {
-	local := s.allocEphemeral()
+	local, err := s.allocEphemeral()
+	if err != nil {
+		return nil, err
+	}
 	tuple := fourTuple{localPort: local, remotePort: port, remote: dst}
 	isn := uint32(s.sim.Rand().Int63())
 	c := s.newConn()
@@ -326,6 +330,26 @@ func (s *Stack) Quiescent() bool {
 	return true
 }
 
+// Forget drops every connection from the table at once: each is marked
+// CLOSED, no FIN or RST is sent and no callback fires. A segment that
+// later arrives for a forgotten tuple takes the no-connection path (an
+// RST). The testbed forgets at a run boundary where both stacks are
+// Quiescent, so a table only ever holds the connections opened since
+// the last quiet boundary, and the table scans of Quiescent and Dial
+// cost that many steps rather than one per connection the stack ever
+// opened. The records stay valid for holders of a *Conn (Send on one
+// fails).
+func (s *Stack) Forget() {
+	for _, c := range s.conns {
+		c.closed = true
+		c.state = StateClosed
+	}
+	clear(s.conns)
+}
+
+// LiveConns returns how many connections the stack's table holds.
+func (s *Stack) LiveConns() int { return len(s.conns) }
+
 // Tracer returns the stack's tracer (possibly nil) so higher layers
 // built on a Conn — like wssim — can record their own spans.
 func (c *Conn) Tracer() *obs.Tracer { return c.stack.Trace }
@@ -337,25 +361,34 @@ func (c *Conn) Metrics() *obs.Metrics { return c.stack.Metrics }
 // draw their message buffers from the same per-run epoch.
 func (c *Conn) Arena() *arena.Arena { return c.stack.Arena }
 
-func (s *Stack) allocEphemeral() uint16 {
-	for i := 0; i < 1<<14; i++ {
-		p := s.nextEphemeral
-		s.nextEphemeral++
-		if s.nextEphemeral < 49152 {
-			s.nextEphemeral = 49152
-		}
-		busy := false
-		for t := range s.conns {
-			if t.localPort == p {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			return p
+// ephemeralBase is the first of the 1<<14 ephemeral ports Dial hands out.
+const ephemeralBase = 49152
+
+// errPortsExhausted fails a Dial when every ephemeral port is taken.
+var errPortsExhausted = errors.New("tcpsim: ephemeral port space exhausted")
+
+// allocEphemeral returns the first port from nextEphemeral on, wrapping
+// within the ephemeral range, that no connection in the table uses. One
+// pass over the table marks the busy ports.
+func (s *Stack) allocEphemeral() (uint16, error) {
+	var busy [1 << 14 / 64]uint64
+	for t := range s.conns {
+		if t.localPort >= ephemeralBase {
+			i := t.localPort - ephemeralBase
+			busy[i/64] |= 1 << (i % 64)
 		}
 	}
-	panic("tcpsim: ephemeral port space exhausted")
+	for n := 0; n < 1<<14; n++ {
+		p := s.nextEphemeral
+		s.nextEphemeral++
+		if s.nextEphemeral < ephemeralBase {
+			s.nextEphemeral = ephemeralBase
+		}
+		if i := p - ephemeralBase; busy[i/64]&(1<<(i%64)) == 0 {
+			return p, nil
+		}
+	}
+	return 0, errPortsExhausted
 }
 
 // Send queues application payload for in-order, reliable delivery.

@@ -223,20 +223,26 @@ func New(cfg Config) *Testbed {
 	return tb
 }
 
-// BeginRun marks the start of a measurement run: the capture truncates
-// and the arena recycles every per-run buffer of the previous run. Call
-// it between runs, after Advance has idled the testbed through the
-// inter-run gap.
+// BeginRun marks the start of a measurement run: the capture truncates,
+// both stacks forget their connections and the arena recycles every
+// per-run buffer of the previous run. Call it between runs, after
+// Advance has idled the testbed through the inter-run gap.
 //
-// The arena reset is guarded by transport quiescence: if any connection
-// still holds unacked or undelivered bytes (a retransmission recovering
-// from a fault-profile loss can straddle a short gap), the reset is
-// skipped for this boundary and the arena simply keeps growing until the
-// next quiet one. Quiescence is a pure function of simulator state, so
-// the skip decision — like everything else — is deterministic.
+// The forget and the arena reset are guarded by transport quiescence:
+// if any connection still holds unacked or undelivered bytes (a
+// retransmission recovering from a fault-profile loss can straddle a
+// short gap), both are skipped for this boundary, and the tables and the
+// arena keep growing until the next quiet one. No run uses a connection
+// an earlier run opened, so forgetting them sends nothing and changes no
+// outcome; it keeps each run's connection-table scans as short as the
+// runs since the last quiet boundary. Quiescence is a pure function of
+// simulator state, so the skip decision — like everything else — is
+// deterministic.
 func (tb *Testbed) BeginRun() {
 	tb.Cap.Reset()
 	if tb.Client.Quiescent() && tb.Server.Quiescent() {
+		tb.Client.Forget()
+		tb.Server.Forget()
 		tb.Arena.Reset()
 	}
 }
