@@ -185,8 +185,8 @@ func (r *Runner) begin(kind Kind) (Spec, error) {
 }
 
 // drive is the one run loop of runs, trains and transfers. It steps the
-// simulator until the measurement started on r finishes, then releases
-// the UDP port a Java UDP socket holds. A measurement that ends early
+// simulator until the measurement started on r finishes, then closes the
+// socket (see sockConn.close). A measurement that ends early
 // gets an error saying why: the event queue drained with virtual time to
 // spare (it stalled, e.g. its connection aborted after repeated
 // retransmission timeouts), or its virtual deadline (r.Timeout, else
@@ -595,8 +595,18 @@ func (c *sockConn) send(p []byte) {
 	}
 }
 
-// close releases the UDP port a Java UDP socket holds.
+// close ends the socket's part in a drive: it detaches the Runner's
+// shared callbacks from the echo or WebSocket connection, as a policy
+// connection does once its policy is in, so that a reset or a late echo
+// on it cannot fail or be credited to a later run, and it releases the
+// UDP port a Java UDP socket holds.
 func (c *sockConn) close() {
+	if c.tcp != nil {
+		c.tcp.OnEstablished, c.tcp.OnData, c.tcp.OnReset = nil, nil, nil
+	}
+	if c.ws != nil {
+		c.ws.OnOpen, c.ws.OnMessage = nil, nil
+	}
 	if c.udpOpen {
 		c.r.TB.Client.CloseUDP(c.udpPort)
 		c.udpOpen = false
