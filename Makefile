@@ -152,11 +152,14 @@ cover:
 # a cold sweep is SIGKILLed mid-flight (no chance to clean up) and must
 # leave finished cells in its cache; the same command rerun on that cache
 # replays them and computes the rest, and its CSV must be byte-identical
-# to an uninterrupted sweep of the same configuration in a fresh cache. The runs
-# count is sized so the cold sweep takes tens of seconds — long enough
-# that the 2 s SIGKILL reliably lands mid-sweep.
+# to an uninterrupted sweep of the same configuration in a fresh cache.
+# The runs count is sized so the cold sweep takes about 18 s on 2 CPUs,
+# long enough that the 2 s SIGKILL lands mid-sweep on a runner with a
+# few more. A kill that lands after the last cell (the killed cache holds
+# as many cells as the uninterrupted one) fails the target: an
+# un-exercised resume is not a pass.
 SWEEP_SMOKE_DIR ?= sweep-smoke.tmp
-SWEEP_SMOKE_RUNS ?= 2500
+SWEEP_SMOKE_RUNS ?= 10000
 SWEEP_SMOKE_FLAGS = -sweep -runs $(SWEEP_SMOKE_RUNS) -seed 42 -faults clean,lossy1pct
 sweep-smoke:
 	rm -rf $(SWEEP_SMOKE_DIR)
@@ -165,10 +168,16 @@ sweep-smoke:
 	-timeout -s KILL 2 $(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/killed >/dev/null 2>&1
 	ls $(SWEEP_SMOKE_DIR)/killed/cells/*.cell >/dev/null
+	ls $(SWEEP_SMOKE_DIR)/killed/cells/*.cell | wc -l >$(SWEEP_SMOKE_DIR)/killed.count
 	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/killed -csv $(SWEEP_SMOKE_DIR)/resumed.csv >/dev/null
 	$(SWEEP_SMOKE_DIR)/appraise $(SWEEP_SMOKE_FLAGS) \
 		-cache-dir $(SWEEP_SMOKE_DIR)/cold -csv $(SWEEP_SMOKE_DIR)/cold.csv >/dev/null
+	@killed=$$(cat $(SWEEP_SMOKE_DIR)/killed.count); \
+	total=$$(ls $(SWEEP_SMOKE_DIR)/cold/cells/*.cell | wc -l); \
+	echo "sweep-smoke: the SIGKILL left $$killed of $$total cells"; \
+	[ "$$killed" -lt "$$total" ] || \
+		{ echo "sweep-smoke: the sweep finished before the kill — raise SWEEP_SMOKE_RUNS"; exit 1; }
 	cmp $(SWEEP_SMOKE_DIR)/resumed.csv $(SWEEP_SMOKE_DIR)/cold.csv
 	@echo "sweep-smoke: resumed export is byte-identical to an uninterrupted sweep"
 	@rm -rf $(SWEEP_SMOKE_DIR)
@@ -255,13 +264,13 @@ fleet-cluster:
 # coordinator's stdout report and CSV (replayed from the shared cache)
 # must be byte-identical to the single-process
 # artifacts. The in-process equivalence/crash/lease proofs run first
-# under -race. The runs count is sized so the worker phase takes several
+# under -race. The runs count is sized so the worker phase takes tens of
 # seconds — long enough that the 2 s SIGKILL reliably lands while the
 # victim still holds leases; the kill failing because the worker already
 # exited fails the target (an un-exercised crash path is not a pass).
 SHARD_CLUSTER_DIR ?= shard-cluster.tmp
 SHARD_CLUSTER_PORT ?= 19420
-SHARD_CLUSTER_RUNS ?= 2500
+SHARD_CLUSTER_RUNS ?= 10000
 SHARD_CLUSTER_FLAGS = -runs $(SHARD_CLUSTER_RUNS) -seed 42 -faults clean,lossy1pct
 sweep-shard-cluster:
 	$(GO) test -race -count=1 -run 'TestShard|TestWire|TestPartition' ./internal/shard/
