@@ -10,7 +10,7 @@
 #   make bench-json  run committed benchmarks, write $(BENCH_JSON) trajectory
 #   make bench-diff  compare $(BENCH_OLD) vs $(BENCH_NEW), fail on allocs/op regression
 #   make fuzz-smoke  run every fuzz target briefly (native Go fuzzing)
-#   make cover       whole-repo coverage.out + enforce the faults/sweep/fleet floors
+#   make cover       whole-repo coverage.out + enforce the faults/sweep/fleet/frame floors
 #   make sweep-smoke kill a sweep with SIGKILL, rerun it on its cache, diff vs uninterrupted
 #   make fleet-load  10k-session loadgen under -race with a heap ceiling
 #   make fleet-cluster  root + 3 collectors over the wire, SIGKILL one mid-run
@@ -121,32 +121,26 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzSketchDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/obs/
 
 # cover writes the whole-repo profile to coverage.out (the CI artifact)
-# and enforces the statement-coverage floors on the fault-injection
-# layer, the sweep cache, and the fleet aggregation plane (whose
-# correctness claims rest on their tests).
+# and enforces a statement-coverage floor on each package:floor pair of
+# COVER_FLOORS: the fault-injection layer, the sweep cache, the fleet
+# aggregation plane and the frame codec every wire and cell file speaks
+# (whose correctness claims rest on their tests).
 FAULTS_COVER_MIN ?= 85
 SWEEP_COVER_MIN ?= 85
 FLEET_COVER_MIN ?= 85
+COVER_FLOORS = internal/faults:$(FAULTS_COVER_MIN) internal/sweep:$(SWEEP_COVER_MIN) \
+	internal/fleet:$(FLEET_COVER_MIN) internal/frame:95
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
-	$(GO) test -coverprofile=coverage_faults.out ./internal/faults/
-	@total="$$($(GO) tool cover -func=coverage_faults.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	echo "internal/faults coverage: $$total% (floor $(FAULTS_COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(FAULTS_COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
-		{ echo "internal/faults coverage below floor"; exit 1; }
-	@rm -f coverage_faults.out
-	$(GO) test -coverprofile=coverage_sweep.out ./internal/sweep/
-	@total="$$($(GO) tool cover -func=coverage_sweep.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	echo "internal/sweep coverage: $$total% (floor $(SWEEP_COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(SWEEP_COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
-		{ echo "internal/sweep coverage below floor"; exit 1; }
-	@rm -f coverage_sweep.out
-	$(GO) test -coverprofile=coverage_fleet.out ./internal/fleet/
-	@total="$$($(GO) tool cover -func=coverage_fleet.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
-	echo "internal/fleet coverage: $$total% (floor $(FLEET_COVER_MIN)%)"; \
-	awk -v t="$$total" -v min="$(FLEET_COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
-		{ echo "internal/fleet coverage below floor"; exit 1; }
-	@rm -f coverage_fleet.out
+	@for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%%:*}; min=$${pf##*:}; \
+		$(GO) test -coverprofile=coverage_pkg.out ./$$pkg/ || exit 1; \
+		total="$$($(GO) tool cover -func=coverage_pkg.out | awk '/^total:/ {gsub(/%/, "", $$3); print $$3}')"; \
+		rm -f coverage_pkg.out; \
+		echo "$$pkg coverage: $$total% (floor $$min%)"; \
+		awk -v t="$$total" -v min="$$min" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
+			{ echo "$$pkg coverage below floor"; exit 1; }; \
+	done
 
 # sweep-smoke proves the kill/resume contract end to end on the real CLI:
 # a cold sweep is SIGKILLed mid-flight (no chance to clean up) and must

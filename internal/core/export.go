@@ -10,25 +10,40 @@ import (
 	"github.com/browsermetric/browsermetric/internal/stats"
 )
 
+// SampleColumns names the columns of one sample row, the unit of
+// evidence behind the paper's box plots and CDFs.
+var SampleColumns = []string{
+	"method", "browser", "os", "run", "round",
+	"browser_rtt_ms", "wire_rtt_ms", "overhead_ms", "handshake",
+}
+
 // WriteCSV exports every sample of the study as CSV for external plotting
-// (the paper's figures are box plots/CDFs over exactly these rows).
-// Columns: method, browser, os, run, round, browser_rtt_ms, wire_rtt_ms,
-// overhead_ms, handshake.
+// (the paper's figures are box plots/CDFs over exactly these rows), with
+// the SampleColumns header.
 func (s *Study) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"method", "browser", "os", "run", "round",
-		"browser_rtt_ms", "wire_rtt_ms", "overhead_ms", "handshake",
-	}); err != nil {
+	if err := cw.Write(SampleColumns); err != nil {
 		return err
 	}
+	if err := s.WriteSampleRows(cw); err != nil {
+		return err
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// WriteSampleRows writes one SampleColumns row per sample of every
+// executed cell, each opened by the lead fields, so an export that adds
+// leading columns (a sweep's fault profile) formats samples identically.
+func (s *Study) WriteSampleRows(cw *csv.Writer, lead ...string) error {
+	rec := append([]string(nil), lead...)
 	for i := range s.Cells {
 		c := &s.Cells[i]
 		if c.Skipped {
 			continue
 		}
 		for _, smp := range c.Exp.Samples {
-			rec := []string{
+			rec = append(rec[:len(lead)],
 				c.Spec.Name,
 				c.Profile.Browser.String(),
 				c.Profile.OS.String(),
@@ -38,14 +53,13 @@ func (s *Study) WriteCSV(w io.Writer) error {
 				fmtMs(stats.Ms(smp.WireRTT)),
 				fmtMs(stats.Ms(smp.Overhead)),
 				strconv.FormatBool(smp.Handshake),
-			}
+			)
 			if err := cw.Write(rec); err != nil {
 				return err
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return nil
 }
 
 // WriteCSV exports one experiment's samples with the same columns.

@@ -86,7 +86,7 @@ type Aggregator struct {
 
 	mu      sync.Mutex
 	nodes   map[string]*nodeState
-	globals map[nodeKey]*global
+	globals map[nodeKey]*Agg
 	// Tick-local ingest counters, drained into obs.Metrics at publish.
 	frames, dups, gaps uint64
 	restarts           uint64
@@ -96,9 +96,7 @@ type Aggregator struct {
 	seq        uint64
 	prevCounts map[nodeKey]uint64
 
-	tickMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
+	tick ticker
 }
 
 // NewAggregator builds an Aggregator and registers its metric help.
@@ -116,7 +114,7 @@ func NewAggregator(cfg AggConfig) *Aggregator {
 		liveView:   newLiveView(cfg.HistoryDepth, cfg.HistoryEvery, cfg.KeepAlive),
 		cfg:        cfg,
 		nodes:      make(map[string]*nodeState),
-		globals:    make(map[nodeKey]*global),
+		globals:    make(map[nodeKey]*Agg),
 		prevCounts: make(map[nodeKey]uint64),
 	}
 	registerFleetHelp(cfg.Metrics)
@@ -240,16 +238,10 @@ func (a *Aggregator) apply(f *fleetwire.Frame) {
 	for i := range f.Keys {
 		kd := &f.Keys[i]
 		nk := nodeKey{node: f.Node, key: Key{Method: kd.Method, Browser: kd.Browser, Region: kd.Region}}
-		g := a.globals[nk]
-		if g == nil {
-			g = &global{sketch: obs.NewSketch(a.cfg.Targets...)}
-			a.globals[nk] = g
-		}
-		g.sketch.Merge(kd.Sketch)
-		g.count += kd.Count
-		g.lost += kd.Lost
-		g.jitterSum += kd.JitterSum
-		g.jitterN += kd.JitterN
+		mergeInto(a.globals, nk, &Agg{
+			Sketch: kd.Sketch, Count: kd.Count, Lost: kd.Lost,
+			JitterSum: kd.JitterSum, JitterN: kd.JitterN,
+		}, a.cfg.Targets)
 	}
 	a.frames++
 	a.ready.MarkReady()
@@ -335,39 +327,8 @@ func (a *Aggregator) Publish() Snapshot {
 }
 
 // Start launches the periodic publish ticker.
-func (a *Aggregator) Start() {
-	a.tickMu.Lock()
-	defer a.tickMu.Unlock()
-	if a.stop != nil {
-		return
-	}
-	a.stop = make(chan struct{})
-	a.done = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		t := time.NewTicker(a.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				a.Publish()
-			}
-		}
-	}(a.stop, a.done)
-}
+func (a *Aggregator) Start() { a.tick.start(a.cfg.Interval, func() { a.Publish() }) }
 
 // Stop halts the ticker, then publishes once more so every merged frame
 // reaches the snapshot.
-func (a *Aggregator) Stop() {
-	a.tickMu.Lock()
-	defer a.tickMu.Unlock()
-	if a.stop == nil {
-		return
-	}
-	close(a.stop)
-	<-a.done
-	a.stop, a.done = nil, nil
-	a.Publish()
-}
+func (a *Aggregator) Stop() { a.tick.halt(func() { a.Publish() }) }

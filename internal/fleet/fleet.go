@@ -90,14 +90,32 @@ type Config struct {
 	DeltaSink func(TickDelta)
 }
 
-// DeltaKey is one key's aggregate delta for a single fan-in tick.
-type DeltaKey struct {
-	Key       Key
+// Agg is one key's aggregate: the delay sketch plus the sample, loss
+// and jitter counters a KeyStats row derives from. The same type holds
+// a shard's delta since the last fan-in, a tick's coalesced delta and a
+// cumulative series, so there is one merge (add) for every fold.
+type Agg struct {
+	Sketch    *obs.Sketch
 	Count     uint64
 	Lost      uint64
 	JitterSum float64
 	JitterN   uint64
-	Sketch    *obs.Sketch // tick-delta sketch; valid only during the sink call
+}
+
+// add folds b into a.
+func (a *Agg) add(b *Agg) {
+	a.Sketch.Merge(b.Sketch)
+	a.Count += b.Count
+	a.Lost += b.Lost
+	a.JitterSum += b.JitterSum
+	a.JitterN += b.JitterN
+}
+
+// DeltaKey is one key's aggregate delta for a single fan-in tick. Its
+// Sketch is valid only during the sink call.
+type DeltaKey struct {
+	Key Key
+	Agg
 }
 
 // TickDelta is everything one fan-in tick added: the tick's sequence
@@ -115,20 +133,11 @@ type session struct {
 	hasLast bool
 }
 
-// agg is one shard's delta aggregate for one key since the last fan-in.
-type agg struct {
-	sketch    *obs.Sketch
-	count     uint64
-	lost      uint64
-	jitterSum float64
-	jitterN   uint64
-}
-
 // shard holds one lock's worth of sessions and delta aggregates.
 type shard struct {
 	mu       sync.Mutex
 	sessions map[uint64]session
-	aggs     map[Key]*agg
+	aggs     map[Key]*Agg // delta since the last fan-in
 
 	// Tick-local event counters, drained at fan-in.
 	started  uint64
@@ -136,15 +145,6 @@ type shard struct {
 	rejected uint64
 	samples  uint64
 	lost     uint64
-}
-
-// global is the collector-owned cumulative aggregate for one key.
-type global struct {
-	sketch    *obs.Sketch
-	count     uint64
-	lost      uint64
-	jitterSum float64
-	jitterN   uint64
 }
 
 // Registry is the fleet aggregation plane. Observe/End are safe for
@@ -160,16 +160,14 @@ type Registry struct {
 	active atomic.Int64
 
 	fanMu   sync.Mutex
-	globals map[Key]*global
+	globals map[Key]*Agg  // collector-owned cumulative aggregates
 	spare   []*obs.Sketch // reset delta sketches, reused across ticks
 	seq     uint64
 	// prevCounts lets FanIn compute which keys changed since the last
 	// snapshot — the delta the stream pushes.
 	prevCounts map[Key]uint64
 
-	tickMu sync.Mutex
-	stop   chan struct{}
-	done   chan struct{}
+	tick ticker
 }
 
 // New builds a Registry and registers the fleet_* metric help text.
@@ -192,13 +190,13 @@ func New(cfg Config) *Registry {
 		cfg:        cfg,
 		mask:       uint64(n - 1),
 		shards:     make([]*shard, n),
-		globals:    make(map[Key]*global),
+		globals:    make(map[Key]*Agg),
 		prevCounts: make(map[Key]uint64),
 	}
 	for i := range r.shards {
 		r.shards[i] = &shard{
 			sessions: make(map[uint64]session),
-			aggs:     make(map[Key]*agg),
+			aggs:     make(map[Key]*Agg),
 		}
 	}
 	registerFleetHelp(cfg.Metrics)
@@ -252,23 +250,23 @@ func (r *Registry) Observe(id uint64, key Key, delayMs float64, lost bool) bool 
 	}
 	a := sh.aggs[key]
 	if a == nil {
-		a = &agg{sketch: obs.NewSketch(r.cfg.Targets...)}
+		a = &Agg{Sketch: obs.NewSketch(r.cfg.Targets...)}
 		sh.aggs[key] = a
 	}
 	sh.samples++
-	a.count++
+	a.Count++
 	if lost {
 		sh.lost++
-		a.lost++
+		a.Lost++
 	} else {
-		a.sketch.Observe(delayMs)
+		a.Sketch.Observe(delayMs)
 		if s.hasLast {
 			d := delayMs - s.last
 			if d < 0 {
 				d = -d
 			}
-			a.jitterSum += d
-			a.jitterN++
+			a.JitterSum += d
+			a.JitterN++
 		}
 		s.last = delayMs
 		s.hasLast = true
@@ -346,20 +344,15 @@ func (r *Registry) FanIn() Snapshot {
 	start := time.Now()
 
 	var started, ended, rejected, samples, lost uint64
-	type taken struct {
-		key Key
-		agg agg
-	}
-	var takenAggs []taken
+	var taken []DeltaKey
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		for k, a := range sh.aggs {
-			if a.count == 0 {
+			if a.Count == 0 {
 				continue
 			}
-			takenAggs = append(takenAggs, taken{key: k, agg: *a})
-			a.sketch = r.takeSpare()
-			a.count, a.lost, a.jitterSum, a.jitterN = 0, 0, 0, 0
+			taken = append(taken, DeltaKey{Key: k, Agg: *a})
+			*a = Agg{Sketch: r.takeSpare()}
 		}
 		started += sh.started
 		ended += sh.ended
@@ -375,38 +368,19 @@ func (r *Registry) FanIn() Snapshot {
 	// deltas fold into the cumulative summaries. The fold order is fixed
 	// (sorted keys, shard order within a key) so equal ingest histories
 	// produce identical cumulative sketches.
-	sort.SliceStable(takenAggs, func(i, j int) bool { return keyLess(takenAggs[i].key, takenAggs[j].key) })
+	sort.SliceStable(taken, func(i, j int) bool { return keyLess(taken[i].Key, taken[j].Key) })
 	var deltas []DeltaKey
-	for i := 0; i < len(takenAggs); {
-		t := takenAggs[i]
-		d := DeltaKey{
-			Key: t.key, Count: t.agg.count, Lost: t.agg.lost,
-			JitterSum: t.agg.jitterSum, JitterN: t.agg.jitterN,
-			Sketch: t.agg.sketch,
-		}
-		for i++; i < len(takenAggs) && takenAggs[i].key == t.key; i++ {
-			n := takenAggs[i]
-			d.Sketch.Merge(n.agg.sketch)
-			d.Count += n.agg.count
-			d.Lost += n.agg.lost
-			d.JitterSum += n.agg.jitterSum
-			d.JitterN += n.agg.jitterN
-			n.agg.sketch.Reset()
-			r.spare = append(r.spare, n.agg.sketch)
+	for i := 0; i < len(taken); {
+		d := taken[i]
+		for i++; i < len(taken) && taken[i].Key == d.Key; i++ {
+			d.add(&taken[i].Agg)
+			taken[i].Sketch.Reset()
+			r.spare = append(r.spare, taken[i].Sketch)
 		}
 		deltas = append(deltas, d)
 	}
-	for _, d := range deltas {
-		g := r.globals[d.Key]
-		if g == nil {
-			g = &global{sketch: obs.NewSketch(r.cfg.Targets...)}
-			r.globals[d.Key] = g
-		}
-		g.sketch.Merge(d.Sketch)
-		g.count += d.Count
-		g.lost += d.Lost
-		g.jitterSum += d.JitterSum
-		g.jitterN += d.JitterN
+	for i := range deltas {
+		mergeInto(r.globals, deltas[i].Key, &deltas[i].Agg, r.cfg.Targets)
 	}
 
 	r.seq++
@@ -472,63 +446,89 @@ func meterStream(m *obs.Metrics, v *liveView) {
 	m.Set("fleet_history_snapshots", float64(v.historyLen()))
 }
 
-func (g *global) stats(k Key) KeyStats {
+// mergeInto folds d into the cumulative aggregate of key k, creating it
+// on first sight.
+func mergeInto[K comparable](globals map[K]*Agg, k K, d *Agg, targets []obs.SketchTarget) {
+	g := globals[k]
+	if g == nil {
+		g = &Agg{Sketch: obs.NewSketch(targets...)}
+		globals[k] = g
+	}
+	g.add(d)
+}
+
+func (g *Agg) stats(k Key) KeyStats {
 	ks := KeyStats{
 		Method:  k.Method,
 		Browser: k.Browser,
 		Region:  k.Region,
-		Count:   g.count,
-		Lost:    g.lost,
+		Count:   g.Count,
+		Lost:    g.Lost,
 	}
-	if g.sketch.Count() > 0 {
-		ks.P50 = g.sketch.Quantile(0.5)
-		ks.P95 = g.sketch.Quantile(0.95)
-		ks.P99 = g.sketch.Quantile(0.99)
+	if g.Sketch.Count() > 0 {
+		ks.P50 = g.Sketch.Quantile(0.5)
+		ks.P95 = g.Sketch.Quantile(0.95)
+		ks.P99 = g.Sketch.Quantile(0.99)
 	}
-	if g.jitterN > 0 {
-		ks.JitterMs = g.jitterSum / float64(g.jitterN)
+	if g.JitterN > 0 {
+		ks.JitterMs = g.JitterSum / float64(g.JitterN)
 	}
-	if g.count > 0 {
-		ks.LossRate = float64(g.lost) / float64(g.count)
+	if g.Count > 0 {
+		ks.LossRate = float64(g.Lost) / float64(g.Count)
 	}
 	return ks
 }
 
 // Start launches the periodic fan-in ticker. Stop (or a second Start)
 // must not be called concurrently with it.
-func (r *Registry) Start() {
-	r.tickMu.Lock()
-	defer r.tickMu.Unlock()
-	if r.stop != nil {
+func (r *Registry) Start() { r.tick.start(r.cfg.Interval, func() { r.FanIn() }) }
+
+// Stop halts the ticker and waits for the in-flight pass, then runs one
+// final fan-in so every ingested sample reaches the snapshot.
+func (r *Registry) Stop() { r.tick.halt(func() { r.FanIn() }) }
+
+// ticker runs one pass periodically on its own goroutine: a Registry's
+// fan-in or an Aggregator's publish.
+type ticker struct {
+	mu         sync.Mutex
+	stop, done chan struct{}
+}
+
+// start launches the loop; it is a no-op while one is running.
+func (t *ticker) start(every time.Duration, pass func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stop != nil {
 		return
 	}
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
+	t.stop = make(chan struct{})
+	t.done = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		t := time.NewTicker(r.cfg.Interval)
-		defer t.Stop()
+		tk := time.NewTicker(every)
+		defer tk.Stop()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-t.C:
-				r.FanIn()
+			case <-tk.C:
+				pass()
 			}
 		}
-	}(r.stop, r.done)
+	}(t.stop, t.done)
 }
 
-// Stop halts the ticker and waits for the in-flight pass, then runs one
-// final fan-in so every ingested sample reaches the snapshot.
-func (r *Registry) Stop() {
-	r.tickMu.Lock()
-	defer r.tickMu.Unlock()
-	if r.stop == nil {
+// halt stops the loop, waits for the in-flight pass, then runs pass once
+// more so everything ingested reaches the snapshot. It is a no-op when
+// no loop is running.
+func (t *ticker) halt(pass func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stop == nil {
 		return
 	}
-	close(r.stop)
-	<-r.done
-	r.stop, r.done = nil, nil
-	r.FanIn()
+	close(t.stop)
+	<-t.done
+	t.stop, t.done = nil, nil
+	pass()
 }

@@ -134,7 +134,7 @@ func TestUplinkRetriesWithBackoffThenDelivers(t *testing.T) {
 	}
 	defer u.Stop()
 	u.Sink(TickDelta{Seq: 1, Sessions: 1, Keys: []DeltaKey{{
-		Key: Key{Method: "udp", Browser: "chrome", Region: "us"}, Count: 1,
+		Key: Key{Method: "udp", Browser: "chrome", Region: "us"}, Agg: Agg{Count: 1},
 	}}})
 	waitFor(t, "delivery after retries", func() bool { return fs.count() == 1 && u.Ready() })
 	if u.pending() != 0 {
@@ -161,7 +161,7 @@ func TestUplinkPermanentRejectionDropsWithoutRetry(t *testing.T) {
 	}
 	defer u.Stop()
 	u.Sink(TickDelta{Seq: 1, Keys: []DeltaKey{{
-		Key: Key{Method: "udp", Browser: "chrome", Region: "us"}, Count: 1,
+		Key: Key{Method: "udp", Browser: "chrome", Region: "us"}, Agg: Agg{Count: 1},
 	}}})
 	waitFor(t, "permanent drop", func() bool {
 		return m.Counter("fleet_uplink_dropped_total") == 1 && u.pending() == 0

@@ -1,10 +1,11 @@
-// Package frame is the one codec every binary wire in the repo speaks:
-// the fleet plane's delta-sketch frames (fleetwire), the shard runner's
-// control messages (shard) and the sketch blobs inside fleet frames
-// (obs). It owns both halves of the grammar. A wire chooses its magic,
-// version and payload cap; the header layout, the checksum and the
-// order in which decode checks them are shared, so "a bit flip is
-// corruption, never version skew" holds on every wire by construction.
+// Package frame is the one codec every binary wire and file in the repo
+// speaks: the fleet plane's delta-sketch frames (fleetwire), the shard
+// runner's control messages (shard), the sketch blobs inside fleet
+// frames (obs) and the sweep cache's cell files (sweep). It owns both
+// halves of the grammar. A wire chooses its magic, version and payload
+// cap; the header layout, the checksum and the order in which decode
+// checks them are shared, so "a bit flip is corruption, never version
+// skew" holds on every wire by construction.
 // Payload fields are written with the Append helpers and read back
 // through one strict Reader, so "an accepted payload re-encodes to the
 // same bytes" holds on every wire too.

@@ -111,7 +111,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		opts.Listen = "127.0.0.1:0"
 	}
 	// The cache directory must exist before workers race to open it.
-	if _, err := sweep.OpenCache(opts.Sweep.Dir, opts.Sweep.Salt); err != nil {
+	if _, err := sweep.OpenCache(opts.Sweep.Dir, ""); err != nil {
 		return nil, err
 	}
 	c := &Coordinator{

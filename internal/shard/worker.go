@@ -78,7 +78,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) (WorkerStats, error) {
 	}
 	sweepID := o.Sweep.ID()
 	plan := sweep.Plan(o.Sweep)
-	cache, err := sweep.OpenCache(o.Sweep.Dir, o.Sweep.Salt)
+	cache, err := sweep.OpenCache(o.Sweep.Dir, "")
 	if err != nil {
 		return stats, err
 	}

@@ -12,7 +12,8 @@ import (
 
 // Cache is the content-addressed cell store: one file per cell under
 // <dir>/cells, named by the cell's key hash, holding the cell's samples
-// in the self-checking bmcell format. It implements core.CellCache.
+// as one checksummed internal/frame frame (cellfile.go). It implements
+// core.CellCache.
 //
 // Load and Store are safe for concurrent use by study workers: distinct
 // cells touch distinct files, and identical cells write identical bytes
@@ -34,8 +35,9 @@ type CacheStats struct {
 	// Hits counts Loads served from disk; Misses counts absent entries.
 	Hits, Misses int64
 	// Corrupt counts entries that existed but failed verification
-	// (checksum, framing, or key mismatch) and were discarded — each is
-	// also counted as a miss, since the caller recomputes.
+	// (checksum, framing, payload grammar or key mismatch) and were
+	// discarded — each is also counted as a miss, since the caller
+	// recomputes.
 	Corrupt int64
 	// Stores counts cells persisted.
 	Stores int64
@@ -104,8 +106,8 @@ func (c *Cache) cellPath(hash string) string {
 
 // Load implements core.CellCache: it returns the cached experiment for
 // cfg, or ok=false on a miss. A corrupt entry (flipped byte, truncation,
-// key mismatch) is detected by the file's checksum, logged, deleted, and
-// reported as a miss so the scheduler recomputes — it can never surface
+// key mismatch) is detected by the file's checksum, strict decode or key
+// check, logged, deleted, and reported as a miss so the scheduler recomputes — it can never surface
 // as data.
 func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
 	key := c.Key(cfg)
@@ -144,7 +146,10 @@ func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
 // complete entry or none.
 func (c *Cache) Store(cfg core.Config, exp *core.Experiment) error {
 	hash := c.Key(cfg).Hash()
-	data := encodeCell(hash, exp.Samples)
+	data, err := encodeCell(hash, exp.Samples)
+	if err != nil {
+		return fmt.Errorf("sweep: store cell: %w", err)
+	}
 	tmp, err := os.CreateTemp(filepath.Join(c.dir, "cells"), hash+".tmp*")
 	if err != nil {
 		return fmt.Errorf("sweep: store cell: %w", err)

@@ -14,6 +14,7 @@ import (
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/core"
 	"github.com/browsermetric/browsermetric/internal/faults"
+	"github.com/browsermetric/browsermetric/internal/frame"
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/testbed"
@@ -92,7 +93,7 @@ func TestCacheMissOnAbsentEntry(t *testing.T) {
 
 // TestCacheCorruptionDetected is the byte-flip robustness test: a single
 // flipped bit anywhere in a cached cell file must be detected by the
-// trailing checksum, logged, counted, and reported as a miss (so the
+// frame checksum, logged, counted, and reported as a miss (so the
 // scheduler recomputes), and the poisoned file must be removed.
 func TestCacheCorruptionDetected(t *testing.T) {
 	cfg := cellConfig(42)
@@ -101,14 +102,15 @@ func TestCacheCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip a byte at several structurally distinct offsets: inside a
-	// sample line, inside the key line, and inside the checksum itself.
+	// Flip a byte at several structurally distinct offsets: inside the
+	// samples, inside the stored key (after the frame header and the
+	// key's one-byte length), and inside the checksum itself.
 	for _, pick := range []struct {
 		name string
 		at   func(n int) int
 	}{
 		{"mid-file", func(n int) int { return n / 2 }},
-		{"key-line", func(n int) int { return len(cellMagic) + 1 + 8 }},
+		{"key-line", func(n int) int { return frame.HeaderLen + 1 + 8 }},
 		{"checksum", func(n int) int { return n - 2 }},
 	} {
 		t.Run(pick.name, func(t *testing.T) {
@@ -157,8 +159,8 @@ func TestCacheCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestCacheTruncationDetected: a torn write (file cut mid-entry) fails the
-// checksum the same way a flip does.
+// TestCacheTruncationDetected: a torn write (file cut mid-entry) is
+// detected the same way a flip is.
 func TestCacheTruncationDetected(t *testing.T) {
 	c, err := OpenCache(t.TempDir(), "")
 	if err != nil {
@@ -185,6 +187,61 @@ func TestCacheTruncationDetected(t *testing.T) {
 	}
 	if s := c.Stats(); s.Corrupt != 1 {
 		t.Errorf("stats = %+v, want corrupt=1", s)
+	}
+}
+
+// TestCacheEveryPrefixAndBitFlipDetected: for a small stored cell, every
+// strict prefix of its file and every single-bit flip of it is a counted
+// miss — Corrupt +1, the file deleted, the entry never served. The
+// frame's CRC-32C catches every single-bit error and the length header
+// every truncation, so no mutation may slip through.
+func TestCacheEveryPrefixAndBitFlipDetected(t *testing.T) {
+	c, err := OpenCache(t.TempDir(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cellConfig(42)
+	exp, err := core.RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Store(cfg, exp); err != nil {
+		t.Fatal(err)
+	}
+	path := c.cellPath(c.Key(cfg).Hash())
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := c.Stats()
+		if _, ok := c.Load(cfg); ok {
+			t.Fatalf("%s: served as a hit", what)
+		}
+		if after := c.Stats(); after.Corrupt != before.Corrupt+1 || after.Misses != before.Misses+1 || after.Hits != before.Hits {
+			t.Fatalf("%s: stats %+v -> %+v, want one more corrupt miss", what, before, after)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("%s: corrupt entry not removed (stat err = %v)", what, err)
+		}
+	}
+	for n := 0; n < len(orig); n++ {
+		check(fmt.Sprintf("prefix %d of %d", n, len(orig)), orig[:n])
+	}
+	for bit := 0; bit < 8*len(orig); bit++ {
+		data := append([]byte(nil), orig...)
+		data[bit/8] ^= 1 << (bit % 8)
+		check(fmt.Sprintf("bit %d flipped", bit), data)
+	}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Load(cfg); !ok || !reflect.DeepEqual(got.Samples, exp.Samples) {
+		t.Fatal("the unmodified file no longer loads")
 	}
 }
 

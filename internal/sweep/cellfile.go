@@ -1,146 +1,88 @@
 package sweep
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math"
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/core"
+	"github.com/browsermetric/browsermetric/internal/frame"
 )
 
-// Cell file format v1 — a deterministic, self-checking text encoding of
-// one cell's samples:
+// Cell file format: one internal/frame frame of kind 0 under its own
+// magic, whose payload holds one cell's samples (integers as uvarints
+// in their minimal form):
 //
-//	bmcell v1
-//	key <64 hex>
-//	n <sample count>
-//	s <run> <round> <browser_ns> <wire_ns> <handshake 0|1>   (n lines)
-//	sum <64 hex>                                             (SHA-256 of everything above)
+//	string   key (the content-address hash the file is stored under)
+//	uvarint  sample count
+//	         per sample: uvarint run, uvarint round,
+//	         uvarint uint64(BrowserRTT), uvarint uint64(WireRTT),
+//	         bool handshake
 //
 // Overhead is not stored: it is rederived as BrowserRTT − WireRTT, the
 // exact integer arithmetic RunContext performs, so the file cannot even
-// express an inconsistent triple. The trailing checksum covers every
-// preceding byte; a flipped bit or truncation anywhere fails decodeCell,
+// express an inconsistent triple. The frame's CRC-32C covers the header
+// and payload; a flipped bit or truncation anywhere fails decodeCell,
 // which the cache treats as a miss (detect, log, recompute).
 
-const cellMagic = "bmcell v1"
+// cellCodec frames cell files. The cap bounds the largest cell Store
+// accepts: a sample takes about 12 bytes, so cells of tens of millions
+// of runs fit, and a bigger one fails Store instead of being cut.
+var cellCodec = frame.Codec{Magic: [4]byte{'b', 'm', 'c', 'l'}, Version: 1, MaxPayload: 1 << 30}
+
+const (
+	// cellKeyLen bounds the stored key: a lowercase hex SHA-256.
+	cellKeyLen = 64
+	// minSampleLen is the fewest payload bytes one sample occupies: four
+	// one-byte uvarints and the handshake byte.
+	minSampleLen = 5
+)
 
 // encodeCell renders samples under their content-address key.
-func encodeCell(key string, samples []core.Sample) []byte {
-	var b bytes.Buffer
-	b.WriteString(cellMagic)
-	b.WriteByte('\n')
-	b.WriteString("key ")
-	b.WriteString(key)
-	b.WriteByte('\n')
-	b.WriteString("n ")
-	b.WriteString(strconv.Itoa(len(samples)))
-	b.WriteByte('\n')
+func encodeCell(key string, samples []core.Sample) ([]byte, error) {
+	// 80 bytes cover the key, the count and the trailer.
+	b, start := cellCodec.Begin(make([]byte, 0, frame.HeaderLen+80+12*len(samples)), 0)
+	b = frame.AppendString(b, key)
+	b = binary.AppendUvarint(b, uint64(len(samples)))
 	for _, s := range samples {
-		h := byte('0')
-		if s.Handshake {
-			h = '1'
-		}
-		fmt.Fprintf(&b, "s %d %d %d %d %c\n", s.Run, s.Round, int64(s.BrowserRTT), int64(s.WireRTT), h)
+		b = binary.AppendUvarint(b, uint64(s.Run))
+		b = binary.AppendUvarint(b, uint64(s.Round))
+		b = binary.AppendUvarint(b, uint64(s.BrowserRTT))
+		b = binary.AppendUvarint(b, uint64(s.WireRTT))
+		b = frame.AppendBool(b, s.Handshake)
 	}
-	sum := sha256.Sum256(b.Bytes())
-	b.WriteString("sum ")
-	b.WriteString(hex.EncodeToString(sum[:]))
-	b.WriteByte('\n')
-	return b.Bytes()
+	return cellCodec.Seal(b, start)
 }
 
 // decodeCell parses and verifies a cell file, returning the stored key
-// and samples. Any framing violation, count mismatch, malformed field, or
-// checksum failure is an error; the function never panics on arbitrary
-// input (FuzzCellDecode enforces this).
+// and samples. The file must be exactly one intact frame of kind 0 whose
+// payload the strict frame.Reader consumes to the last byte; anything
+// else is an error, and the function never panics on arbitrary input
+// (FuzzCellDecode enforces this).
 func decodeCell(data []byte) (key string, samples []core.Sample, err error) {
-	// Split off the trailing "sum <hex>\n" line and verify it first: the
-	// checksum covers everything, so nothing else need be trusted before.
-	trimmed := data
-	if len(trimmed) == 0 || trimmed[len(trimmed)-1] != '\n' {
-		return "", nil, fmt.Errorf("sweep: cell file: missing trailing newline")
+	kind, p, n, err := cellCodec.Decode(data)
+	if err == nil && (kind != 0 || n != len(data)) {
+		err = fmt.Errorf("%w: kind %d, %d bytes after the frame", frame.ErrCorrupt, kind, len(data)-n)
 	}
-	trimmed = trimmed[:len(trimmed)-1]
-	nl := bytes.LastIndexByte(trimmed, '\n')
-	sumLine := trimmed[nl+1:] // nl == -1 leaves the whole (single) line
-	body := data[:nl+1]
-	if nl < 0 {
-		return "", nil, fmt.Errorf("sweep: cell file: no body before checksum")
+	if err != nil {
+		return "", nil, fmt.Errorf("sweep: cell file: %w", err)
 	}
-	sumHex, ok := bytes.CutPrefix(sumLine, []byte("sum "))
-	if !ok {
-		return "", nil, fmt.Errorf("sweep: cell file: last line is not a checksum")
-	}
-	want, err := hex.DecodeString(string(sumHex))
-	if err != nil || len(want) != sha256.Size {
-		return "", nil, fmt.Errorf("sweep: cell file: malformed checksum")
-	}
-	got := sha256.Sum256(body)
-	if !bytes.Equal(got[:], want) {
-		return "", nil, fmt.Errorf("sweep: cell file: checksum mismatch (corrupt entry)")
-	}
-
-	lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
-	if len(lines) < 3 || string(lines[0]) != cellMagic {
-		return "", nil, fmt.Errorf("sweep: cell file: bad header")
-	}
-	keyHex, ok := bytes.CutPrefix(lines[1], []byte("key "))
-	if !ok || len(keyHex) != 64 || !isLowerHex(keyHex) {
-		return "", nil, fmt.Errorf("sweep: cell file: bad key line")
-	}
-	nStr, ok := bytes.CutPrefix(lines[2], []byte("n "))
-	if !ok {
-		return "", nil, fmt.Errorf("sweep: cell file: bad count line")
-	}
-	n, err := strconv.Atoi(string(nStr))
-	if err != nil || n < 0 || n != len(lines)-3 {
-		return "", nil, fmt.Errorf("sweep: cell file: sample count %q does not match %d lines", nStr, len(lines)-3)
-	}
-
-	samples = make([]core.Sample, 0, n)
-	for _, ln := range lines[3:] {
-		f := bytes.Split(ln, []byte(" "))
-		if len(f) != 6 || string(f[0]) != "s" {
-			return "", nil, fmt.Errorf("sweep: cell file: bad sample line %q", ln)
-		}
-		run, err1 := strconv.Atoi(string(f[1]))
-		round, err2 := strconv.Atoi(string(f[2]))
-		browserNs, err3 := strconv.ParseInt(string(f[3]), 10, 64)
-		wireNs, err4 := strconv.ParseInt(string(f[4]), 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || run < 0 || round < 1 {
-			return "", nil, fmt.Errorf("sweep: cell file: bad sample fields %q", ln)
-		}
-		var handshake bool
-		switch string(f[5]) {
-		case "0":
-		case "1":
-			handshake = true
-		default:
-			return "", nil, fmt.Errorf("sweep: cell file: bad handshake flag %q", ln)
-		}
-		samples = append(samples, core.Sample{
-			Run:        run,
-			Round:      round,
-			BrowserRTT: durNs(browserNs),
-			WireRTT:    durNs(wireNs),
-			Overhead:   durNs(browserNs - wireNs),
-			Handshake:  handshake,
-		})
-	}
-	return string(keyHex), samples, nil
-}
-
-func durNs(ns int64) time.Duration { return time.Duration(ns) }
-
-func isLowerHex(b []byte) bool {
-	for _, c := range b {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
+	r := frame.NewReader(p)
+	key = r.String(cellKeyLen)
+	samples = make([]core.Sample, r.Count(math.MaxInt, minSampleLen))
+	for i := range samples {
+		s := &samples[i]
+		s.Run, s.Round = int(r.Uvarint()), int(r.Uvarint())
+		s.BrowserRTT, s.WireRTT = time.Duration(r.Uvarint()), time.Duration(r.Uvarint())
+		s.Overhead = s.BrowserRTT - s.WireRTT
+		s.Handshake = r.Bool()
+		if r.Err() == nil && (s.Run < 0 || s.Round < 1) {
+			return "", nil, fmt.Errorf("sweep: cell file: %w: sample %d has run %d, round %d", frame.ErrCorrupt, i, s.Run, s.Round)
 		}
 	}
-	return true
+	if err := r.End(); err != nil {
+		return "", nil, fmt.Errorf("sweep: cell file: %w", err)
+	}
+	return key, samples, nil
 }

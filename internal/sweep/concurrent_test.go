@@ -74,7 +74,7 @@ func TestCacheConcurrentWritersSameKey(t *testing.T) {
 // TestCacheTornFinalFileNeverServed injects the failure temp-then-rename
 // exists to prevent: a cell file at the final path holding only a prefix
 // of the real encoding (what a crashed direct writer would leave). The
-// reader must detect it via the trailing checksum, count it corrupt,
+// reader must detect it via the frame's length header, count it corrupt,
 // delete it, and report a miss — partial data can never surface as a
 // cached cell.
 func TestCacheTornFinalFileNeverServed(t *testing.T) {
@@ -98,7 +98,7 @@ func TestCacheTornFinalFileNeverServed(t *testing.T) {
 	}
 
 	// Every strict prefix is a possible torn write; probe a spread of
-	// them, including cutting inside the trailing checksum line.
+	// them (TestCacheEveryPrefixAndBitFlipDetected tries every one).
 	for _, frac := range []int{1, 4, 2} {
 		n := len(whole) - len(whole)/frac
 		if n <= 0 {

@@ -20,12 +20,13 @@ import (
 	"github.com/browsermetric/browsermetric/internal/core"
 )
 
-// DefaultSalt versions the simulation semantics baked into cached cells.
-// Bump it whenever a change anywhere in the simulator, methods, browser
-// models, or fault profiles can alter a cell's samples: old entries then
-// miss (they hash under the old salt) and are recomputed rather than
-// silently replayed stale.
-const DefaultSalt = "bmsweep-v1"
+// DefaultSalt versions the simulation semantics and the cell file format
+// baked into cached cells. Bump it whenever a change anywhere in the
+// simulator, methods, browser models, or fault profiles can alter a
+// cell's samples, or the cell file format changes: old entries then miss
+// (they hash under the old salt) and are recomputed rather than silently
+// replayed stale or counted as corrupt.
+const DefaultSalt = "bmsweep-v2"
 
 // Key is the flattened, canonical identity of one study cell: every field
 // of core.Config and testbed.Config that can influence a measurement,

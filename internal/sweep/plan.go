@@ -19,7 +19,7 @@ type PlannedCell struct {
 	// core.FaultCells expansion Run executes, so executing it
 	// out-of-process stores into the same cache entry.
 	Config core.Config
-	// Hash is the cell's content address under the sweep's salt — the
+	// Hash is the cell's content address under DefaultSalt — the
 	// cache file name and the input to shard partitioning.
 	Hash string
 }
@@ -42,7 +42,7 @@ func Plan(opts Options) []PlannedCell {
 			Method:  cfg.Method,
 			Profile: cfg.Profile,
 			Config:  cfg,
-			Hash:    KeyFromConfig(cfg, opts.Salt).Hash(),
+			Hash:    KeyFromConfig(cfg, DefaultSalt).Hash(),
 		})
 	}
 	return out

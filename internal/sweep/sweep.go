@@ -45,9 +45,6 @@ type Options struct {
 	// per completed cell. Re-running a killed sweep on the same Dir
 	// replays its finished cells and computes only the rest.
 	Dir string
-	// Salt is the code-version salt baked into every cell key
-	// (DefaultSalt when empty).
-	Salt string
 	// Log, when non-nil, receives progress and corruption notices.
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, receives the cache's hit/miss/corruption/
@@ -80,9 +77,6 @@ func (o *Options) fillDefaults() {
 	if o.Gap == 0 {
 		o.Gap = 10 * time.Second
 	}
-	if o.Salt == "" {
-		o.Salt = DefaultSalt
-	}
 	if o.Log == nil {
 		o.Log = func(string, ...any) {}
 	}
@@ -97,7 +91,7 @@ func (o Options) ID() string {
 	o.fillDefaults()
 	var b strings.Builder
 	b.WriteString("browsermetric sweep v1\n")
-	fmt.Fprintf(&b, "salt=%s\n", o.Salt)
+	fmt.Fprintf(&b, "salt=%s\n", DefaultSalt)
 	fmt.Fprintf(&b, "timing=%s\n", o.Timing)
 	fmt.Fprintf(&b, "runs=%d\n", o.Runs)
 	fmt.Fprintf(&b, "gap_ns=%d\n", int64(o.Gap))
@@ -164,7 +158,7 @@ func (o *Options) studyOptions() core.StudyOptions {
 // the missing ones, and exports byte-identically to an uninterrupted run.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts.fillDefaults()
-	cache, err := OpenCache(opts.Dir, opts.Salt)
+	cache, err := OpenCache(opts.Dir, "")
 	if err != nil {
 		return nil, err
 	}
@@ -210,43 +204,17 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // the byte surface the cached ≡ recomputed equivalence tests compare.
 func (r *Result) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"faults", "method", "browser", "os", "run", "round",
-		"browser_rtt_ms", "wire_rtt_ms", "overhead_ms", "handshake",
-	}); err != nil {
+	if err := cw.Write(append([]string{"faults"}, core.SampleColumns...)); err != nil {
 		return err
 	}
 	for si, st := range r.Studies {
-		fp := r.Faults[si].String()
-		for i := range st.Cells {
-			c := &st.Cells[i]
-			if c.Skipped {
-				continue
-			}
-			for _, smp := range c.Exp.Samples {
-				rec := []string{
-					fp,
-					c.Spec.Name,
-					c.Profile.Browser.String(),
-					c.Profile.OS.String(),
-					strconv.Itoa(smp.Run),
-					strconv.Itoa(smp.Round),
-					fmtMs(stats.Ms(smp.BrowserRTT)),
-					fmtMs(stats.Ms(smp.WireRTT)),
-					fmtMs(stats.Ms(smp.Overhead)),
-					strconv.FormatBool(smp.Handshake),
-				}
-				if err := cw.Write(rec); err != nil {
-					return err
-				}
-			}
+		if err := st.WriteSampleRows(cw, r.Faults[si].String()); err != nil {
+			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
 }
-
-func fmtMs(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
 // Report renders the sweep as a text table: one row per method, the
 // median (across browser profiles) of per-cell median Δd2 under each

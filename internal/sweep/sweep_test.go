@@ -355,7 +355,6 @@ func TestSweepIDSemantics(t *testing.T) {
 		"Gap":      func(o *Options) { o.Gap += time.Second },
 		"BaseSeed": func(o *Options) { o.BaseSeed++ },
 		"Timing":   func(o *Options) { o.Timing = browser.NanoTime },
-		"Salt":     func(o *Options) { o.Salt = "other" },
 		"Methods":  func(o *Options) { o.Methods = o.Methods[:3] },
 		"Profiles": func(o *Options) { o.Profiles = o.Profiles[:1] },
 		"Faults":   func(o *Options) { o.Faults = o.Faults[:1] },
