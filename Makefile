@@ -14,14 +14,14 @@
 #   make sweep-smoke kill a sweep with SIGKILL, rerun it on its cache, diff vs uninterrupted
 #   make fleet-load  10k-session loadgen under -race with a heap ceiling
 #   make fleet-cluster  root + 3 collectors over the wire, SIGKILL one mid-run
-#   make sweep-shard-cluster  coordinator + 3 shard workers over loopback,
-#                             SIGKILL one mid-run, final export must be
-#                             byte-identical to the single-process sweep
+#   make sweep-cluster  3 sweep processes on one cache dir, SIGKILL one
+#                       mid-run, every survivor's export must be
+#                       byte-identical to the single-process sweep
 #   make artifacts   regenerate the committed outputs in artifacts/
 
 GO ?= go
 
-.PHONY: all build vet test lint race race-core race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-shard-cluster artifacts
+.PHONY: all build vet test lint race race-core race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-cluster artifacts
 
 all: tier1
 
@@ -106,19 +106,21 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(if $(BENCH_OLD),-old $(BENCH_OLD)) -new $(BENCH_NEW)
 
 # fuzz-smoke runs each native fuzz target briefly. Go allows one -fuzz
-# target per invocation, so the budget is split across the eight. The
+# target per invocation, so the budget is split across the seven. The
 # weekly extended run (.github/workflows/fuzz-weekly.yml) uses the same
-# target with FUZZTIME=100s.
+# targets with FUZZTIME=100s. -fuzzminimizetime caps the time spent
+# minimizing each new corpus entry: under Go's 60 s default, minimizing
+# one entry grown from a multi-kilobyte sketch seed stalled
+# FuzzSketchDecode for most of a 30 s run.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -fuzz '^FuzzPacketParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/netsim/
-	$(GO) test -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/httpsim/
-	$(GO) test -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/httpsim/
-	$(GO) test -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/frame/
-	$(GO) test -fuzz '^FuzzCellDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/sweep/
-	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/fleetwire/
-	$(GO) test -fuzz '^FuzzControlDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/shard/
-	$(GO) test -fuzz '^FuzzSketchDecode$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/obs/
+	$(GO) test -fuzz '^FuzzPacketParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/netsim/
+	$(GO) test -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/httpsim/
+	$(GO) test -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/httpsim/
+	$(GO) test -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/frame/
+	$(GO) test -fuzz '^FuzzCellDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/sweep/
+	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/fleetwire/
+	$(GO) test -fuzz '^FuzzSketchDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/obs/
 
 # cover writes the whole-repo profile to coverage.out (the CI artifact)
 # and enforces a statement-coverage floor on each package:floor pair of
@@ -251,60 +253,57 @@ fleet-cluster:
 	echo "fleet-cluster: root survived a SIGKILLed collector; cluster view stayed live and byte-stable"
 	@rm -rf $(FLEET_CLUSTER_DIR)
 
-# sweep-shard-cluster proves the distributed shard runner end to end on
-# real processes: a coordinator plus three workers over loopback execute
-# the same sweep a single process runs first, one worker is SIGKILLed
-# mid-run (its leases must expire and be reassigned), and the
-# coordinator's stdout report and CSV (replayed from the shared cache)
-# must be byte-identical to the single-process
-# artifacts. The in-process equivalence/crash/lease proofs run first
-# under -race. The runs count is sized so the worker phase takes tens of
-# seconds — long enough that the 2 s SIGKILL reliably lands while the
-# victim still holds leases; the kill failing because the worker already
-# exited fails the target (an un-exercised crash path is not a pass).
-SHARD_CLUSTER_DIR ?= shard-cluster.tmp
-SHARD_CLUSTER_PORT ?= 19420
-SHARD_CLUSTER_RUNS ?= 10000
-SHARD_CLUSTER_FLAGS = -runs $(SHARD_CLUSTER_RUNS) -seed 42 -faults clean,lossy1pct
-sweep-shard-cluster:
-	$(GO) test -race -count=1 -run 'TestShard|TestWire|TestPartition' ./internal/shard/
-	rm -rf $(SHARD_CLUSTER_DIR)
-	mkdir -p $(SHARD_CLUSTER_DIR)
-	$(GO) build -o $(SHARD_CLUSTER_DIR)/appraise ./cmd/appraise
-	$(SHARD_CLUSTER_DIR)/appraise -sweep $(SHARD_CLUSTER_FLAGS) \
-		-cache-dir $(SHARD_CLUSTER_DIR)/solo -csv $(SHARD_CLUSTER_DIR)/solo.csv \
-		>$(SHARD_CLUSTER_DIR)/solo.txt 2>$(SHARD_CLUSTER_DIR)/solo.log
-	@set -e; \
-	addr=127.0.0.1:$(SHARD_CLUSTER_PORT); \
-	$(SHARD_CLUSTER_DIR)/appraise -shard-coordinator $$addr $(SHARD_CLUSTER_FLAGS) \
-		-shard-count 16 -shard-lease-ttl 2s \
-		-cache-dir $(SHARD_CLUSTER_DIR)/cluster -csv $(SHARD_CLUSTER_DIR)/cluster.csv \
-		>$(SHARD_CLUSTER_DIR)/cluster.txt 2>$(SHARD_CLUSTER_DIR)/coord.log & COORD=$$!; \
-	trap 'kill $$COORD 2>/dev/null || true' EXIT; \
-	sleep 1; \
-	for n in w1 w2 w3; do \
-		$(SHARD_CLUSTER_DIR)/appraise -shard-worker $$addr -shard-name $$n \
-			$(SHARD_CLUSTER_FLAGS) -cache-dir $(SHARD_CLUSTER_DIR)/cluster \
-			>$(SHARD_CLUSTER_DIR)/$$n.log 2>&1 & \
+# sweep-cluster proves that several sweep processes share one cache dir
+# with no coordinator, end to end on real processes. One process runs the
+# sweep alone first; then three run it at once on a second cache dir and
+# one of them is SIGKILLed 2 s in. The kill failing because the victim
+# already exited fails the target (an un-exercised crash path is not a
+# pass). Every survivor's stdout report and CSV must be byte-identical to
+# the solo run's, and the survivors together may compute at most 1.25x
+# the planned cells: each process walks the plan in its own order, so
+# they mostly compute different cells (two processes walking one shared
+# order computed 105 of 156 cells twice). The in-process proofs run first
+# under -race. The runs count is sized, as for sweep-smoke, so the sweep
+# takes long enough that the 2 s kill lands mid-run.
+SWEEP_CLUSTER_DIR ?= sweep-cluster.tmp
+SWEEP_CLUSTER_RUNS ?= 10000
+SWEEP_CLUSTER_FLAGS = -runs $(SWEEP_CLUSTER_RUNS) -seed 42 -faults clean,lossy1pct
+sweep-cluster:
+	$(GO) test -race -count=1 -run 'TestSweepConcurrentRunsShareCache|TestCellOrderPermutes|TestCacheConcurrent' ./internal/sweep/
+	rm -rf $(SWEEP_CLUSTER_DIR)
+	mkdir -p $(SWEEP_CLUSTER_DIR)
+	$(GO) build -o $(SWEEP_CLUSTER_DIR)/appraise ./cmd/appraise
+	$(SWEEP_CLUSTER_DIR)/appraise -sweep $(SWEEP_CLUSTER_FLAGS) \
+		-cache-dir $(SWEEP_CLUSTER_DIR)/solo -csv $(SWEEP_CLUSTER_DIR)/solo.csv \
+		>$(SWEEP_CLUSTER_DIR)/solo.txt 2>$(SWEEP_CLUSTER_DIR)/solo.log
+	@set -e; d=$(SWEEP_CLUSTER_DIR); \
+	for n in p1 p2 p3; do \
+		$$d/appraise -sweep $(SWEEP_CLUSTER_FLAGS) -cache-dir $$d/shared -csv $$d/$$n.csv \
+			>$$d/$$n.txt 2>$$d/$$n.log & \
 		eval "$$n=$$!"; \
 	done; \
+	trap 'kill $$p1 $$p2 $$p3 2>/dev/null || true' EXIT; \
 	sleep 2; \
-	if kill -9 $$w2 2>/dev/null; then \
-		echo "sweep-shard-cluster: SIGKILLed worker w2 mid-run"; \
+	if kill -9 $$p2 2>/dev/null; then \
+		echo "sweep-cluster: SIGKILLed p2 mid-run"; \
 	else \
-		echo "sweep-shard-cluster: w2 finished before the kill — raise SHARD_CLUSTER_RUNS"; exit 1; \
+		echo "sweep-cluster: p2 finished before the kill — raise SWEEP_CLUSTER_RUNS"; exit 1; \
 	fi; \
-	wait $$w1 || { echo "sweep-shard-cluster: worker w1 failed"; tail -20 $(SHARD_CLUSTER_DIR)/w1.log; exit 1; }; \
-	wait $$w3 || { echo "sweep-shard-cluster: worker w3 failed"; tail -20 $(SHARD_CLUSTER_DIR)/w3.log; exit 1; }; \
-	wait $$w2 2>/dev/null || true; \
-	wait $$COORD || { echo "sweep-shard-cluster: coordinator failed"; tail -20 $(SHARD_CLUSTER_DIR)/coord.log; exit 1; }; \
+	wait $$p1 || { echo "sweep-cluster: p1 failed"; tail -20 $$d/p1.log; exit 1; }; \
+	wait $$p3 || { echo "sweep-cluster: p3 failed"; tail -20 $$d/p3.log; exit 1; }; \
+	wait $$p2 2>/dev/null || true; \
 	trap - EXIT; \
-	cmp $(SHARD_CLUSTER_DIR)/solo.csv $(SHARD_CLUSTER_DIR)/cluster.csv || \
-		{ echo "sweep-shard-cluster: cluster CSV differs from the single-process sweep"; exit 1; }; \
-	cmp $(SHARD_CLUSTER_DIR)/solo.txt $(SHARD_CLUSTER_DIR)/cluster.txt || \
-		{ echo "sweep-shard-cluster: cluster report differs from the single-process sweep"; exit 1; }; \
-	echo "sweep-shard-cluster: cluster export byte-identical to the single-process sweep after a SIGKILLed worker"
-	@rm -rf $(SHARD_CLUSTER_DIR)
+	for n in p1 p3; do \
+		cmp $$d/solo.csv $$d/$$n.csv || { echo "sweep-cluster: $$n CSV differs from the solo sweep"; exit 1; }; \
+		cmp $$d/solo.txt $$d/$$n.txt || { echo "sweep-cluster: $$n report differs from the solo sweep"; exit 1; }; \
+	done; \
+	planned=$$(sed -n 's/.*: \([0-9]*\) cells: .* \([0-9]*\) skipped .*/\1 \2/p' $$d/solo.log | awk '{print $$1 - $$2}'); \
+	computed=$$(sed -n 's/.* cells: \([0-9]*\) computed,.*/\1/p' $$d/p1.log $$d/p3.log | awk '{s += $$1} END {print s + 0}'); \
+	echo "sweep-cluster: the survivors computed $$computed cells of $$planned planned"; \
+	[ -n "$$planned" ] && [ $$((computed * 4)) -le $$((planned * 5)) ] || \
+		{ echo "sweep-cluster: the survivors computed more than 1.25x the planned cells"; exit 1; }; \
+	echo "sweep-cluster: every survivor's export is byte-identical to the solo sweep after a SIGKILLed peer"
+	@rm -rf $(SWEEP_CLUSTER_DIR)
 
 # artifacts regenerates the committed outputs in artifacts/ with the
 # commands artifacts/README.md lists. Every output is deterministic, and

@@ -46,7 +46,6 @@ import (
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/server"
-	"github.com/browsermetric/browsermetric/internal/shard"
 	"github.com/browsermetric/browsermetric/internal/stats"
 	"github.com/browsermetric/browsermetric/internal/sweep"
 	"github.com/browsermetric/browsermetric/internal/testbed"
@@ -328,47 +327,12 @@ type SweepStats = sweep.Stats
 // persisted in the content-addressed cache as it finishes, so re-running
 // a killed sweep on the same SweepOptions.Dir replays those cells,
 // computes only the missing ones, and still exports byte-identically to
-// an uninterrupted run.
+// an uninterrupted run. Several RunSweep calls of one sweep on the same
+// Dir at the same time, in one process or in several, share the work:
+// each walks the cells in its own order and replays what the others
+// finished.
 func RunSweep(ctx context.Context, opts SweepOptions) (*SweepResult, error) {
 	return sweep.Run(ctx, opts)
-}
-
-// --- Distributed shard runner ---
-
-// ShardCoordinator partitions a sweep's cell matrix into shards and
-// leases them to worker processes over a framed loopback/LAN control
-// protocol; once every shard completes it replays the sweep warm from
-// the shared cache, producing output byte-identical to a single-process
-// RunSweep.
-type ShardCoordinator = shard.Coordinator
-
-// ShardCoordinatorOptions configures NewShardCoordinator.
-type ShardCoordinatorOptions = shard.CoordinatorOptions
-
-// ShardStats snapshots the coordinator's counters (the shard_* metric
-// families).
-type ShardStats = shard.Stats
-
-// ShardWorkerOptions configures RunShardWorker.
-type ShardWorkerOptions = shard.WorkerOptions
-
-// ShardWorkerStats summarizes one worker's contribution to a sweep.
-type ShardWorkerStats = shard.WorkerStats
-
-// DefaultShardCount is the default partition count for a sharded sweep.
-const DefaultShardCount = shard.DefaultShards
-
-// NewShardCoordinator starts the coordinator listening; point workers at
-// its Addr() and call Wait for the merged result. Workers must be
-// configured with an identical SweepOptions — the handshake enforces it.
-func NewShardCoordinator(opts ShardCoordinatorOptions) (*ShardCoordinator, error) {
-	return shard.NewCoordinator(opts)
-}
-
-// RunShardWorker connects to a coordinator and executes leased shards
-// (through the shared content-addressed cache) until the sweep is done.
-func RunShardWorker(ctx context.Context, opts ShardWorkerOptions) (ShardWorkerStats, error) {
-	return shard.RunWorker(ctx, opts)
 }
 
 // --- Observability ---

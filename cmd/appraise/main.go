@@ -18,8 +18,7 @@
 //	appraise -faultimpact        # Δd degradation study across fault profiles
 //	appraise -cache-dir d ...    # content-addressed cell cache: warm reruns replay from disk
 //	appraise -sweep -cache-dir d # methods x browsers x fault profiles; rerun to finish a killed sweep
-//	appraise -shard-coordinator 127.0.0.1:9400 -cache-dir d  # sharded sweep: coordinator
-//	appraise -shard-worker 127.0.0.1:9400 -shard-name w1 -cache-dir d  # sharded sweep: worker
+//	appraise -sweep -cache-dir d & appraise -sweep -cache-dir d  # several processes share one sweep
 //	appraise -cpuprofile cpu.pb.gz -memprofile mem.pb.gz ...  # pprof profiles of the run
 //
 // All progress and statistics lines go to stderr; stdout carries only the
@@ -215,12 +214,14 @@ func writeMetricsSnapshot(path string) error {
 	return nil
 }
 
-// sweepOptions builds the SweepOptions every sweep mode shares — plain
-// -sweep, -shard-coordinator and -shard-worker must construct identical
-// options (modulo Dir-local knobs) or the shard handshake refuses the
-// worker.
-func sweepOptions(runs int, cacheDir string, sweepFaults []bm.FaultProfile) bm.SweepOptions {
-	return bm.SweepOptions{
+// runSweep executes the -sweep mode: methods x browser profiles x fault
+// profiles as one run against the content-addressed cache (a rerun on
+// the same -cache-dir replays every finished cell, and processes running
+// the same sweep on it at once share the cells), with warm/cold
+// accounting on stderr and the summary table (plus optional full CSV) as
+// the stdout artifact.
+func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath string) error {
+	opts := bm.SweepOptions{
 		Faults:   sweepFaults,
 		Runs:     runs,
 		BaseSeed: baseSeed,
@@ -229,37 +230,6 @@ func sweepOptions(runs int, cacheDir string, sweepFaults []bm.FaultProfile) bm.S
 		Log:      func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		Metrics:  metricsReg,
 	}
-}
-
-// writeSweepArtifacts prints the stdout report and the optional CSV —
-// the byte surfaces the shard equivalence contract is stated over, so
-// single-process and coordinator runs share this exact code path.
-func writeSweepArtifacts(res *bm.SweepResult, csvPath string) error {
-	fmt.Println(res.Report())
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote sweep samples to %s\n", csvPath)
-	}
-	return nil
-}
-
-// runSweep executes the -sweep mode: methods x browser profiles x fault
-// profiles as one run against the content-addressed cache (a rerun on
-// the same -cache-dir replays every finished cell), with warm/cold
-// accounting on stderr and the summary table (plus optional full CSV) as
-// the stdout artifact.
-func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath string) error {
-	opts := sweepOptions(runs, cacheDir, sweepFaults)
 	nFaults := len(sweepFaults)
 	if nFaults == 0 {
 		nFaults = len(bm.FaultProfiles())
@@ -298,56 +268,23 @@ func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath 
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sweep done in %v: %s\n", res.Stats.Wall.Round(time.Millisecond), res.StatsLine())
-	return writeSweepArtifacts(res, csvPath)
-}
-
-// runShardCoordinator executes the -shard-coordinator mode: partition
-// the sweep, lease shards to workers, replay the sweep warm from the
-// shared cache, and emit the same stdout artifacts as a single-process
-// -sweep run (byte-identically).
-func runShardCoordinator(listen string, shards int, leaseTTL time.Duration, opts bm.SweepOptions, csvPath string) error {
-	c, err := bm.NewShardCoordinator(bm.ShardCoordinatorOptions{
-		Listen:   listen,
-		Sweep:    opts,
-		Shards:   shards,
-		LeaseTTL: leaseTTL,
-		Log:      opts.Log,
-		Metrics:  metricsReg,
-	})
-	if err != nil {
-		return err
+	// The report and the CSV are the byte surfaces that are identical
+	// however many processes shared the sweep's cache dir.
+	fmt.Println(res.Report())
+	if csvPath != "" {
+		f, err := os.Create(csvPath)
+		if err != nil {
+			return err
+		}
+		if err := res.WriteCSV(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote sweep samples to %s\n", csvPath)
 	}
-	defer c.Close()
-	fmt.Fprintf(os.Stderr, "shard coordinator listening on %s (%d shards, lease TTL %v); start workers with -shard-worker %s\n",
-		c.Addr(), c.Stats().Shards, leaseTTL, c.Addr())
-	res, err := c.Wait(context.Background())
-	if err != nil {
-		return err
-	}
-	cs := c.Stats()
-	fmt.Fprintf(os.Stderr, "shard sweep done: %d shards, %d workers (%d cells computed, %d cached across shard reports; %d leases granted, %d renewals, %d reassigned)\n",
-		cs.ShardsDone, cs.WorkersSeen, cs.CellsComputed, cs.CellsCached, cs.LeasesGranted, cs.Renewals, cs.Reassigned)
-	return writeSweepArtifacts(res, csvPath)
-}
-
-// runShardWorker executes the -shard-worker mode: lease shards from the
-// coordinator and run their cells into the shared cache until the sweep
-// completes. Workers print no stdout artifact — the coordinator owns the
-// merged output.
-func runShardWorker(addr, name string, opts bm.SweepOptions) error {
-	st, err := bm.RunShardWorker(context.Background(), bm.ShardWorkerOptions{
-		Addr:    addr,
-		Name:    name,
-		Sweep:   opts,
-		Workers: workers,
-		Log:     opts.Log,
-		Metrics: metricsReg,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "shard worker %q finished: %d shards done, %d cells computed, %d cached, %d leases revoked\n",
-		name, st.ShardsDone, st.Computed, st.Cached, st.Revoked)
 	return nil
 }
 
@@ -372,12 +309,7 @@ func main() {
 		faultsFl    = flag.String("faults", "", "network-impairment profile for every study cell (clean, lossy1pct, burstywifi, congested); with -sweep, a comma-separated list")
 		faultimpact = flag.Bool("faultimpact", false, "Δd degradation study: every method under every fault profile")
 		cacheDirFl  = flag.String("cache-dir", "", "content-addressed cell cache directory (unchanged cells replay from disk byte-identically)")
-		sweepFl     = flag.Bool("sweep", false, "run methods x browsers x fault profiles as one cache-backed sweep (requires -cache-dir; rerun to finish a killed sweep)")
-		shardCoord  = flag.String("shard-coordinator", "", "run the sweep sharded, as the coordinator listening on this address (e.g. 127.0.0.1:9400); requires -cache-dir, output is byte-identical to -sweep")
-		shardWorker = flag.String("shard-worker", "", "join a sharded sweep as a worker, connecting to this coordinator address; requires the coordinator's -cache-dir and sweep flags")
-		shardName   = flag.String("shard-name", "", "unique worker name for -shard-worker (default worker<pid>)")
-		shardCount  = flag.Int("shard-count", 0, "partition count for -shard-coordinator (0 = default; more shards = finer reassignment on worker death)")
-		shardTTL    = flag.Duration("shard-lease-ttl", 5*time.Second, "shard lease TTL for -shard-coordinator; a worker silent past it forfeits the shard")
+		sweepFl     = flag.Bool("sweep", false, "run methods x browsers x fault profiles as one cache-backed sweep (requires -cache-dir; rerun to finish a killed sweep, run several at once to share it)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
 	)
@@ -395,22 +327,11 @@ func main() {
 	}
 	progressMode = *progressFl
 
-	if *sweepFl || *shardCoord != "" || *shardWorker != "" {
-		// Sweep modes (single-process, shard coordinator, shard worker):
+	if *sweepFl {
 		// -faults may list several profiles, comma-separated (empty =
 		// every built-in profile).
-		modes := 0
-		for _, on := range []bool{*sweepFl, *shardCoord != "", *shardWorker != ""} {
-			if on {
-				modes++
-			}
-		}
-		if modes > 1 {
-			fmt.Fprintln(os.Stderr, "appraise: -sweep, -shard-coordinator and -shard-worker are mutually exclusive")
-			exit(2)
-		}
 		if *cacheDirFl == "" {
-			fmt.Fprintln(os.Stderr, "appraise: sweep modes require -cache-dir")
+			fmt.Fprintln(os.Stderr, "appraise: -sweep requires -cache-dir")
 			exit(2)
 		}
 		var sweepFaults []bm.FaultProfile
@@ -424,22 +345,7 @@ func main() {
 				sweepFaults = append(sweepFaults, fp)
 			}
 		}
-		var err error
-		switch {
-		case *shardCoord != "":
-			opts := sweepOptions(*runs, *cacheDirFl, sweepFaults)
-			err = runShardCoordinator(*shardCoord, *shardCount, *shardTTL, opts, *csvPath)
-		case *shardWorker != "":
-			name := *shardName
-			if name == "" {
-				name = fmt.Sprintf("worker%d", os.Getpid())
-			}
-			opts := sweepOptions(*runs, *cacheDirFl, sweepFaults)
-			err = runShardWorker(*shardWorker, name, opts)
-		default:
-			err = runSweep(*runs, *cacheDirFl, sweepFaults, *csvPath)
-		}
-		if err != nil {
+		if err := runSweep(*runs, *cacheDirFl, sweepFaults, *csvPath); err != nil {
 			fmt.Fprintln(os.Stderr, "appraise:", err)
 			exit(1)
 		}

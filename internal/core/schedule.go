@@ -86,23 +86,30 @@ func RunFaultStudies(ctx context.Context, opts StudyOptions, fps []faults.Profil
 	if err != nil {
 		return nil, err
 	}
+	return SplitFaultStudies(opts, fps, all.Cells), nil
+}
+
+// SplitFaultStudies splits cells, laid out as FaultCells(opts, fps) lays
+// out their configs, into one Study per fault profile. The studies share
+// cells' backing array and their Stats are left zero.
+func SplitFaultStudies(opts StudyOptions, fps []faults.Profile, cells []Cell) []*Study {
 	n := len(opts.Methods) * len(opts.Profiles)
 	out := make([]*Study, len(fps))
 	for i, fp := range fps {
-		out[i] = &Study{Options: opts, Cells: all.Cells[i*n : (i+1)*n : (i+1)*n]}
+		out[i] = &Study{Options: opts, Cells: cells[i*n : (i+1)*n : (i+1)*n]}
 		out[i].Options.Testbed.Faults = fp
 	}
-	return out, nil
+	return out
 }
 
-// RunCells is the cell engine: every study, artifact, sweep and shard
-// worker executes its cells through it. The cells run on a pool of
-// opts.Workers goroutines (0 = GOMAXPROCS), each with one arena that
-// backs its cells' hot-path buffers, and every cell runs on its own
-// freshly built testbed under its own Config (seed included), so results
-// are independent of scheduling order. Cells of the returned Study align
-// index-for-index with cfgs; every cfg needs a Profile, and a cell whose
-// profile cannot run its method is Skipped. Of opts, only Workers,
+// RunCells is the cell engine: every study, artifact and sweep executes
+// its cells through it. The cells run on a pool of opts.Workers
+// goroutines (0 = GOMAXPROCS), each with one arena that backs its cells'
+// hot-path buffers, and every cell runs on its own freshly built testbed
+// under its own Config (seed included), so results are independent of
+// scheduling order and of the order of cfgs. Cells of the returned Study
+// align index-for-index with cfgs; every cfg needs a Profile, and a cell
+// whose profile cannot run its method is Skipped. Of opts, only Workers,
 // OnCellDone, Tracing, Metrics and Cache are used; the Study's Options
 // is opts as given.
 //

@@ -128,11 +128,27 @@ func checkWireDecode(t *testing.T, data []byte) {
 	}
 }
 
+// FuzzWireDecode fuzzes a frame's kind and payload and seals them into a
+// fleetwire frame, so every input passes the CRC and reaches the payload
+// grammar; FuzzFrameDecode covers the header and checksum path. A seed
+// that opens with an intact frame seeds its kind and payload; any other
+// seeds kind 0 with the whole seed as payload.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range wireSeedCorpus(f) {
-		f.Add(seed)
+		kind, payload, _, err := codec.Decode(seed)
+		if err != nil {
+			kind, payload = 0, seed
+		}
+		f.Add(kind, payload)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { checkWireDecode(t, data) })
+	f.Fuzz(func(t *testing.T, kind uint16, payload []byte) {
+		b, start := codec.Begin(nil, kind)
+		b, err := codec.Seal(append(b, payload...), start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWireDecode(t, b)
+	})
 }
 
 // TestWireFuzzSeedCorpus replays the seed corpus as a plain test so the

@@ -1,20 +1,26 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/browsermetric/browsermetric/internal/core"
+	"github.com/browsermetric/browsermetric/internal/faults"
 )
 
-// TestCacheConcurrentWritersSameKey is the shard-tier contract: multiple
-// processes (here goroutines, under -race) racing to Store the same cell
-// key while readers Load it concurrently. Because identical cells encode
+// TestCacheConcurrentWritersSameKey is the shared cache dir's contract:
+// multiple processes (here goroutines, under -race) racing to Store the
+// same cell key while readers Load it concurrently. Because identical cells encode
 // identical bytes and writes are temp-then-rename, every Load must
 // observe either a miss or the complete cell — never a torn or corrupt
 // entry. The corrupt counter staying at zero is the proof.
@@ -210,6 +216,113 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 	for _, e := range entries {
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Errorf("leftover temp file %s after clean stores", e.Name())
+		}
+	}
+}
+
+// TestSweepConcurrentRunsShareCache: three Runs of one sweep share one
+// Dir at the same time, as several appraise -sweep processes do, and one
+// of them is cancelled after its third cell. Each survivor still exports
+// byte-identically to a solo run, and every Run's stats account for
+// every cell.
+func TestSweepConcurrentRunsShareCache(t *testing.T) {
+	solo, err := Run(context.Background(), smallOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStats(t, "solo", solo.Stats)
+	var wantCSV bytes.Buffer
+	if err := solo.WriteCSV(&wantCSV); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	var (
+		wg   sync.WaitGroup
+		res  [3]*Result
+		errs [3]error
+	)
+	for i := range res {
+		opts := smallOpts(dir)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if i == 0 {
+			var done atomic.Int32
+			opts.OnCell = func(faults.Profile, core.CellStatus) {
+				if done.Add(1) == 3 {
+					cancel()
+				}
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = Run(ctx, opts)
+		}()
+	}
+	wg.Wait()
+
+	if !errors.Is(errs[0], context.Canceled) {
+		t.Fatalf("cancelled Run returned %v, want context.Canceled", errs[0])
+	}
+	computed := 0
+	for i := 1; i < len(res); i++ {
+		if errs[i] != nil {
+			t.Fatalf("Run %d: %v", i, errs[i])
+		}
+		st := res[i].Stats
+		checkStats(t, fmt.Sprintf("Run %d", i), st)
+		computed += st.Computed
+		var csv bytes.Buffer
+		if err := res[i].WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(csv.Bytes(), wantCSV.Bytes()) {
+			t.Errorf("Run %d: CSV differs from the solo run", i)
+		}
+		if res[i].Report() != solo.Report() {
+			t.Errorf("Run %d: report differs from the solo run", i)
+		}
+		if st.Corrupt != 0 {
+			t.Errorf("Run %d: %d corrupt entries in a shared dir", i, st.Corrupt)
+		}
+	}
+	t.Logf("survivors computed %d cells of %d planned", computed, solo.Stats.Cells-solo.Stats.Skipped)
+}
+
+// checkStats requires a Run's stats to account for every cell once.
+func checkStats(t *testing.T, who string, st Stats) {
+	t.Helper()
+	if st.Computed+st.CachedHits+st.Skipped != st.Cells {
+		t.Errorf("%s: %d computed + %d cached + %d skipped != %d cells",
+			who, st.Computed, st.CachedHits, st.Skipped, st.Cells)
+	}
+}
+
+// TestCellOrderPermutes: every cellOrder call returns a permutation of
+// 0..n-1, and two calls for the same n walk in different orders.
+func TestCellOrderPermutes(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		differ bool // two orders of n cells may coincide only for tiny n
+	}{
+		{0, false}, {1, false}, {2, false}, {16, true}, {156, true},
+	} {
+		a, b := cellOrder(tc.n), cellOrder(tc.n)
+		for _, o := range [][]int{a, b} {
+			sorted := slices.Clone(o)
+			slices.Sort(sorted)
+			for i, v := range sorted {
+				if v != i {
+					t.Fatalf("n=%d: order %v is not a permutation of 0..%d", tc.n, o, tc.n-1)
+				}
+			}
+			if len(o) != tc.n {
+				t.Fatalf("n=%d: order has %d entries", tc.n, len(o))
+			}
+		}
+		if tc.differ && slices.Equal(a, b) {
+			t.Errorf("n=%d: two calls returned the same order %v", tc.n, a)
 		}
 	}
 }

@@ -116,11 +116,22 @@ func checkCellDecode(t *testing.T, data []byte) {
 	}
 }
 
+// FuzzCellDecode fuzzes a frame's kind and payload and seals them into a
+// cell file, so every input passes the CRC and reaches the payload
+// grammar; FuzzFrameDecode covers the header and checksum path. A seed
+// file that is an intact frame seeds its kind and payload; any other
+// seeds kind 0 with the whole file as payload.
 func FuzzCellDecode(f *testing.F) {
 	for _, seed := range cellSeedCorpus(f) {
-		f.Add(seed)
+		kind, payload, _, err := cellCodec.Decode(seed)
+		if err != nil {
+			kind, payload = 0, seed
+		}
+		f.Add(kind, payload)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { checkCellDecode(t, data) })
+	f.Fuzz(func(t *testing.T, kind uint16, payload []byte) {
+		checkCellDecode(t, sealCell(t, cellCodec.Version, kind, payload))
+	})
 }
 
 // TestSweepFuzzSeedCorpus replays the seed corpus as a plain test so the

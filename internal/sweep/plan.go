@@ -19,17 +19,17 @@ type PlannedCell struct {
 	// core.FaultCells expansion Run executes, so executing it
 	// out-of-process stores into the same cache entry.
 	Config core.Config
-	// Hash is the cell's content address under DefaultSalt — the
-	// cache file name and the input to shard partitioning.
+	// Hash is the cell's content address under DefaultSalt: the cache
+	// file name.
 	Hash string
 }
 
-// Plan enumerates every executable cell of the sweep in the deterministic
-// order Run executes them (core.FaultCells: fault-profile major, then
-// method, then browser profile). Every process planning the same Options
-// (same ID()) derives the same cell list with the same content addresses
-// — the property the distributed shard runner rests on: the coordinator
-// ships only shard numbers, and workers re-derive the cells locally.
+// Plan enumerates every executable cell of the sweep in plan order
+// (core.FaultCells: fault-profile major, then method, then browser
+// profile), the order of Run's exports; Run itself computes them in an
+// order of its own. Every process planning the same Options derives the
+// same cell list with the same content addresses, so a cell executed
+// from a plan is stored where Run looks for it.
 func Plan(opts Options) []PlannedCell {
 	opts.fillDefaults()
 	var out []PlannedCell

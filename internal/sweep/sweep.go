@@ -3,12 +3,14 @@ package sweep
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/csv"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"strconv"
+	"math/rand/v2"
+	"os"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/browser"
@@ -38,18 +40,19 @@ type Options struct {
 	// attributable to the impairment alone.
 	BaseSeed int64
 	// Workers caps cell concurrency. Exports are byte-identical for any
-	// value; the sweep identity deliberately excludes it.
+	// value.
 	Workers int
 
 	// Dir is the cache directory (required): one cells/<hash>.cell entry
 	// per completed cell. Re-running a killed sweep on the same Dir
-	// replays its finished cells and computes only the rest.
+	// replays its finished cells and computes only the rest; Runs of one
+	// sweep on the same Dir at the same time share its cells.
 	Dir string
 	// Log, when non-nil, receives progress and corruption notices.
 	Log func(format string, args ...any)
 	// Metrics, when non-nil, receives the cache's hit/miss/corruption/
-	// store counters as sweep_cache_* series. Excluded from the sweep
-	// identity: observability never changes what is computed.
+	// store counters as sweep_cache_* series. Observability never
+	// changes what is computed.
 	Metrics *obs.Metrics
 	// OnCell, when non-nil, fires per completed cell (skipped cells
 	// included) with the fault profile it belongs to (see
@@ -82,31 +85,20 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// ID returns the sweep's configuration identity: the SHA-256 of the
-// canonical sweep description. Shard workers must present the
-// coordinator's ID at Hello. Workers is excluded (any worker count produces byte-identical
-// exports); everything that can change a cell's samples or the matrix
-// shape is included.
-func (o Options) ID() string {
-	o.fillDefaults()
-	var b strings.Builder
-	b.WriteString("browsermetric sweep v1\n")
-	fmt.Fprintf(&b, "salt=%s\n", DefaultSalt)
-	fmt.Fprintf(&b, "timing=%s\n", o.Timing)
-	fmt.Fprintf(&b, "runs=%d\n", o.Runs)
-	fmt.Fprintf(&b, "gap_ns=%d\n", int64(o.Gap))
-	fmt.Fprintf(&b, "seed=%d\n", o.BaseSeed)
-	for _, m := range o.Methods {
-		fmt.Fprintf(&b, "method=%s\n", m)
-	}
-	for _, p := range o.Profiles {
-		fmt.Fprintf(&b, "profile=%s load=%s\n", p.Label(), strconv.FormatFloat(p.Load(), 'x', -1, 64))
-	}
-	for _, fp := range o.Faults {
-		fmt.Fprintf(&b, "faults=%s\n", fp)
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+// runCount numbers this process's Runs, so two Runs in one process walk
+// the plan in different orders too.
+var runCount atomic.Uint64
+
+// cellOrder returns a permutation of 0..n-1 private to this call. Its
+// seed is the SHA-256 of the process id, a process-wide call counter and
+// the host name, so processes sharing a cache dir, on one host or on
+// several, walk the plan in unrelated orders.
+func cellOrder(n int) []int {
+	host, _ := os.Hostname()
+	b := binary.LittleEndian.AppendUint64(nil, uint64(os.Getpid()))
+	b = binary.LittleEndian.AppendUint64(b, runCount.Add(1))
+	b = append(b, host...)
+	return rand.New(rand.NewChaCha8(sha256.Sum256(b))).Perm(n)
 }
 
 // Stats summarizes what a sweep did.
@@ -151,11 +143,18 @@ func (o *Options) studyOptions() core.StudyOptions {
 }
 
 // Run executes the sweep: every cell of every fault profile runs in one
-// core.RunFaultStudies call with the content-addressed cache installed,
-// so every completed cell is on disk as soon as it finishes. The cache
-// is the sweep's only state: cancelling ctx aborts between cells, and a
-// later Run on the same Dir replays the finished cells, computes only
-// the missing ones, and exports byte-identically to an uninterrupted run.
+// core.RunCells pass with the content-addressed cache installed, so every
+// completed cell is on disk as soon as it finishes. The cache is the
+// sweep's only state: cancelling ctx aborts between cells, and a later
+// Run on the same Dir replays the finished cells, computes only the
+// missing ones, and exports byte-identically to an uninterrupted run.
+//
+// The pass walks the plan in an order of its own (cellOrder), so several
+// processes running the same sweep on one Dir mostly compute different
+// cells and replay each other's: they share the work with no coordinator,
+// and each still exports the whole sweep. Exports do not depend on the
+// order; when several cells fail, the error names the first failure in
+// this Run's order.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts.fillDefaults()
 	cache, err := OpenCache(opts.Dir, "")
@@ -167,19 +166,30 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 	so := opts.studyOptions()
 	so.Cache = cache
+	cfgs := core.FaultCells(so, opts.Faults)
+	order := cellOrder(len(cfgs))
+	walk := make([]core.Config, len(cfgs))
+	for i, j := range order {
+		walk[i] = cfgs[j]
+	}
 	if cb := opts.OnCell; cb != nil {
 		n := len(opts.Methods) * len(opts.Profiles)
 		so.OnCellDone = func(cs core.CellStatus) {
-			fp := opts.Faults[cs.Index/n]
-			cs.Index %= n // the position in the fault profile's study
-			cb(fp, cs)
+			idx := order[cs.Index] // the cell's place in the plan
+			cs.Index = idx % n     // the position in the fault profile's study
+			cb(opts.Faults[idx/n], cs)
 		}
 	}
 	start := time.Now()
-	studies, err := core.RunFaultStudies(ctx, so, opts.Faults)
+	all, err := core.RunCells(ctx, so, walk)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
+	cells := make([]core.Cell, len(cfgs))
+	for i, j := range order {
+		cells[j] = all.Cells[i]
+	}
+	studies := core.SplitFaultStudies(so, opts.Faults, cells)
 	res := &Result{Options: opts, Faults: opts.Faults, Studies: studies}
 	for _, st := range studies {
 		for _, c := range st.Cells {

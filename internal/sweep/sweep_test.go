@@ -333,41 +333,6 @@ func TestSweepConfigsShareCacheDir(t *testing.T) {
 	}
 }
 
-// TestSweepIDSemantics: the sweep identity includes everything that can
-// change the data and excludes the execution knobs that cannot.
-func TestSweepIDSemantics(t *testing.T) {
-	base := smallOpts("unused")
-	if a, b := base, base; a.ID() != b.ID() {
-		t.Fatal("identical options produced different IDs")
-	}
-	workers := base
-	workers.Workers = 7
-	if workers.ID() != base.ID() {
-		t.Errorf("Workers changed the sweep ID; exports are worker-invariant, so it must not")
-	}
-	dir := base
-	dir.Dir = "elsewhere"
-	if dir.ID() != base.ID() {
-		t.Errorf("Dir changed the sweep ID; the same sweep may live in any directory")
-	}
-	for name, mut := range map[string]func(*Options){
-		"Runs":     func(o *Options) { o.Runs++ },
-		"Gap":      func(o *Options) { o.Gap += time.Second },
-		"BaseSeed": func(o *Options) { o.BaseSeed++ },
-		"Timing":   func(o *Options) { o.Timing = browser.NanoTime },
-		"Methods":  func(o *Options) { o.Methods = o.Methods[:3] },
-		"Profiles": func(o *Options) { o.Profiles = o.Profiles[:1] },
-		"Faults":   func(o *Options) { o.Faults = o.Faults[:1] },
-		"Load":     func(o *Options) { o.Profiles = []*browser.Profile{o.Profiles[0].WithLoad(0.3)} },
-	} {
-		o := smallOpts("unused")
-		mut(&o)
-		if o.ID() == base.ID() {
-			t.Errorf("mutating %s did not change the sweep ID", name)
-		}
-	}
-}
-
 func TestSweepRequiresDir(t *testing.T) {
 	opts := smallOpts("")
 	if _, err := Run(context.Background(), opts); err == nil {
