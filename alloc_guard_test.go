@@ -1,6 +1,9 @@
 package browsermetric
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 // TestStudyAllocCeiling is the top-level allocation regression guard for
 // the zero-allocation hot-path work: a full Figure 3 study (every
@@ -23,6 +26,33 @@ func TestStudyAllocCeiling(t *testing.T) {
 	const ceiling = 24_000
 	if allocs > ceiling {
 		t.Fatalf("Fig3-style study allocated %.0f objects, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestStudyWriteCSVAllocsPerCell guards the sample CSV export: its
+// allocations grow with the number of cells, never with the number of
+// samples, so a study at 200 runs per cell exports with as many
+// allocations as the same study at 20.
+func TestStudyWriteCSVAllocsPerCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-cell study in -short mode")
+	}
+	var allocs [2]float64
+	for i, runs := range []int{20, 200} {
+		st, err := RunStudy(StudyOptions{Runs: runs, BaseSeed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[i] = testing.AllocsPerRun(3, func() {
+			if err := st.WriteCSV(io.Discard); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	const slack = 4
+	if allocs[1] > allocs[0]+slack {
+		t.Fatalf("WriteCSV allocated %.0f objects at 200 runs/cell, %.0f at 20: want within %d",
+			allocs[1], allocs[0], slack)
 	}
 }
 

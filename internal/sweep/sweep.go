@@ -217,13 +217,16 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	if err := cw.Write(append([]string{"faults"}, core.SampleColumns...)); err != nil {
 		return err
 	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return err
+	}
 	for si, st := range r.Studies {
-		if err := st.WriteSampleRows(cw, r.Faults[si].String()); err != nil {
+		if err := st.WriteSampleRows(w, r.Faults[si].String()); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return nil
 }
 
 // Report renders the sweep as a text table: one row per method, the

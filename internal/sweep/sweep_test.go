@@ -339,3 +339,39 @@ func TestSweepRequiresDir(t *testing.T) {
 		t.Fatal("Run without Dir succeeded, want error")
 	}
 }
+
+// failAfter accepts n bytes and then fails every write.
+type failAfter struct{ n int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errWriteFailed
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteCSVReportsWriteError checks that a writer failing in the
+// header or in the rows surfaces its error from Result.WriteCSV.
+func TestWriteCSVReportsWriteError(t *testing.T) {
+	res, err := Run(context.Background(), smallOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var full bytes.Buffer
+	if err := res.WriteCSV(&full); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 10, full.Len() / 2, full.Len() - 1} {
+		if err := res.WriteCSV(&failAfter{n: k}); !errors.Is(err, errWriteFailed) {
+			t.Errorf("writer failing after %d of %d bytes: err = %v", k, full.Len(), err)
+		}
+	}
+	if err := res.WriteCSV(&failAfter{n: full.Len()}); err != nil {
+		t.Errorf("writer taking exactly %d bytes: err = %v", full.Len(), err)
+	}
+}
