@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -296,8 +297,16 @@ func TestAggregatorStaleNodeDoesNotWedgeMerges(t *testing.T) {
 // real collectors (Registry + Uplink) feeding a root over HTTP produce
 // per-node cluster rows identical to each collector's own single-node
 // snapshot — same counts and the very same quantile answers, because
-// the wire ships exact sketch state.
+// the wire ships exact sketch state. It runs with tick deltas that stay
+// in a sketch's insert buffer and with ones large enough to ship
+// compressed tuples.
 func TestClusterEquivalence(t *testing.T) {
+	for _, perTick := range []int{50, 3000} {
+		t.Run(fmt.Sprint(perTick), func(t *testing.T) { checkClusterEquivalence(t, perTick) })
+	}
+}
+
+func checkClusterEquivalence(t *testing.T, perTick int) {
 	aggM := obs.NewMetrics()
 	a := NewAggregator(AggConfig{Metrics: aggM})
 	ingest := httptest.NewServer(a.IngestHandler())
@@ -319,9 +328,9 @@ func TestClusterEquivalence(t *testing.T) {
 		regs[i] = r
 		// Distinct per-node sample streams across several ticks.
 		for tick := 0; tick < ticks; tick++ {
-			for s := 0; s < 50; s++ {
+			for s := 0; s < perTick; s++ {
 				id := uint64(s + 1)
-				regs[i].Observe(id, k1, float64((i+1)*100+tick*10+s%7), false)
+				regs[i].Observe(id, k1, float64((i+1)*100+tick*10+s%7)+float64(s*s%1013)/7, false)
 				if s%5 == 0 {
 					regs[i].Observe(id, k2, float64(i*3+s), s%10 == 0)
 				}

@@ -34,3 +34,35 @@ func TestObserveSteadyStateZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state lost-sample Observe allocated %.2f objects/op, want 0", allocs)
 	}
 }
+
+// TestFanInAllocsIndependentOfShards pins the fan-in cost model: a
+// steady-state pass allocates per key, not per (shard, key) delta, so
+// the same samples fanned in from 64 shards allocate within a few
+// objects of the same samples from 4. Pairwise merges that each build a
+// fresh tuple list would add about 60 allocations per key at 64 shards.
+func TestFanInAllocsIndependentOfShards(t *testing.T) {
+	keys := benchKeys()[:12]
+	const sessions = 6000 // 500 samples per key and tick
+	tickAllocs := func(shards int) float64 {
+		r := New(Config{Shards: shards})
+		tick := 0
+		pass := func() {
+			tick++
+			for id := 0; id < sessions; id++ {
+				r.Observe(uint64(id), keys[id%len(keys)], float64((id*7+tick*13)%997)/8, false)
+			}
+			r.FanIn()
+		}
+		// Warm-up: admit the sessions and let every slot's two sketches,
+		// the tick deltas and the pass scratch reach steady capacity.
+		for i := 0; i < 8; i++ {
+			pass()
+		}
+		return testing.AllocsPerRun(5, pass)
+	}
+	few, many := tickAllocs(4), tickAllocs(64)
+	if many > few+16 {
+		t.Fatalf("steady-state fan-in allocated %.0f objects at 64 shards, %.0f at 4: want within 16", many, few)
+	}
+	t.Logf("steady-state tick allocations: %.0f at 4 shards, %.0f at 64", few, many)
+}

@@ -13,10 +13,14 @@
 //   - per-session state is bounded (16 bytes: the previous delay, for
 //     jitter) and the session population is capped — over-cap sessions
 //     are rejected and counted, never queued;
-//   - per-shard aggregates are *delta* sketches: the fan-in pass swaps
-//     each one for a reset spare and merges the taken sketch into the
-//     collector-owned cumulative summary, so shard sketches never grow
-//     past one tick's worth of compressed tuples;
+//   - per-shard aggregates are *delta* sketches, which in practice hold
+//     a few buffered raw values per key and tick (a sketch compresses
+//     only once sketchBufCap values arrive). The fan-in pass swaps each
+//     one for the slot's reset spare, groups the taken deltas by key in
+//     shard order and folds them into one per-key tick delta, then into
+//     the collector-owned cumulative summary. Merging buffered values is
+//     an exact append, so fan-in cost grows with samples and keys, not
+//     with shards × keys;
 //   - self-metering follows Mizrahi et al.'s observer-effect rule: the
 //     per-sample hot path touches no metrics registry at all. Shard-local
 //     counters are folded into obs.Metrics only at fan-in ticks, and the
@@ -24,7 +28,9 @@
 package fleet
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,14 +46,16 @@ type Key struct {
 	Region  string
 }
 
-func keyLess(a, b Key) bool {
-	if a.Method != b.Method {
-		return a.Method < b.Method
+func keyLess(a, b Key) bool { return keyCmp(a, b) < 0 }
+
+func keyCmp(a, b Key) int {
+	if c := strings.Compare(a.Method, b.Method); c != 0 {
+		return c
 	}
-	if a.Browser != b.Browser {
-		return a.Browser < b.Browser
+	if c := strings.Compare(a.Browser, b.Browser); c != 0 {
+		return c
 	}
-	return a.Region < b.Region
+	return strings.Compare(a.Region, b.Region)
 }
 
 // Config tunes a Registry.
@@ -84,9 +92,9 @@ type Config struct {
 	// per-key deltas synchronously at the end of the pass — the hook
 	// the uplink ships multi-node frames from. Idle ticks arrive with
 	// Keys empty (a heartbeat carrying just the sequence number and
-	// session count). The sketches in the TickDelta are pooled: they
-	// are valid only for the duration of the call and must not be
-	// retained (encode them, don't keep them).
+	// session count). The Keys slice and its sketches are reused by the
+	// next tick: they are valid only for the duration of the call and
+	// must not be retained (encode them, don't keep them).
 	DeltaSink func(TickDelta)
 }
 
@@ -133,11 +141,20 @@ type session struct {
 	hasLast bool
 }
 
+// shardAgg is one key's delta in a shard since the last fan-in, plus
+// the reset sketch the next fan-in swaps in. Each slot alternates
+// between its two sketches, so their buffers keep the capacity that
+// slot needs. Only FanIn touches spare and the sketch it points to.
+type shardAgg struct {
+	Agg
+	spare *obs.Sketch
+}
+
 // shard holds one lock's worth of sessions and delta aggregates.
 type shard struct {
 	mu       sync.Mutex
 	sessions map[uint64]session
-	aggs     map[Key]*Agg // delta since the last fan-in
+	aggs     map[Key]*shardAgg
 
 	// Tick-local event counters, drained at fan-in.
 	started  uint64
@@ -160,9 +177,14 @@ type Registry struct {
 	active atomic.Int64
 
 	fanMu   sync.Mutex
-	globals map[Key]*Agg  // collector-owned cumulative aggregates
-	spare   []*obs.Sketch // reset delta sketches, reused across ticks
-	seq     uint64
+	globals map[Key]*Agg // collector-owned cumulative aggregates
+	ticks   map[Key]*Agg // per-key tick deltas, reset after each pass
+	// Per-pass scratch, kept so a steady-state pass does not regrow it:
+	// the taken shard deltas, the distinct keys and the tick deltas.
+	taken  []DeltaKey
+	keys   []Key
+	deltas []DeltaKey
+	seq    uint64
 	// prevCounts lets FanIn compute which keys changed since the last
 	// snapshot — the delta the stream pushes.
 	prevCounts map[Key]uint64
@@ -191,12 +213,13 @@ func New(cfg Config) *Registry {
 		mask:       uint64(n - 1),
 		shards:     make([]*shard, n),
 		globals:    make(map[Key]*Agg),
+		ticks:      make(map[Key]*Agg),
 		prevCounts: make(map[Key]uint64),
 	}
 	for i := range r.shards {
 		r.shards[i] = &shard{
 			sessions: make(map[uint64]session),
-			aggs:     make(map[Key]*Agg),
+			aggs:     make(map[Key]*shardAgg),
 		}
 	}
 	registerFleetHelp(cfg.Metrics)
@@ -250,7 +273,7 @@ func (r *Registry) Observe(id uint64, key Key, delayMs float64, lost bool) bool 
 	}
 	a := sh.aggs[key]
 	if a == nil {
-		a = &Agg{Sketch: obs.NewSketch(r.cfg.Targets...)}
+		a = &shardAgg{Agg: Agg{Sketch: obs.NewSketch(r.cfg.Targets...)}}
 		sh.aggs[key] = a
 	}
 	sh.samples++
@@ -320,17 +343,6 @@ type Snapshot struct {
 	Nodes    []NodeStatus `json:"nodes,omitempty"`
 }
 
-// takeSpare hands the fan-in pass a reset sketch without allocating when
-// one from a previous tick can be reused.
-func (r *Registry) takeSpare() *obs.Sketch {
-	if n := len(r.spare); n > 0 {
-		s := r.spare[n-1]
-		r.spare = r.spare[:n-1]
-		return s
-	}
-	return obs.NewSketch(r.cfg.Targets...)
-}
-
 // FanIn runs one collector pass: every shard's delta aggregates are
 // swapped out under the shard lock (ingest blocks only for the swap, not
 // the merge), merged into the cumulative per-key summaries, and
@@ -344,15 +356,18 @@ func (r *Registry) FanIn() Snapshot {
 	start := time.Now()
 
 	var started, ended, rejected, samples, lost uint64
-	var taken []DeltaKey
+	taken := r.taken[:0]
 	for _, sh := range r.shards {
 		sh.mu.Lock()
 		for k, a := range sh.aggs {
 			if a.Count == 0 {
 				continue
 			}
-			taken = append(taken, DeltaKey{Key: k, Agg: *a})
-			*a = Agg{Sketch: r.takeSpare()}
+			if a.spare == nil {
+				a.spare = obs.NewSketch(r.cfg.Targets...)
+			}
+			taken = append(taken, DeltaKey{Key: k, Agg: a.Agg})
+			a.Agg, a.spare = Agg{Sketch: a.spare}, a.Sketch
 		}
 		started += sh.started
 		ended += sh.ended
@@ -363,21 +378,35 @@ func (r *Registry) FanIn() Snapshot {
 		sh.mu.Unlock()
 	}
 
-	// Merge outside every shard lock. Shard deltas first coalesce into
-	// one tick delta per key (the unit the uplink ships), then the tick
-	// deltas fold into the cumulative summaries. The fold order is fixed
-	// (sorted keys, shard order within a key) so equal ingest histories
-	// produce identical cumulative sketches.
-	sort.SliceStable(taken, func(i, j int) bool { return keyLess(taken[i].Key, taken[j].Key) })
-	var deltas []DeltaKey
-	for i := 0; i < len(taken); {
-		d := taken[i]
-		for i++; i < len(taken) && taken[i].Key == d.Key; i++ {
-			d.add(&taken[i].Agg)
-			taken[i].Sketch.Reset()
-			r.spare = append(r.spare, taken[i].Sketch)
+	// Merge outside every shard lock. Shard deltas fold into one tick
+	// delta per key (the unit the uplink ships) in shard order, since
+	// taken lists each shard's keys in turn; the tick deltas then fold
+	// into the cumulative summaries in sorted key order. The fold order
+	// is fixed, so equal ingest histories produce identical cumulative
+	// sketches. Only the distinct keys are sorted.
+	keys := r.keys[:0]
+	for i := range taken {
+		t := &taken[i]
+		d := r.ticks[t.Key]
+		if d == nil {
+			d = &Agg{Sketch: obs.NewSketch(r.cfg.Targets...)}
+			r.ticks[t.Key] = d
 		}
-		deltas = append(deltas, d)
+		if d.Count == 0 {
+			keys = append(keys, t.Key)
+		}
+		d.add(&t.Agg)
+		t.Sketch.Reset()
+	}
+	slices.SortFunc(keys, keyCmp)
+	deltas := r.deltas[:0]
+	for _, k := range keys {
+		d := r.ticks[k]
+		// Compress the tick delta before folding it: the cumulative
+		// summary then absorbs the very tuples the uplink encodes, so a
+		// root that decodes the frame folds bit-identical state.
+		d.Sketch.Flush()
+		deltas = append(deltas, DeltaKey{Key: k, Agg: *d})
 	}
 	for i := range deltas {
 		mergeInto(r.globals, deltas[i].Key, &deltas[i].Agg, r.cfg.Targets)
@@ -406,8 +435,8 @@ func (r *Registry) FanIn() Snapshot {
 	r.liveView.publish(snap, delta)
 
 	// Hand the tick deltas to the uplink sink (synchronously: the sink
-	// encodes and returns, it must not block on the network), then pool
-	// the delta sketches for the next tick. Idle ticks ship too — a
+	// encodes and returns, it must not block on the network), then reset
+	// them for the next tick. Idle ticks ship too — a
 	// keys-empty frame is a few dozen bytes and keeps the uplink
 	// sequence dense (so root-side gap counting means real drops) and
 	// the node's session count fresh while nothing is sampling.
@@ -416,8 +445,9 @@ func (r *Registry) FanIn() Snapshot {
 	}
 	for _, d := range deltas {
 		d.Sketch.Reset()
-		r.spare = append(r.spare, d.Sketch)
+		*r.ticks[d.Key] = Agg{Sketch: d.Sketch}
 	}
+	r.taken, r.keys, r.deltas = taken[:0], keys[:0], deltas[:0]
 
 	took := time.Since(start)
 	if m := r.cfg.Metrics; m.Enabled() {

@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -276,5 +278,73 @@ func TestFleetMetricsAllHaveHelp(t *testing.T) {
 	r.FanIn()
 	if missing := m.FamiliesMissingHelp(); len(missing) != 0 {
 		t.Fatalf("fleet metric families missing HELP text: %v", missing)
+	}
+}
+
+// TestSnapshotIndependentOfInterleaving: the same per-session sample
+// streams, ingested from several goroutines with different session
+// splits and interleavings, publish identical snapshots every tick.
+// Delays sit on a 1/4 ms grid so jitter sums are exact in any order, and
+// each shard sees fewer than 512 samples of a key per tick: a shard
+// sketch that fills its buffer mid-tick compresses whichever values
+// arrived first. Per-key tick totals do pass 512, so fan-in flushes.
+func TestSnapshotIndependentOfInterleaving(t *testing.T) {
+	const sessions, rounds, ticks = 600, 5, 3
+	keys := []Key{
+		{Method: "http-get", Browser: "chrome", Region: "us"},
+		{Method: "websocket", Browser: "firefox", Region: "eu"},
+		{Method: "udp", Browser: "opera", Region: "ap"},
+	}
+	// delay[tick][round][session], drawn once; NaN marks a lost probe.
+	rng := rand.New(rand.NewSource(3))
+	delay := make([][][]float64, ticks)
+	for tk := range delay {
+		delay[tk] = make([][]float64, rounds)
+		for rd := range delay[tk] {
+			delay[tk][rd] = make([]float64, sessions)
+			for id := range delay[tk][rd] {
+				v := float64(rng.Intn(400)) / 4
+				if rng.Intn(50) == 0 {
+					v = math.NaN()
+				}
+				delay[tk][rd][id] = v
+			}
+		}
+	}
+	run := func(workers int, seed int64) []Snapshot {
+		r := New(Config{Shards: 8})
+		ids := rand.New(rand.NewSource(seed)).Perm(sessions)
+		var snaps []Snapshot
+		for tk := 0; tk < ticks; tk++ {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(mine []int, yield *rand.Rand) {
+					defer wg.Done()
+					for rd := 0; rd < rounds; rd++ {
+						for _, id := range mine {
+							v := delay[tk][rd][id]
+							r.Observe(uint64(id), keys[id%len(keys)], v, math.IsNaN(v))
+							if yield.Intn(8) == 0 {
+								runtime.Gosched()
+							}
+						}
+					}
+				}(ids[w*sessions/workers:(w+1)*sessions/workers], rand.New(rand.NewSource(seed+int64(w))))
+			}
+			wg.Wait()
+			snaps = append(snaps, r.FanIn())
+		}
+		return snaps
+	}
+	want := run(1, 0)
+	for i, c := range []struct {
+		workers int
+		seed    int64
+	}{{2, 1}, {3, 2}, {4, 3}, {8, 4}} {
+		if got := run(c.workers, c.seed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d (%d workers): snapshots differ from the sequential run:\n got %+v\nwant %+v",
+				i, c.workers, got, want)
+		}
 	}
 }

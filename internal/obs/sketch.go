@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -66,7 +68,11 @@ const sketchBufCap = 512
 
 // NewSketch returns a sketch tracking the given targets
 // (DefaultSketchTargets when none are given). Quantiles are clamped to
-// (0, 1) and non-positive epsilons default to 0.01.
+// (0, 1) and non-positive epsilons default to 0.01. The insert buffer
+// starts empty and grows on demand up to sketchBufCap, so a sketch that
+// sees a handful of observations — a fleet shard's per-key delta —
+// costs a few words, not a reserved 4 KiB; Reset keeps whatever
+// capacity it reached.
 func NewSketch(targets ...SketchTarget) *Sketch {
 	if len(targets) == 0 {
 		targets = DefaultSketchTargets
@@ -81,10 +87,9 @@ func NewSketch(targets ...SketchTarget) *Sketch {
 		}
 		ts = append(ts, t)
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Quantile < ts[j].Quantile })
+	slices.SortStableFunc(ts, func(a, b SketchTarget) int { return cmp.Compare(a.Quantile, b.Quantile) })
 	return &Sketch{
 		targets: ts,
-		buf:     make([]float64, 0, sketchBufCap),
 		min:     math.Inf(1),
 		max:     math.Inf(-1),
 	}
@@ -194,6 +199,11 @@ func (s *Sketch) invariant(r float64) float64 {
 	return minF
 }
 
+// Flush folds the buffered observations into the stored tuples.
+// Queries and the binary encoding flush on their own; a caller flushes
+// explicitly when it must fold the exact state it is about to encode.
+func (s *Sketch) Flush() { s.flush() }
+
 // flush sorts the buffer, merges it into the sample list and compresses.
 func (s *Sketch) flush() {
 	if len(s.buf) == 0 {
@@ -258,53 +268,41 @@ func (s *Sketch) compress() {
 }
 
 // Merge folds another sketch into this one, preserving the configured
-// rank-error bounds. Both tuple lists are flushed and merged by value
-// with the Greenwald–Khanna COMBINE delta rule: a tuple drawn from one
-// summary inherits the rank uncertainty of the other summary's gap at
-// that position (delta += width+delta−1 of the other list's next tuple).
-// Absolute rank errors add under this merge — ε/2·n₁ + ε/2·n₂ = ε/2·n
-// with each input maintained at the internal ε/2 safety envelope — and
-// because the widened deltas now honestly carry the combined
-// uncertainty, the trailing compress cannot over-merge past the
-// invariant, so the *configured* ε survives arbitrarily deep fan-in
-// (the property tests assert it against exact quantiles after N-way
-// shard merges and hundreds of repeated collector ticks).
+// rank-error bounds. Only stored tuples go through COMBINE: the two
+// tuple lists are merged by value with the Greenwald–Khanna delta rule,
+// where a tuple drawn from one summary inherits the rank uncertainty of
+// the other summary's gap at that position (delta += width+delta−1 of
+// the other list's first tuple not below it). Absolute rank errors add
+// under this merge — ε/2·n₁ + ε/2·n₂ = ε/2·n with each input maintained
+// at the internal ε/2 safety envelope — and because the widened deltas
+// honestly carry the combined uncertainty, the trailing compress cannot
+// over-merge past the invariant, so the *configured* ε survives
+// arbitrarily deep fan-in (the property tests assert it against exact
+// quantiles after N-way shard merges and hundreds of repeated collector
+// ticks).
 //
-// Ties order by (value, width, delta), so a.Merge(b) and b.Merge(a)
-// answer every quantile identically. The receiver is mutated; o is
-// flushed but otherwise unchanged. Both sketches should track the same
+// Buffered raw observations skip COMBINE: o's buffer is appended to the
+// receiver's, which flushes once if it reached sketchBufCap. They pick
+// up no widening, so they are as exact as if the receiver had observed
+// them. Merging two buffer-only sketches therefore runs no COMBINE pass
+// and allocates nothing beyond buffer growth — the common case in fleet
+// fan-in, where each shard delta holds a few raw values.
+//
+// a.Merge(b) and b.Merge(a) leave identical state: COMBINE emits equal
+// tuples from both sides together, each widened by the other's, the
+// compress runs whenever either side has tuples, and the single flush
+// comes after both buffers are in. The receiver is mutated; o is left
+// unchanged (it is not flushed). Both sketches should track the same
 // targets (the receiver's targets govern the merged summary).
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil || o.Count() == 0 {
 		return
 	}
-	s.flush()
-	o.flush()
-	a, b := s.samples, o.samples
-	merged := make([]sketchSample, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var t sketchSample
-		var other []sketchSample
-		var oi int
-		if j >= len(b) || (i < len(a) && !tupleLess(b[j], a[i])) {
-			t = a[i]
-			i++
-			other, oi = b, j
-		} else {
-			t = b[j]
-			j++
-			other, oi = a, i
-		}
-		if oi < len(other) {
-			// COMBINE: the other summary's next tuple bounds how many of
-			// its observations may still precede t.
-			t.delta += other[oi].width + other[oi].delta - 1
-		}
-		merged = append(merged, t)
+	if len(s.samples) > 0 || len(o.samples) > 0 {
+		s.samples = combine(s.samples, o.samples)
+		s.n += o.n
+		s.compress()
 	}
-	s.samples = merged
-	s.n += o.n
 	s.count += o.count
 	s.sum += o.sum
 	if o.min < s.min {
@@ -313,17 +311,58 @@ func (s *Sketch) Merge(o *Sketch) {
 	if o.max > s.max {
 		s.max = o.max
 	}
-	s.compress()
+	s.buf = append(s.buf, o.buf...)
+	if len(s.buf) >= sketchBufCap {
+		s.flush()
+	}
 }
 
-// MergeSketches builds one summary over N shard sketches: inputs are
-// folded pairwise in a canonical order (lexicographic over their tuple
-// lists), so the result is exactly order-invariant — any permutation of
-// sketches yields a summary that answers every quantile identically —
-// which is what makes the fleet fan-in's global snapshot independent of
-// shard walk order. Inputs are flushed but otherwise unchanged; targets
-// come from the first non-nil input (DefaultSketchTargets when there are
-// none).
+// combine merges two tuple lists by value under the COMBINE delta rule.
+// It is symmetric in its arguments: equal tuples from both lists are
+// emitted as a pair, each widened by the other. When either list is
+// empty the result reuses a's storage; otherwise it is a fresh slice.
+func combine(a, b []sketchSample) []sketchSample {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return append(a, b...)
+	}
+	// gap is how many of a summary's observations may still precede a
+	// tuple from the other summary that sorts before its tuple c.
+	gap := func(c sketchSample) float64 { return c.width + c.delta - 1 }
+	merged := make([]sketchSample, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		switch {
+		case tupleLess(x, y):
+			x.delta += gap(y)
+			merged = append(merged, x)
+			i++
+		case tupleLess(y, x):
+			y.delta += gap(x)
+			merged = append(merged, y)
+			j++
+		default:
+			x.delta += gap(y)
+			merged = append(merged, x, x)
+			i++
+			j++
+		}
+	}
+	merged = append(merged, a[i:]...)
+	return append(merged, b[j:]...)
+}
+
+// MergeSketches builds one summary over N sketches: inputs are flushed
+// and folded pairwise in a canonical order (lexicographic over their
+// tuple lists), so the result is exactly order-invariant — any
+// permutation of sketches yields a summary that answers every quantile
+// identically. Fleet fan-in does not use it: it folds shard deltas in
+// a fixed shard order instead. Inputs are flushed but otherwise
+// unchanged; targets come from the first non-nil input
+// (DefaultSketchTargets when there are none).
 func MergeSketches(sketches ...*Sketch) *Sketch {
 	var out *Sketch
 	srcs := make([]*Sketch, 0, len(sketches))

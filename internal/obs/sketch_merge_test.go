@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"sort"
@@ -247,9 +248,9 @@ func TestSketchMergeStaysCompressed(t *testing.T) {
 	}
 }
 
-// BenchmarkSketchMerge measures one pairwise fan-in fold: a cumulative
-// sketch absorbing a 512-observation delta sketch (the per-tick shard
-// cost in the fleet collector).
+// BenchmarkSketchMerge measures one tuple-to-tuple fold: a cumulative
+// sketch absorbing a compressed 512-observation delta sketch (per key,
+// the cumulative fold of one fleet fan-in tick).
 func BenchmarkSketchMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	global := NewSketch()
@@ -287,4 +288,167 @@ func BenchmarkSketchMergeKWay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = MergeSketches(shards...)
 	}
+}
+
+// splitSketch observes vals into a default sketch and flushes the first
+// k of them into tuples, leaving the rest in the insert buffer (a tail
+// of sketchBufCap or more flushes on its own): the tuple and buffer
+// states Merge treats differently.
+func splitSketch(vals []float64, k int) *Sketch {
+	k = min(max(k, 0), len(vals))
+	sk := NewSketch()
+	for _, v := range vals[:k] {
+		sk.Observe(v)
+	}
+	sk.flush()
+	for _, v := range vals[k:] {
+		sk.Observe(v)
+	}
+	return sk
+}
+
+// eighths draws n values on a 1/8 grid, so sums are exact in any order
+// and small ranges produce ties.
+func eighths(rng *rand.Rand, n, span int) []float64 {
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = float64(rng.Intn(span)) / 8
+	}
+	return d
+}
+
+// checkMergeSymmetric merges a into b and b into a, from fresh sketches
+// built by splitting av at ak and bv at bk, and requires identical
+// encoded state both ways plus conserved count, sum, min and max. It
+// returns the a-into-b result.
+func checkMergeSymmetric(t *testing.T, name string, av []float64, ak int, bv []float64, bk int) *Sketch {
+	t.Helper()
+	ab := splitSketch(av, ak)
+	ab.Merge(splitSketch(bv, bk))
+	ba := splitSketch(bv, bk)
+	ba.Merge(splitSketch(av, ak))
+	if string(ab.AppendBinary(nil)) != string(ba.AppendBinary(nil)) {
+		t.Fatalf("%s: a.Merge(b) and b.Merge(a) differ", name)
+	}
+	all := append(append([]float64(nil), av...), bv...)
+	var sum float64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range all {
+		sum += v
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	if ab.Count() != uint64(len(all)) || ab.Sum() != sum || ab.Min() != lo || ab.Max() != hi {
+		t.Fatalf("%s: merged count=%d sum=%g min=%g max=%g, want %d %g %g %g",
+			name, ab.Count(), ab.Sum(), ab.Min(), ab.Max(), len(all), sum, lo, hi)
+	}
+	return ab
+}
+
+// TestSketchMergeBufferedIsExact: merging buffer-only sketches whose
+// union stays under sketchBufCap leaves the same summary as one sketch
+// that observed the union, so every quantile answers identically, and
+// into a receiver with buffer room it allocates nothing.
+func TestSketchMergeBufferedIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	parts := [][]float64{eighths(rng, 200, 4000), eighths(rng, 150, 4000), eighths(rng, 100, 40)}
+	merged, direct := NewSketch(), NewSketch()
+	srcs := make([]*Sketch, len(parts))
+	for i, p := range parts {
+		srcs[i] = splitSketch(p, 0)
+		merged.Merge(srcs[i])
+		for _, v := range p {
+			direct.Observe(v)
+		}
+	}
+	if merged.Len() != direct.Len() || merged.Count() != direct.Count() {
+		t.Fatalf("merged len=%d count=%d, direct len=%d count=%d",
+			merged.Len(), merged.Count(), direct.Len(), direct.Count())
+	}
+	for i := 0; i <= 1000; i++ {
+		q := float64(i) / 1000
+		if m, d := merged.Quantile(q), direct.Quantile(q); m != d {
+			t.Fatalf("q=%g: merged %g, direct %g", q, m, d)
+		}
+	}
+	if string(merged.AppendBinary(nil)) != string(direct.AppendBinary(nil)) {
+		t.Fatal("merged and direct sketches encode differently")
+	}
+
+	dst := NewSketch()
+	for i := 0; i < sketchBufCap-1; i++ {
+		dst.Observe(0)
+	}
+	dst.Reset()
+	if allocs := testing.AllocsPerRun(100, func() {
+		dst.Reset()
+		for _, sk := range srcs {
+			dst.Merge(sk)
+		}
+	}); allocs != 0 {
+		t.Fatalf("buffer-only merge allocated %.1f objects, want 0", allocs)
+	}
+}
+
+// TestSketchMergeSymmetricAndConserving: a.Merge(b) ≡ b.Merge(a) for
+// buffer-only, tuple-only and mixed inputs, including heavy ties, and
+// count, sum, min and max are conserved.
+func TestSketchMergeSymmetricAndConserving(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, span := range []int{80000, 16} {
+		av, bv := eighths(rng, 3000, span), eighths(rng, 2200, span)
+		cases := []struct {
+			name           string
+			na, ak, nb, bk int // list lengths and how many of each are flushed
+		}{
+			{"buffer-only", 300, 0, 150, 0},
+			{"tuple-only", 3000, 3000, 2200, 2200},
+			{"tuples-into-buffer", 3000, 3000, 300, 0},
+			{"buffer-into-tuples", 300, 0, 2200, 2200},
+			{"mixed", 3000, 2900, 2200, 1700},
+		}
+		for _, c := range cases {
+			a, b := av[:c.na], bv[:c.nb]
+			sk := checkMergeSymmetric(t, c.name, a, c.ak, b, c.bk)
+			sorted := append(append([]float64(nil), a...), b...)
+			sort.Float64s(sorted)
+			checkMergedBound(t, c.name, sk, sorted)
+		}
+	}
+}
+
+// FuzzSketchMerge checks Merge on two fuzzed value lists, each split at
+// a fuzzed point into flushed tuples and buffered values: the merge is
+// symmetric, conserves count, sum, min and max, and keeps every target
+// within its configured rank error. Values are 2-byte words on a 1/16
+// grid, so sums are exact and ties are common.
+func FuzzSketchMerge(f *testing.F) {
+	words := func(n int, step uint16) []byte {
+		b := make([]byte, 2*n)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint16(b[2*i:], uint16(i)*step)
+		}
+		return b
+	}
+	f.Add(words(10, 3), uint16(0), words(7, 5), uint16(0))
+	f.Add(words(600, 7), uint16(600), words(900, 11), uint16(900))
+	f.Add(words(1200, 1), uint16(700), words(40, 0), uint16(20))
+	f.Add(words(2000, 13), uint16(1999), words(513, 2), uint16(1))
+	f.Fuzz(func(t *testing.T, a []byte, ak uint16, b []byte, bk uint16) {
+		const maxVals = 4096
+		decode := func(p []byte) []float64 {
+			vals := make([]float64, 0, min(len(p)/2, maxVals))
+			for i := 0; i+1 < len(p) && len(vals) < maxVals; i += 2 {
+				vals = append(vals, float64(binary.LittleEndian.Uint16(p[i:]))/16)
+			}
+			return vals
+		}
+		av, bv := decode(a), decode(b)
+		if len(av)+len(bv) == 0 {
+			return
+		}
+		sk := checkMergeSymmetric(t, "fuzz", av, int(ak), bv, int(bk))
+		sorted := append(append([]float64(nil), av...), bv...)
+		sort.Float64s(sorted)
+		checkMergedBound(t, "fuzz", sk, sorted)
+	})
 }
