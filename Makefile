@@ -106,7 +106,7 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(if $(BENCH_OLD),-old $(BENCH_OLD)) -new $(BENCH_NEW)
 
 # fuzz-smoke runs each native fuzz target briefly. Go allows one -fuzz
-# target per invocation, so the budget is split across the nine. The
+# target per invocation, so the budget is split across the ten. The
 # weekly extended run (.github/workflows/fuzz-weekly.yml) uses the same
 # targets with FUZZTIME=100s. -fuzzminimizetime caps the time spent
 # minimizing each new corpus entry: under Go's 60 s default, minimizing
@@ -115,6 +115,7 @@ bench-diff:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzPacketParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/netsim/
+	$(GO) test -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/netsim/
 	$(GO) test -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/httpsim/
 	$(GO) test -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/httpsim/
 	$(GO) test -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/frame/

@@ -586,7 +586,7 @@ func (c *sockConn) send(p []byte) {
 	case WebSocket:
 		err = c.ws.Send(wssim.OpBinary, p)
 	case JavaUDP:
-		c.r.TB.Client.SendUDP(c.r.TB.ServerAddr, c.udpPort, testbed.UDPEchoPort, p)
+		err = c.r.TB.Client.SendUDP(c.r.TB.ServerAddr, c.udpPort, testbed.UDPEchoPort, p)
 	default:
 		err = c.tcp.Send(p)
 	}

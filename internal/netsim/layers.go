@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -336,40 +337,58 @@ func DecodeUDP(src, dst netip.Addr, b []byte) (*UDP, []byte, error) {
 
 // Checksum computes the RFC 1071 Internet checksum of b.
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[:2]))
-		b = b[2:]
-	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return fold(sumWords(0, b))
 }
 
 // pseudoChecksum computes the TCP/UDP checksum including the IPv4
 // pseudo-header. segment must already contain a zero (or original)
 // checksum field; verifying a correct segment yields 0.
 func pseudoChecksum(src, dst netip.Addr, proto byte, segment []byte) uint16 {
-	var sum uint32
 	s4, d4 := src.As4(), dst.As4()
-	sum += uint32(binary.BigEndian.Uint16(s4[0:2])) + uint32(binary.BigEndian.Uint16(s4[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(d4[0:2])) + uint32(binary.BigEndian.Uint16(d4[2:4]))
-	sum += uint32(proto)
-	sum += uint32(len(segment))
-	b := segment
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[:2]))
+	acc := uint64(binary.BigEndian.Uint32(s4[:])) + uint64(binary.BigEndian.Uint32(d4[:]))
+	acc += uint64(proto) + uint64(len(segment))
+	return fold(sumWords(acc, segment))
+}
+
+// sumWords adds b, read as big-endian 16-bit words (an odd last byte
+// padded with a zero), to the one's-complement accumulator acc. It reads
+// eight bytes per step: since 2^16 ≡ 1 (mod 2^16-1), a big-endian 64-bit
+// word is congruent to the sum of its four 16-bit words, and the
+// end-around carry keeps acc congruent to the 16-bit sum (RFC 1071 §2).
+// acc stays nonzero once any word is nonzero, so fold tells a zero sum
+// from 0xffff exactly as a 16-bit loop does.
+func sumWords(acc uint64, b []byte) uint64 {
+	for len(b) >= 8 {
+		acc = addCarry(acc, binary.BigEndian.Uint64(b))
+		b = b[8:]
+	}
+	if len(b) >= 4 {
+		acc = addCarry(acc, uint64(binary.BigEndian.Uint32(b)))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		acc = addCarry(acc, uint64(binary.BigEndian.Uint16(b)))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		acc = addCarry(acc, uint64(b[0])<<8)
 	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
+	return acc
+}
+
+// addCarry adds v to acc with the end-around carry of one's-complement
+// arithmetic.
+func addCarry(acc, v uint64) uint64 {
+	sum, carry := bits.Add64(acc, v, 0)
+	return sum + carry
+}
+
+// fold reduces a one's-complement accumulator to 16 bits and complements
+// it, giving the checksum field value.
+func fold(acc uint64) uint16 {
+	acc = acc>>32 + acc&0xffffffff // < 2^33
+	acc = acc>>32 + acc&0xffffffff // < 2^32
+	acc = acc>>16 + acc&0xffff     // < 2^17
+	acc = acc>>16 + acc&0xffff     // <= 0xffff
+	return ^uint16(acc)
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"time"
@@ -96,7 +97,27 @@ func (p *Packet) String() string {
 	}
 }
 
+// MaxTCPPayload and MaxUDPPayload are the largest transport payloads one
+// IPv4 datagram carries: its 16-bit total length also counts the IPv4 and
+// transport headers.
+const (
+	MaxTCPPayload = 0xffff - ipv4HeaderLen - tcpHeaderLen
+	MaxUDPPayload = 0xffff - ipv4HeaderLen - udpHeaderLen
+)
+
+// ErrPayloadTooLarge reports a payload that does not fit one IPv4 datagram.
+var ErrPayloadTooLarge = errors.New("netsim: payload does not fit one IPv4 datagram")
+
+// mustFit panics when an n-byte payload exceeds max: a larger one would
+// wrap the 16-bit length fields into a frame every receiver drops.
+func mustFit(proto string, n, max int) {
+	if n > max {
+		panic(fmt.Errorf("%w: %d-byte %s payload, limit %d", ErrPayloadTooLarge, n, proto, max))
+	}
+}
+
 // BuildTCP assembles a complete Ethernet/IPv4/TCP frame in one allocation.
+// A payload over MaxTCPPayload bytes panics with ErrPayloadTooLarge.
 func BuildTCP(srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *TCP, payload []byte) []byte {
 	return BuildTCPArena(nil, srcMAC, dstMAC, src, dst, ipID, hdr, payload)
 }
@@ -106,6 +127,7 @@ func BuildTCP(srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *TCP, pa
 // arena's next Reset; every byte is written, so recycled slab memory needs
 // no zeroing.
 func BuildTCPArena(a *arena.Arena, srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *TCP, payload []byte) []byte {
+	mustFit("tcp", len(payload), MaxTCPPayload)
 	b := a.Bytes(ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen + len(payload))
 	eth := Ethernet{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
 	eth.put(b)
@@ -118,6 +140,7 @@ func BuildTCPArena(a *arena.Arena, srcMAC, dstMAC MAC, src, dst netip.Addr, ipID
 }
 
 // BuildUDP assembles a complete Ethernet/IPv4/UDP frame in one allocation.
+// A payload over MaxUDPPayload bytes panics with ErrPayloadTooLarge.
 func BuildUDP(srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *UDP, payload []byte) []byte {
 	return BuildUDPArena(nil, srcMAC, dstMAC, src, dst, ipID, hdr, payload)
 }
@@ -125,6 +148,7 @@ func BuildUDP(srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *UDP, pa
 // BuildUDPArena is BuildUDP carving the frame from an arena instead of the
 // heap (nil arena falls back to the heap).
 func BuildUDPArena(a *arena.Arena, srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *UDP, payload []byte) []byte {
+	mustFit("udp", len(payload), MaxUDPPayload)
 	b := a.Bytes(ethernetHeaderLen + ipv4HeaderLen + udpHeaderLen + len(payload))
 	eth := Ethernet{Dst: dstMAC, Src: srcMAC, EtherType: EtherTypeIPv4}
 	eth.put(b)

@@ -246,12 +246,42 @@ type Switch struct {
 	ForwardingDelay time.Duration
 	ports           []*Port
 	fwd             []func(frame []byte) // per-port bound forward, for ScheduleBytes
-	table           map[MAC]*Port
+	// table holds the learned (MAC, port) pairs in first-seen order. A
+	// switch serves a handful of hosts, so a linear scan beats hashing a
+	// MAC on every frame.
+	table []learned
+}
+
+// learned is one switch table entry: the port a source MAC was last seen on.
+type learned struct {
+	mac  MAC
+	port *Port
 }
 
 // NewSwitch creates a switch with the given forwarding latency.
 func NewSwitch(sim *eventsim.Simulator, forwardingDelay time.Duration) *Switch {
-	return &Switch{sim: sim, ForwardingDelay: forwardingDelay, table: make(map[MAC]*Port)}
+	return &Switch{sim: sim, ForwardingDelay: forwardingDelay}
+}
+
+// learn records that src was seen on port in, moving a known MAC.
+func (s *Switch) learn(src MAC, in *Port) {
+	for i := range s.table {
+		if s.table[i].mac == src {
+			s.table[i].port = in
+			return
+		}
+	}
+	s.table = append(s.table, learned{mac: src, port: in})
+}
+
+// lookup returns the port dst was last seen on.
+func (s *Switch) lookup(dst MAC) (*Port, bool) {
+	for i := range s.table {
+		if s.table[i].mac == dst {
+			return s.table[i].port, true
+		}
+	}
+	return nil, false
 }
 
 // Connect attaches the switch to one end of link.
@@ -267,9 +297,7 @@ func (s *Switch) Receive(in *Port, frame []byte) {
 	if len(frame) < ethernetHeaderLen {
 		return // runt frame: drop silently, as hardware would
 	}
-	var src MAC
-	copy(src[:], frame[6:12])
-	s.table[src] = in
+	s.learn(MAC(frame[6:12]), in)
 	for i, p := range s.ports {
 		if p == in {
 			s.sim.ScheduleBytes(s.ForwardingDelay, s.fwd[i], frame)
@@ -280,9 +308,8 @@ func (s *Switch) Receive(in *Port, frame []byte) {
 
 // forward transmits a buffered frame on the learned port, or floods.
 func (s *Switch) forward(in *Port, frame []byte) {
-	var dst MAC
-	copy(dst[:], frame[0:6])
-	if out, ok := s.table[dst]; ok && dst != Broadcast {
+	dst := MAC(frame[0:6])
+	if out, ok := s.lookup(dst); ok && dst != Broadcast {
 		if out != in {
 			out.Send(frame)
 		}

@@ -142,6 +142,60 @@ func TestSwitchFloodsThenLearns(t *testing.T) {
 	}
 }
 
+// starOfThree wires three NICs to one switch over instant links and
+// counts the frames each receives.
+func starOfThree(sim *eventsim.Simulator) (nics [3]*NIC, got *[3]int) {
+	got = new([3]int)
+	macs := [3]MAC{macA, macB, {0x02, 0, 0, 0, 0, 0x0c}}
+	sw := NewSwitch(sim, 0)
+	for i := range nics {
+		nics[i] = NewNIC(sim, string(rune('a'+i)), macs[i], ipA)
+		l := NewLink(sim, 0, 0)
+		nics[i].Connect(l)
+		sw.Connect(l)
+		nics[i].SetHandler(func([]byte) { got[i]++ })
+	}
+	return nics, got
+}
+
+// sendEth sends an empty Ethernet frame from src to dst and runs it out.
+func sendEth(sim *eventsim.Simulator, from *NIC, src, dst MAC) {
+	from.Send((&Ethernet{Dst: dst, Src: src, EtherType: EtherTypeIPv4}).Serialize(nil))
+	sim.Run()
+}
+
+func TestSwitchRelearnsMovedMAC(t *testing.T) {
+	sim := eventsim.New(1)
+	nics, got := starOfThree(sim)
+	a, b, c := nics[0], nics[1], nics[2]
+	sendEth(sim, b, macB, macA) // learns macB on b's port; macA unknown: floods to a and c
+	sendEth(sim, a, macA, macB) // unicast to b
+	if *got != [3]int{1, 1, 1} {
+		t.Fatalf("before the move: got %v, want [1 1 1]", *got)
+	}
+	sendEth(sim, c, macB, macA) // macB now shows up on c's port
+	sendEth(sim, a, macA, macB) // and frames for it follow it there
+	if *got != [3]int{2, 1, 2} {
+		t.Fatalf("after the move: got %v, want [2 1 2]", *got)
+	}
+}
+
+func TestSwitchFloodsBroadcastLearnedAsSource(t *testing.T) {
+	sim := eventsim.New(1)
+	nics, got := starOfThree(sim)
+	a, b := nics[0], nics[1]
+	sendEth(sim, a, Broadcast, macB) // the switch now has Broadcast on a's port
+	*got = [3]int{}
+	sendEth(sim, b, macB, Broadcast)
+	if *got != [3]int{1, 0, 1} {
+		t.Fatalf("broadcast from b: got %v, want [1 0 1]", *got)
+	}
+	sendEth(sim, a, macA, Broadcast) // even from the port Broadcast was seen on
+	if *got != [3]int{1, 1, 2} {
+		t.Fatalf("broadcast from a: got %v, want [1 1 2]", *got)
+	}
+}
+
 func TestSwitchForwardingDelay(t *testing.T) {
 	sim := eventsim.New(1)
 	a, b := buildPair(sim, 0, 5*time.Microsecond)

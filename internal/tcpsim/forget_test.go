@@ -148,7 +148,7 @@ func TestDialReportsPortExhaustion(t *testing.T) {
 	// Fill the table directly: 1<<14 real dials would cost a table scan
 	// each.
 	for i := 0; i < 1<<14; i++ {
-		client.conns[fourTuple{localPort: uint16(ephemeralBase + i), remotePort: 80, remote: ipB}] = &Conn{}
+		client.conns[fourTuple{localPort: uint16(ephemeralBase + i), remotePort: 80, remote: ipB.As4()}] = &Conn{}
 	}
 	c, err := client.Dial(ipB, 80)
 	if !errors.Is(err, errPortsExhausted) || c != nil {

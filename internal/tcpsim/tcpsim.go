@@ -71,9 +71,13 @@ func (s State) String() string {
 	}
 }
 
+// fourTuple keys the connection table. The local address is the NIC's,
+// so ports and the IPv4 peer identify a connection. Eight bytes with no
+// pointer let the map take the runtime's 64-bit fast path; a netip.Addr
+// holds a pointer and would force the generic hash on every segment.
 type fourTuple struct {
 	localPort, remotePort uint16
-	remote                netip.Addr
+	remote                [4]byte
 }
 
 // Stack is a host TCP/UDP stack bound to one NIC.
@@ -248,7 +252,7 @@ func (c *Conn) LocalPort() uint16 { return c.tuple.localPort }
 func (c *Conn) RemotePort() uint16 { return c.tuple.remotePort }
 
 // Remote returns the peer address.
-func (c *Conn) Remote() netip.Addr { return c.tuple.remote }
+func (c *Conn) Remote() netip.Addr { return netip.AddrFrom4(c.tuple.remote) }
 
 type segment struct {
 	seq     uint32
@@ -292,13 +296,16 @@ func (s *Stack) newConn() *Conn {
 }
 
 // Dial opens a connection to dst:port. The returned Conn is in SYN_SENT;
-// OnEstablished fires when the handshake completes.
+// OnEstablished fires when the handshake completes. dst must be IPv4.
 func (s *Stack) Dial(dst netip.Addr, port uint16) (*Conn, error) {
+	if !dst.Is4() {
+		return nil, fmt.Errorf("tcpsim: dial %v: not an IPv4 address", dst)
+	}
 	local, err := s.allocEphemeral()
 	if err != nil {
 		return nil, err
 	}
-	tuple := fourTuple{localPort: local, remotePort: port, remote: dst}
+	tuple := fourTuple{localPort: local, remotePort: port, remote: dst.As4()}
 	isn := uint32(s.sim.Rand().Int63())
 	c := s.newConn()
 	c.stack = s
@@ -521,7 +528,8 @@ func (c *Conn) rawSend(flags byte, seq, ack uint32, payload []byte) {
 	if s.DropTx != nil && s.DropTx() {
 		return
 	}
-	mac, ok := s.resolveMAC(c.tuple.remote)
+	dst := netip.AddrFrom4(c.tuple.remote)
+	mac, ok := s.resolveMAC(dst)
 	if !ok {
 		return
 	}
@@ -533,7 +541,7 @@ func (c *Conn) rawSend(flags byte, seq, ack uint32, payload []byte) {
 		Ack:     ack,
 		Flags:   flags,
 	}
-	frame := netsim.BuildTCPArena(s.Arena, s.nic.MAC, mac, s.nic.Addr, c.tuple.remote, s.ipID, hdr, payload)
+	frame := netsim.BuildTCPArena(s.Arena, s.nic.MAC, mac, s.nic.Addr, dst, s.ipID, hdr, payload)
 	s.Metrics.Add("tcp_segments_sent", 1)
 	s.Metrics.Add("tcp_bytes_sent", int64(len(frame)))
 	s.nic.Send(frame)
@@ -625,7 +633,7 @@ func (s *Stack) receive(frame []byte) {
 }
 
 func (s *Stack) receiveTCP(p *netsim.Packet) {
-	tuple := fourTuple{localPort: p.TCP.DstPort, remotePort: p.TCP.SrcPort, remote: p.IP.Src}
+	tuple := fourTuple{localPort: p.TCP.DstPort, remotePort: p.TCP.SrcPort, remote: p.IP.Src.As4()}
 	if c, ok := s.conns[tuple]; ok {
 		c.handle(p)
 		return
@@ -644,7 +652,8 @@ func (s *Stack) receiveTCP(p *netsim.Packet) {
 }
 
 func (s *Stack) sendRST(tuple fourTuple, p *netsim.Packet) {
-	mac, ok := s.resolveMAC(tuple.remote)
+	dst := netip.AddrFrom4(tuple.remote)
+	mac, ok := s.resolveMAC(dst)
 	if !ok {
 		return
 	}
@@ -656,7 +665,7 @@ func (s *Stack) sendRST(tuple fourTuple, p *netsim.Packet) {
 		Ack:     p.TCP.Seq + 1,
 		Flags:   netsim.FlagRST | netsim.FlagACK,
 	}
-	s.nic.Send(netsim.BuildTCPArena(s.Arena, s.nic.MAC, mac, s.nic.Addr, tuple.remote, s.ipID, hdr, nil))
+	s.nic.Send(netsim.BuildTCPArena(s.Arena, s.nic.MAC, mac, s.nic.Addr, dst, s.ipID, hdr, nil))
 }
 
 func (s *Stack) acceptSyn(l *Listener, tuple fourTuple, p *netsim.Packet) {
@@ -869,13 +878,19 @@ func (s *Stack) ListenUDP(port uint16, h func(src netip.Addr, srcPort uint16, pa
 // CloseUDP releases a UDP port bound with ListenUDP.
 func (s *Stack) CloseUDP(port uint16) { delete(s.udpHandlers, port) }
 
-// SendUDP emits a single datagram.
-func (s *Stack) SendUDP(dst netip.Addr, srcPort, dstPort uint16, payload []byte) {
+// SendUDP emits a single datagram. A payload over netsim.MaxUDPPayload
+// bytes does not fit one IPv4 datagram: nothing is sent and the error
+// wraps netsim.ErrPayloadTooLarge.
+func (s *Stack) SendUDP(dst netip.Addr, srcPort, dstPort uint16, payload []byte) error {
+	if len(payload) > netsim.MaxUDPPayload {
+		return fmt.Errorf("tcpsim: send %d-byte udp payload, limit %d: %w", len(payload), netsim.MaxUDPPayload, netsim.ErrPayloadTooLarge)
+	}
 	mac, ok := s.resolveMAC(dst)
 	if !ok {
-		return
+		return nil
 	}
 	s.ipID++
 	hdr := &netsim.UDP{SrcPort: srcPort, DstPort: dstPort}
 	s.nic.Send(netsim.BuildUDPArena(s.Arena, s.nic.MAC, mac, s.nic.Addr, dst, s.ipID, hdr, payload))
+	return nil
 }

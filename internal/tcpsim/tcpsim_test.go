@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"errors"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -320,6 +321,46 @@ func TestUDPDelivery(t *testing.T) {
 	}
 	if string(reply) != "pong" {
 		t.Fatalf("client reply = %q", reply)
+	}
+}
+
+// TestSendUDPRefusesOversize pins the datagram boundary on the send
+// path: the largest payload one IPv4 datagram holds arrives whole, and
+// one byte more returns ErrPayloadTooLarge with nothing on the wire.
+func TestSendUDPRefusesOversize(t *testing.T) {
+	sim := eventsim.New(15)
+	client, server := pair(t, sim, 0)
+	var got []int
+	server.ListenUDP(53, func(_ netip.Addr, _ uint16, payload []byte) { got = append(got, len(payload)) })
+	payload := make([]byte, netsim.MaxUDPPayload+1)
+	if err := client.SendUDP(ipB, 5000, 53, payload[:netsim.MaxUDPPayload]); err != nil {
+		t.Fatalf("%d-byte datagram: %v", netsim.MaxUDPPayload, err)
+	}
+	if err := client.SendUDP(ipB, 5000, 53, payload); !errors.Is(err, netsim.ErrPayloadTooLarge) {
+		t.Fatalf("%d-byte datagram: err = %v, want ErrPayloadTooLarge", len(payload), err)
+	}
+	sim.Run()
+	if len(got) != 1 || got[0] != netsim.MaxUDPPayload {
+		t.Fatalf("server received payloads of %v bytes, want [%d]", got, netsim.MaxUDPPayload)
+	}
+}
+
+// TestDialRejectsNonIPv4 checks that Dial refuses an address the IPv4
+// conn table cannot key, instead of panicking, and opens nothing.
+func TestDialRejectsNonIPv4(t *testing.T) {
+	sim := eventsim.New(16)
+	client, _ := pair(t, sim, 0)
+	for _, dst := range []netip.Addr{{}, netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:192.168.1.20")} {
+		c, err := client.Dial(dst, 80)
+		if err == nil || c != nil {
+			t.Fatalf("Dial(%v) = %v, %v; want an error", dst, c, err)
+		}
+	}
+	if n := client.LiveConns(); n != 0 {
+		t.Fatalf("LiveConns = %d after refused dials, want 0", n)
+	}
+	if c, err := client.Dial(ipB, 80); err != nil || c.Remote() != ipB {
+		t.Fatalf("Dial(%v) = %v, %v", ipB, c, err)
 	}
 }
 
