@@ -106,7 +106,7 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(if $(BENCH_OLD),-old $(BENCH_OLD)) -new $(BENCH_NEW)
 
 # fuzz-smoke runs each native fuzz target briefly. Go allows one -fuzz
-# target per invocation, so the budget is split across the ten. The
+# target per invocation, so the budget is split across the eleven. The
 # weekly extended run (.github/workflows/fuzz-weekly.yml) uses the same
 # targets with FUZZTIME=100s. -fuzzminimizetime caps the time spent
 # minimizing each new corpus entry: under Go's 60 s default, minimizing
@@ -124,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzSketchDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/obs/
 	$(GO) test -fuzz '^FuzzSketchMerge$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/obs/
 	$(GO) test -fuzz '^FuzzAppendMs$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/core/
+	$(GO) test -fuzz '^FuzzObserveSequence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/fleet/
 
 # cover writes the whole-repo profile to coverage.out (the CI artifact)
 # and enforces a statement-coverage floor on each package:floor pair of

@@ -45,6 +45,29 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkObserveStableKey is BenchmarkObserve with each session keeping
+// one key, as loadgen's and fleet-ingest's clients do: a sample finds
+// its aggregate through the session's cached slot, with no key hash. In
+// BenchmarkObserve every visit to a session changes its key, so that
+// benchmark times the fallback through the shard's key map instead.
+func BenchmarkObserveStableKey(b *testing.B) {
+	r := New(Config{Shards: 64})
+	keys := benchKeys()
+	rng := rand.New(rand.NewSource(1))
+	observe := func(i int) {
+		id := i % benchSessions
+		r.Observe(uint64(id), keys[id%len(keys)], 10+rng.Float64()*5, false)
+	}
+	for i := 0; i < benchObservePeriod; i++ {
+		observe(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe(i)
+	}
+}
+
 // benchSessions is BenchmarkObserve's session population, and
 // benchObservePeriod the least common multiple of it and the 120-key
 // population: the length of its (session, key) cycle.

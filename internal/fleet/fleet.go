@@ -10,9 +10,16 @@
 //   - ingest is sharded: sessions hash to one of a power-of-two number of
 //     shards, each with its own lock, so 100k concurrent writers contend
 //     only within a shard;
-//   - per-session state is bounded (16 bytes: the previous delay, for
-//     jitter) and the session population is capped — over-cap sessions
-//     are rejected and counted, never queued;
+//   - per-session state is bounded (a 16-byte record: the previous
+//     delay, for jitter, and the shard slot of the session's last key)
+//     and the session population is capped — over-cap sessions are
+//     rejected and counted, never queued. Records live in a per-shard
+//     slab indexed by session id; ended sessions' records are reused.
+//     Admission takes a place under the cap with one CAS, so concurrent
+//     admissions in different shards cannot overshoot it;
+//   - a sample whose session keeps its key costs one map probe: the
+//     record's cached slot is checked against the key, and the shard's
+//     key map is consulted only on a first sample or a key change;
 //   - per-shard aggregates are *delta* sketches, which in practice hold
 //     a few buffered raw values per key and tick (a sketch compresses
 //     only once sketchBufCap values arrive). The fan-in pass swaps each
@@ -135,9 +142,12 @@ type TickDelta struct {
 }
 
 // session is the bounded per-client state: just enough to turn the next
-// delay sample into a jitter increment.
+// delay sample into a jitter increment, plus the index in its shard's
+// slots of the aggregate its last sample went to (-1 before the first
+// sample), so a session whose key stays the same skips the key hash.
 type session struct {
 	last    float64
+	slot    int32
 	hasLast bool
 }
 
@@ -145,16 +155,26 @@ type session struct {
 // the reset sketch the next fan-in swaps in. Each slot alternates
 // between its two sketches, so their buffers keep the capacity that
 // slot needs. Only FanIn touches spare and the sketch it points to.
+// key and idx record which key the slot holds and where it sits in the
+// shard's slots.
 type shardAgg struct {
 	Agg
 	spare *obs.Sketch
+	key   Key
+	idx   int32
 }
 
 // shard holds one lock's worth of sessions and delta aggregates.
+// Sessions live in a slab indexed through ids; End pushes a freed
+// record on free and admission pops it. Aggregates live in slots in
+// creation order; aggs indexes them by key.
 type shard struct {
-	mu       sync.Mutex
-	sessions map[uint64]session
-	aggs     map[Key]*shardAgg
+	mu    sync.Mutex
+	ids   map[uint64]int32
+	slab  []session
+	free  []int32
+	aggs  map[Key]*shardAgg
+	slots []*shardAgg
 
 	// Tick-local event counters, drained at fan-in.
 	started  uint64
@@ -218,8 +238,8 @@ func New(cfg Config) *Registry {
 	}
 	for i := range r.shards {
 		r.shards[i] = &shard{
-			sessions: make(map[uint64]session),
-			aggs:     make(map[Key]*shardAgg),
+			ids:  make(map[uint64]int32),
+			aggs: make(map[Key]*shardAgg),
 		}
 	}
 	registerFleetHelp(cfg.Metrics)
@@ -258,23 +278,31 @@ func (r *Registry) shardFor(id uint64) *shard {
 // admitted on first sight; it reports false (and counts a rejection)
 // when the session cap is reached. Lost probes carry no delay: only the
 // loss counter moves.
+//
+// A session's record caches the slot of the key its last sample went
+// to, so with a steady key the sample costs one map probe (the session
+// id); the key map is consulted only on a first sample or a key change.
 func (r *Registry) Observe(id uint64, key Key, delayMs float64, lost bool) bool {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
-	s, ok := sh.sessions[id]
+	i, ok := sh.ids[id]
 	if !ok {
-		if r.active.Load() >= int64(r.cfg.MaxSessions) {
+		if !r.admit() {
 			sh.rejected++
 			sh.mu.Unlock()
 			return false
 		}
-		r.active.Add(1)
 		sh.started++
+		i = sh.newSession(id)
 	}
-	a := sh.aggs[key]
-	if a == nil {
-		a = &shardAgg{Agg: Agg{Sketch: obs.NewSketch(r.cfg.Targets...)}}
-		sh.aggs[key] = a
+	s := &sh.slab[i]
+	var a *shardAgg
+	if s.slot >= 0 {
+		a = sh.slots[s.slot]
+	}
+	if a == nil || a.key != key {
+		a = sh.agg(key, r.cfg.Targets)
+		s.slot = a.idx
 	}
 	sh.samples++
 	a.Count++
@@ -294,18 +322,63 @@ func (r *Registry) Observe(id uint64, key Key, delayMs float64, lost bool) bool 
 		s.last = delayMs
 		s.hasLast = true
 	}
-	sh.sessions[id] = s
 	sh.mu.Unlock()
 	return true
 }
 
-// End removes a session, freeing its slot under the cap. Ending an
-// unknown session is a no-op.
+// admit takes one place under the session cap, or reports false when
+// the cap is reached. The check and the increment are one CAS, so
+// concurrent admissions in different shards cannot both take the last
+// place.
+func (r *Registry) admit() bool {
+	limit := int64(r.cfg.MaxSessions)
+	for {
+		n := r.active.Load()
+		if n >= limit {
+			return false
+		}
+		if r.active.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// newSession gives id a fresh record, reusing a freed one when there is
+// one, and returns its slab index. The caller holds sh.mu.
+func (sh *shard) newSession(id uint64) int32 {
+	var i int32
+	if n := len(sh.free); n > 0 {
+		i = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		sh.slab[i] = session{slot: -1}
+	} else {
+		i = int32(len(sh.slab))
+		sh.slab = append(sh.slab, session{slot: -1})
+	}
+	sh.ids[id] = i
+	return i
+}
+
+// agg returns the shard's aggregate for key, creating it on first
+// sight. The caller holds sh.mu.
+func (sh *shard) agg(key Key, targets []obs.SketchTarget) *shardAgg {
+	a := sh.aggs[key]
+	if a == nil {
+		a = &shardAgg{Agg: Agg{Sketch: obs.NewSketch(targets...)}, key: key, idx: int32(len(sh.slots))}
+		sh.aggs[key] = a
+		sh.slots = append(sh.slots, a)
+	}
+	return a
+}
+
+// End removes a session, freeing its place under the cap and its
+// record for reuse. Ending an unknown session is a no-op.
 func (r *Registry) End(id uint64) {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
-	if _, ok := sh.sessions[id]; ok {
-		delete(sh.sessions, id)
+	if i, ok := sh.ids[id]; ok {
+		delete(sh.ids, id)
+		sh.free = append(sh.free, i)
 		sh.ended++
 		r.active.Add(-1)
 	}
@@ -359,14 +432,14 @@ func (r *Registry) FanIn() Snapshot {
 	taken := r.taken[:0]
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		for k, a := range sh.aggs {
+		for _, a := range sh.slots {
 			if a.Count == 0 {
 				continue
 			}
 			if a.spare == nil {
 				a.spare = obs.NewSketch(r.cfg.Targets...)
 			}
-			taken = append(taken, DeltaKey{Key: k, Agg: a.Agg})
+			taken = append(taken, DeltaKey{Key: a.key, Agg: a.Agg})
 			a.Agg, a.spare = Agg{Sketch: a.spare}, a.Sketch
 		}
 		started += sh.started
