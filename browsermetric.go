@@ -266,26 +266,6 @@ func FaultProfiles() []FaultProfile { return faults.Profiles() }
 // "none" mean FaultClean. Unknown names error.
 func ParseFaultProfile(s string) (FaultProfile, error) { return faults.Parse(s) }
 
-// FaultImpactOptions configures RunFaultImpact.
-type FaultImpactOptions = core.FaultImpactOptions
-
-// FaultImpact is a completed impairment study: per-method Δd quantiles
-// under a sweep of fault profiles, with a text Report.
-type FaultImpact = core.FaultImpact
-
-// MethodFaultImpact is one row of the impact matrix.
-type MethodFaultImpact = core.MethodFaultImpact
-
-// RunFaultImpact appraises every method under each fault profile with
-// identical seeds and tabulates how the Δd distribution degrades. The
-// expected shape mirrors the paper's handshake finding: methods that open
-// TCP connections inside the timed window grow heavy tails at the first
-// lost handshake segment, while socket methods stay tight because loss
-// recovery happens below both the browser and the capture clocks.
-func RunFaultImpact(ctx context.Context, opts FaultImpactOptions) (*FaultImpact, error) {
-	return core.RunFaultImpact(ctx, opts)
-}
-
 // --- Sweep engine: content-addressed cell cache ---
 
 // CellCache caches completed study cells keyed by their full config; set
@@ -315,7 +295,13 @@ const SweepSalt = sweep.DefaultSalt
 type SweepOptions = sweep.Options
 
 // SweepResult is a completed sweep (one study per fault profile and
-// warm/cold counters) with WriteCSV and Report exports.
+// warm/cold counters) with WriteCSV, Report and ImpactReport exports.
+// ImpactReport is the fault-impact study: run a one-browser sweep (say
+// Opera/Windows, the profile that supports all ten methods) and read how
+// each method's Δd p95 degrades under each fault profile. Methods that
+// open TCP connections inside the timed window grow heavy tails at the
+// first lost handshake segment, while socket methods stay tight because
+// loss recovery happens below both the browser and the capture clocks.
 type SweepResult = sweep.Result
 
 // SweepStats summarizes a sweep (computed vs cached cells, corrupt
@@ -324,7 +310,8 @@ type SweepStats = sweep.Stats
 
 // RunSweep crosses methods × browser profiles × fault profiles into a
 // single run on the deterministic scheduler. Every completed cell is
-// persisted in the content-addressed cache as it finishes, so re-running
+// persisted in the content-addressed cache as it finishes (with an
+// empty SweepOptions.Dir it runs uncached), so re-running
 // a killed sweep on the same SweepOptions.Dir replays those cells,
 // computes only the missing ones, and still exports byte-identically to
 // an uninterrupted run. Several RunSweep calls of one sweep on the same

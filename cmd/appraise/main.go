@@ -16,6 +16,7 @@
 //	appraise -progress           # structured per-cell progress on stderr
 //	appraise -faults lossy1pct   # appraise under a network-impairment profile
 //	appraise -faultimpact        # Δd degradation study across fault profiles
+//	appraise -faultimpact -cache-dir d  # the same study, replayed from d when warm
 //	appraise -cache-dir d ...    # content-addressed cell cache: warm reruns replay from disk
 //	appraise -sweep -cache-dir d # methods x browsers x fault profiles; rerun to finish a killed sweep
 //	appraise -sweep -cache-dir d & appraise -sweep -cache-dir d  # several processes share one sweep
@@ -122,8 +123,16 @@ var (
 var faultProfile bm.FaultProfile
 
 // studyCache, when non-nil (-cache-dir), replays unchanged study cells
-// from the content-addressed disk cache instead of recomputing them.
-var studyCache *bm.SweepCache
+// from the content-addressed disk cache instead of recomputing them;
+// cacheDir is its directory, which the -faultimpact sweep shares.
+var (
+	studyCache *bm.SweepCache
+	cacheDir   string
+)
+
+// logStderr prints a cache notice (progress, a corrupt entry recomputed)
+// on stderr.
+func logStderr(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 
 // runStudy executes the full matrix with progress on stderr. Everything
 // it prints goes to stderr — stdout is reserved for artifacts — and any
@@ -227,7 +236,7 @@ func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath 
 		BaseSeed: baseSeed,
 		Workers:  workers,
 		Dir:      cacheDir,
-		Log:      func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+		Log:      logStderr,
 		Metrics:  metricsReg,
 	}
 	nFaults := len(sweepFaults)
@@ -362,13 +371,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "appraise:", err)
 		exit(2)
 	}
-	if *cacheDirFl != "" {
-		studyCache, err = bm.OpenSweepCache(*cacheDirFl, "")
+	if cacheDir = *cacheDirFl; cacheDir != "" {
+		studyCache, err = bm.OpenSweepCache(cacheDir, "")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "appraise:", err)
 			exit(2)
 		}
-		studyCache.SetLog(func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) })
+		studyCache.SetLog(logStderr)
 	}
 
 	if !*all && *table == 0 && *fig == 0 && !*recommend && !*attribution && !*impact && *csvPath == "" && *mdPath == "" &&
@@ -541,15 +550,22 @@ func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, 
 	if faultimpact {
 		fmt.Fprintf(os.Stderr, "running the fault-impact study (%d profiles x %d methods x %d runs)...\n",
 			len(bm.FaultProfiles()), len(bm.ComparedMethods()), runs)
-		fi, err := bm.RunFaultImpact(context.Background(), bm.FaultImpactOptions{
+		// Opera/Windows supports all ten methods, and its Flash methods
+		// open fresh connections: the handshake-sensitivity showcase.
+		opera := bm.LookupProfile(bm.Opera, bm.Windows)
+		res, err := bm.RunSweep(context.Background(), bm.SweepOptions{
+			Profiles: []*bm.Profile{opera},
 			Runs:     runs,
 			BaseSeed: baseSeed,
 			Workers:  workers,
+			Dir:      cacheDir,
+			Log:      logStderr,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, fi.Report())
+		fmt.Fprintln(os.Stderr, res.StatsLine())
+		fmt.Fprintln(w, res.ImpactReport(opera))
 	}
 	// Last so the regenerated artifacts above stay byte-identical with
 	// and without the flag.

@@ -23,36 +23,13 @@ type Record struct {
 	Data []byte
 }
 
-// Filter decides whether a frame is recorded. A nil filter records all.
+// Filter decides whether a decoded frame is kept (see ParseFilter).
 type Filter func(p *netsim.Packet) bool
-
-// PortFilter keeps TCP/UDP packets with src or dst equal to port, mirroring
-// "tcpdump port N".
-func PortFilter(port uint16) Filter {
-	return func(p *netsim.Packet) bool {
-		switch {
-		case p.TCP != nil:
-			return p.TCP.SrcPort == port || p.TCP.DstPort == port
-		case p.UDP != nil:
-			return p.UDP.SrcPort == port || p.UDP.DstPort == port
-		default:
-			return false
-		}
-	}
-}
 
 // Capture accumulates frames from a NIC tap.
 type Capture struct {
-	filter  Filter
 	records []Record
-	// Dropped counts frames that failed to decode (never expected on the
-	// simulated wire, but kept for parity with real capture stats).
-	Dropped int
-	// pkt is scratch decode storage for the tap filter; the *Packet a
-	// Filter sees is only valid for the duration of the call.
-	pkt netsim.Packet
-	// eachPkt is the matching paths' decode scratch (each); separate from
-	// pkt so matching can run while the tap stays installed.
+	// eachPkt is the matching paths' decode scratch (each).
 	eachPkt netsim.Packet
 	// pairScratch backs MatchRTT's result between calls; pending tracks
 	// open requests during one match pass.
@@ -68,19 +45,11 @@ type pendingReq struct {
 	idx           int
 }
 
-// Attach installs the capture on nic and returns it.
-func Attach(nic *netsim.NIC, filter Filter) *Capture {
-	c := &Capture{filter: filter}
+// Attach installs the capture on nic and returns it. It records every
+// frame; filter after decoding (Packets, ParseFilter).
+func Attach(nic *netsim.NIC) *Capture {
+	c := &Capture{}
 	nic.AddTap(func(frame []byte, at time.Duration, dir netsim.Direction) {
-		if c.filter != nil {
-			if err := c.pkt.Parse(frame, at); err != nil {
-				c.Dropped++
-				return
-			}
-			if !c.filter(&c.pkt) {
-				return
-			}
-		}
 		// Frames are immutable once handed to NIC.Send (each transmit
 		// builds a fresh buffer and nothing writes to it afterwards), so
 		// the record can retain the frame without a defensive copy.

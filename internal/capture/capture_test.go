@@ -23,7 +23,7 @@ func tcpFrame(srcPort, dstPort uint16, flags byte, payload []byte) []byte {
 	if srcPort == 80 { // crude direction flip for tests
 		src, dst, sm, dm = ipB, ipA, macB, macA
 	}
-	return netsim.BuildTCP(sm, dm, src, dst, 1, &netsim.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: flags}, payload)
+	return netsim.BuildTCPArena(nil, sm, dm, src, dst, 1, &netsim.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: flags}, payload)
 }
 
 func newNIC(sim *eventsim.Simulator) *netsim.NIC {
@@ -41,7 +41,7 @@ func TestAttachRecordsBothDirections(t *testing.T) {
 		other.Send(tcpFrame(80, 49152, netsim.FlagACK|netsim.FlagPSH, []byte("resp")))
 	})
 
-	cap := Attach(nic, nil)
+	cap := Attach(nic)
 	nic.Send(tcpFrame(49152, 80, netsim.FlagACK|netsim.FlagPSH, []byte("req")))
 	sim.Run()
 
@@ -65,13 +65,20 @@ func TestFilterByPort(t *testing.T) {
 	nic.Connect(link)
 	other.Connect(link)
 
-	cap := Attach(nic, PortFilter(80))
+	cap := Attach(nic)
 	nic.Send(tcpFrame(49152, 80, netsim.FlagPSH|netsim.FlagACK, []byte("keep")))
 	nic.Send(tcpFrame(49152, 443, netsim.FlagPSH|netsim.FlagACK, []byte("drop")))
 	sim.Run()
 
-	if len(cap.Records()) != 1 {
-		t.Fatalf("records = %d, want 1 (port filter)", len(cap.Records()))
+	f := mustFilter(t, "port 80")
+	kept := 0
+	for _, p := range cap.Packets() {
+		if f(p) {
+			kept++
+		}
+	}
+	if len(cap.Records()) != 2 || kept != 1 {
+		t.Fatalf("records = %d, kept = %d; want 2 recorded, 1 kept by port 80", len(cap.Records()), kept)
 	}
 }
 
@@ -82,7 +89,7 @@ func TestReset(t *testing.T) {
 	link := netsim.NewLink(sim, 0, 0)
 	nic.Connect(link)
 	other.Connect(link)
-	cap := Attach(nic, nil)
+	cap := Attach(nic)
 	nic.Send(tcpFrame(1, 2, netsim.FlagACK, nil))
 	sim.Run()
 	cap.Reset()
@@ -176,8 +183,8 @@ func TestMatchRTTMultiPacketRequestUsesFirst(t *testing.T) {
 }
 
 func TestMatchRTTUDP(t *testing.T) {
-	req := netsim.BuildUDP(macA, macB, ipA, ipB, 1, &netsim.UDP{SrcPort: 5000, DstPort: 7}, []byte("ping"))
-	resp := netsim.BuildUDP(macB, macA, ipB, ipA, 2, &netsim.UDP{SrcPort: 7, DstPort: 5000}, []byte("pong"))
+	req := netsim.BuildUDPArena(nil, macA, macB, ipA, ipB, 1, &netsim.UDP{SrcPort: 5000, DstPort: 7}, []byte("ping"))
+	resp := netsim.BuildUDPArena(nil, macB, macA, ipB, ipA, 2, &netsim.UDP{SrcPort: 7, DstPort: 5000}, []byte("pong"))
 	cap := directCapture(
 		Record{Time: time.Millisecond, Data: req},
 		Record{Time: 51 * time.Millisecond, Data: resp},

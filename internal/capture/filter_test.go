@@ -28,7 +28,7 @@ func tcpPkt(t *testing.T, src, dst uint16) *netsim.Packet {
 
 func udpPkt(t *testing.T, src, dst uint16) *netsim.Packet {
 	t.Helper()
-	frame := netsim.BuildUDP(macA, macB, ipA, ipB, 1, &netsim.UDP{SrcPort: src, DstPort: dst}, []byte("y"))
+	frame := netsim.BuildUDPArena(nil, macA, macB, ipA, ipB, 1, &netsim.UDP{SrcPort: src, DstPort: dst}, []byte("y"))
 	p, err := netsim.Decode(frame, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ func udpFrame(srcPort, dstPort uint16, payload []byte) []byte {
 	if srcPort == 9001 { // server -> client direction in these tests
 		src, dst, sm, dm = ipB, ipA, macB, macA
 	}
-	return netsim.BuildUDP(sm, dm, src, dst, 1, &netsim.UDP{SrcPort: srcPort, DstPort: dstPort}, payload)
+	return netsim.BuildUDPArena(nil, sm, dm, src, dst, 1, &netsim.UDP{SrcPort: srcPort, DstPort: dstPort}, payload)
 }
 
 func TestMatchTransferAggregates(t *testing.T) {
@@ -89,17 +89,17 @@ func TestCountUnansweredIgnoresTCP(t *testing.T) {
 }
 
 func TestPortFilterNonIP(t *testing.T) {
-	eth := &netsim.Ethernet{Dst: macB, Src: macA, EtherType: 0x0806}
-	p, err := netsim.Decode(eth.Serialize([]byte{0}), 0)
+	arp := append(append(append([]byte{}, macB[:]...), macA[:]...), 0x08, 0x06, 0) // EtherType ARP
+	p, err := netsim.Decode(arp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PortFilter(80)(p) {
+	if mustFilter(t, "port 80")(p) {
 		t.Fatal("non-IP frame matched a port filter")
 	}
-	// UDP branch of PortFilter.
+	// UDP branch of the port filter.
 	pu, _ := netsim.Decode(udpFrame(40000, 9001, []byte("x")), 0)
-	if !PortFilter(9001)(pu) {
+	if !mustFilter(t, "port 9001")(pu) {
 		t.Fatal("udp port filter failed")
 	}
 }

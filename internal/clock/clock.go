@@ -170,19 +170,3 @@ func Probe(c Clock, advance func(), maxIters int) (time.Duration, bool) {
 	}
 	return 0, false
 }
-
-// ProbeSeries runs Probe n times spaced by gap (advanced via the same
-// advance hook granularity) and returns the observed granularities. It is
-// used to show the regime switching over a long window.
-func ProbeSeries(c Clock, advance func(), skip func(time.Duration), n int, gap time.Duration) []time.Duration {
-	out := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		if g, ok := Probe(c, advance, 0); ok {
-			out = append(out, g)
-		}
-		if skip != nil && gap > 0 {
-			skip(gap)
-		}
-	}
-	return out
-}

@@ -149,22 +149,6 @@ func TestProbeGivesUp(t *testing.T) {
 	}
 }
 
-func TestProbeSeriesObservesRegimeSwitch(t *testing.T) {
-	src := &fakeSource{}
-	c := &Quantized{Src: src.now, Schedule: WindowsGetTimeSchedule()}
-	gs := ProbeSeries(c,
-		func() { src.step(20 * time.Microsecond) },
-		func(d time.Duration) { src.step(d) },
-		20, time.Minute)
-	seen := map[time.Duration]bool{}
-	for _, g := range gs {
-		seen[g] = true
-	}
-	if !seen[time.Millisecond] || !seen[WindowsTimerPeriod] {
-		t.Fatalf("probe series saw %v, want both regimes", seen)
-	}
-}
-
 func TestGranularityAccessor(t *testing.T) {
 	src := &fakeSource{}
 	c := &Quantized{Src: src.now, Schedule: WindowsGetTimeSchedule()}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 	"time"
@@ -132,44 +131,4 @@ func (e *Experiment) WriteCSV(w io.Writer) error {
 		Exp:     e,
 	}}}
 	return st.WriteCSV(w)
-}
-
-func fmtMs(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-
-// SummaryCSV writes one row per (method, combo, round) with the box
-// statistics — the exact numbers behind each Figure 3 glyph.
-func (s *Study) SummaryCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"method", "combo", "round", "n",
-		"min_ms", "whisker_lo_ms", "q1_ms", "median_ms", "q3_ms", "whisker_hi_ms", "max_ms", "outliers",
-	}); err != nil {
-		return err
-	}
-	for i := range s.Cells {
-		c := &s.Cells[i]
-		if c.Skipped {
-			continue
-		}
-		for round := 1; round <= 2; round++ {
-			b := c.Exp.Box(round)
-			rec := []string{
-				c.Spec.Name,
-				c.Profile.Label(),
-				strconv.Itoa(round),
-				strconv.Itoa(b.N),
-				fmtMs(b.Min), fmtMs(b.WhiskerLo), fmtMs(b.Q1), fmtMs(b.Median),
-				fmtMs(b.Q3), fmtMs(b.WhiskerHi), fmtMs(b.Max),
-				strconv.Itoa(len(b.Outliers)),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("core: summary csv: %w", err)
-	}
-	return nil
 }

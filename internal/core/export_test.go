@@ -61,31 +61,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestSummaryCSV(t *testing.T) {
-	st := smallStudy(t)
-	var buf bytes.Buffer
-	if err := st.SummaryCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 1 + (6+8)*2 // header + cells × rounds
-	if len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
-	}
-	// Box ordering invariant inside each row: q1 <= median <= q3.
-	for _, r := range rows[1:] {
-		q1, _ := strconv.ParseFloat(r[6], 64)
-		med, _ := strconv.ParseFloat(r[7], 64)
-		q3, _ := strconv.ParseFloat(r[8], 64)
-		if !(q1 <= med && med <= q3) {
-			t.Fatalf("quartiles out of order in %v", r)
-		}
-	}
-}
-
 func TestExperimentWriteCSV(t *testing.T) {
 	exp := quickExp(t, methods.DOM, browser.Chrome, browser.Ubuntu, browser.NanoTime, 5)
 	var buf bytes.Buffer

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -97,66 +96,6 @@ func TestFaultProfilesActuallyImpair(t *testing.T) {
 		if fp != faults.Congested && drops == 0 {
 			t.Errorf("%s: lossy profile dropped no frames", fp)
 		}
-	}
-}
-
-// TestFaultImpactHTTPHeavierThanSocket is the acceptance property: under
-// the bursty-loss profile, at least one HTTP method's p95 Δd must degrade
-// by more than any socket method's p95 does. The mechanism is structural —
-// a lost probe or echo is retransmitted below both clocks, so the recovery
-// time cancels out of Δd; only the HTTP methods that open a fresh TCP
-// connection inside the timed window (Opera's Flash GET/POST) expose
-// handshake-window losses to the browser clock alone.
-func TestFaultImpactHTTPHeavierThanSocket(t *testing.T) {
-	fi, err := RunFaultImpact(context.Background(), FaultImpactOptions{
-		Profiles: []faults.Profile{faults.Clean, faults.BurstyWiFi},
-		Runs:     40,
-		BaseSeed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fi.Rows) == 0 {
-		t.Fatal("no usable rows")
-	}
-	wh, hm, okH := fi.WorstDegradation(1, methods.TransportHTTP)
-	ws, sm, okS := fi.WorstDegradation(1, methods.TransportSocket)
-	if !okH || !okS {
-		t.Fatalf("missing transports in rows (http=%v socket=%v)", okH, okS)
-	}
-	t.Logf("worst HTTP: %s %+.2f ms; worst socket: %s %+.2f ms", hm, wh, sm, ws)
-	if wh <= ws {
-		t.Errorf("expected an HTTP method's p95 Δd to degrade more than every socket method's: "+
-			"worst HTTP %s %+.2f ms <= worst socket %s %+.2f ms", hm, wh, sm, ws)
-	}
-
-	// The report must mention the per-profile contrast and stay stable.
-	rep := fi.Report()
-	if rep == "" || fi.Report() != rep {
-		t.Error("Report must be non-empty and deterministic")
-	}
-}
-
-// TestRunFaultImpactDeterministic: two identical invocations must agree on
-// every tabulated quantile (and hence on the rendered report).
-func TestRunFaultImpactDeterministic(t *testing.T) {
-	opts := FaultImpactOptions{
-		Profiles: []faults.Profile{faults.Clean, faults.Lossy1pct},
-		Methods:  []methods.Kind{methods.XHRGet, methods.FlashGet, methods.JavaTCP},
-		Runs:     8,
-		BaseSeed: 11,
-		Workers:  2,
-	}
-	a, err := RunFaultImpact(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunFaultImpact(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Report() != b.Report() {
-		t.Errorf("reports differ:\n%s\nvs\n%s", a.Report(), b.Report())
 	}
 }
 

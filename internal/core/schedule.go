@@ -57,10 +57,10 @@ func RunStudyContext(ctx context.Context, opts StudyOptions) (*Study, error) {
 // profile reuses the same seed schedule, so differences between profiles
 // are attributable to the impairment alone. Unsupported combos are
 // included (RunCells marks them skipped). It is the one construction
-// site for cell configs — studies, fault-impact studies, sweeps and sweep
-// plans all go through it, so a cell is content-addressed identically no
-// matter which of them, or which process, computes it. opts.Methods and
-// opts.Profiles must already be populated.
+// site for cell configs — studies, sweeps and sweep plans all go through
+// it, so a cell is content-addressed identically no matter which of them,
+// or which process, computes it. opts.Methods and opts.Profiles must
+// already be populated.
 func FaultCells(opts StudyOptions, fps []faults.Profile) []Config {
 	out := make([]Config, 0, len(fps)*len(opts.Methods)*len(opts.Profiles))
 	for _, fp := range fps {
@@ -75,18 +75,6 @@ func FaultCells(opts StudyOptions, fps []faults.Profile) []Config {
 		}
 	}
 	return out
-}
-
-// RunFaultStudies runs FaultCells(opts, fps) in one RunCells call and
-// splits the result into one Study per fault profile. opts.Methods and
-// opts.Profiles must already be populated. OnCellDone indexes the flat
-// cell list; the split studies' Stats are left zero.
-func RunFaultStudies(ctx context.Context, opts StudyOptions, fps []faults.Profile) ([]*Study, error) {
-	all, err := RunCells(ctx, opts, FaultCells(opts, fps))
-	if err != nil {
-		return nil, err
-	}
-	return SplitFaultStudies(opts, fps, all.Cells), nil
 }
 
 // SplitFaultStudies splits cells, laid out as FaultCells(opts, fps) lays

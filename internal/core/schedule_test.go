@@ -34,15 +34,11 @@ func checkNoGoroutineLeak(t *testing.T) {
 }
 
 // exportBytes renders every study export whose bytes the determinism
-// guarantee covers: the full sample CSV, the summary CSV, and the
-// Markdown report.
+// guarantee covers: the full sample CSV and the Markdown report.
 func exportBytes(t *testing.T, st *Study) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := st.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SummaryCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	buf.WriteString(MarkdownReport(st))

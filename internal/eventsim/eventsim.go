@@ -213,12 +213,6 @@ func (s *Simulator) ScheduleAny(delay time.Duration, fn func(any), arg any) Even
 	return Event{e: e, gen: e.gen}
 }
 
-// ScheduleAt queues fn at an absolute virtual time. Times in the past are
-// clamped to the current instant.
-func (s *Simulator) ScheduleAt(at time.Duration, fn func()) Event {
-	return s.Schedule(at-s.now, fn)
-}
-
 // less orders events by (at, seq): earliest first, FIFO among ties.
 func less(a, b *event) bool {
 	if a.at != b.at {

@@ -134,17 +134,6 @@ func TestAdvanceZero(t *testing.T) {
 	}
 }
 
-func TestScheduleAt(t *testing.T) {
-	s := New(1)
-	var at time.Duration
-	s.Advance(time.Second)
-	s.ScheduleAt(1500*time.Millisecond, func() { at = s.Now() })
-	s.Run()
-	if at != 1500*time.Millisecond {
-		t.Fatalf("fired at %v, want 1.5s", at)
-	}
-}
-
 func TestStepEmpty(t *testing.T) {
 	s := New(1)
 	if s.Step() {

@@ -196,15 +196,6 @@ func (r *Reader) U8() byte {
 	return r.buf[r.off-1]
 }
 
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	if r.short(4, "short u32") {
-		return 0
-	}
-	r.off += 4
-	return binary.LittleEndian.Uint32(r.buf[r.off-4:])
-}
-
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
 	if r.short(8, "short u64") {

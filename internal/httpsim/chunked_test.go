@@ -3,9 +3,50 @@ package httpsim
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// MarshalChunked serializes a response with chunked transfer encoding,
+// splitting the body into chunkSize-byte chunks. Nothing in the simulator
+// sends chunked bodies; the tests drive the chunked decoder with it.
+func (r *Response) MarshalChunked(chunkSize int) []byte {
+	if chunkSize <= 0 {
+		chunkSize = 4096
+	}
+	var b bytes.Buffer
+	proto := r.Proto
+	if proto == "" {
+		proto = "HTTP/1.1"
+	}
+	reason := r.Reason
+	if reason == "" {
+		reason = StatusText(r.Status)
+	}
+	fmt.Fprintf(&b, "%s %d %s\r\n", proto, r.Status, reason)
+	for _, h := range r.Headers {
+		if strings.EqualFold(h.Key, "Content-Length") {
+			continue
+		}
+		fmt.Fprintf(&b, "%s: %s\r\n", h.Key, h.Value)
+	}
+	b.WriteString("Transfer-Encoding: chunked\r\n\r\n")
+	body := r.Body
+	for len(body) > 0 {
+		n := len(body)
+		if n > chunkSize {
+			n = chunkSize
+		}
+		fmt.Fprintf(&b, "%x\r\n", n)
+		b.Write(body[:n])
+		b.WriteString("\r\n")
+		body = body[n:]
+	}
+	b.WriteString("0\r\n\r\n")
+	return b.Bytes()
+}
 
 func TestChunkedRoundTrip(t *testing.T) {
 	in := &Response{Status: 200, Headers: Headers{{"Server", "sim"}}, Body: []byte("hello chunked world")}

@@ -483,14 +483,11 @@ func observeProbe(m *obs.Metrics, ser methodSeries, meas Measurement) {
 	m.SketchDur(ser.delta, meas.Overhead())
 }
 
-// RunStudy appraises every live client stack against the given services
-// with n probes each, warming each stack with two discarded probes first
-// (the Δd1/Δd2 split matters less here: real schedulers dominate).
-func RunStudy(addrs Addrs, n int) ([]StudyRow, error) {
-	return RunStudyWithOptions(addrs, StudyOptions{Probes: n})
-}
-
-// RunStudyWithOptions is RunStudy with wall-clock observability wired.
+// RunStudyWithOptions appraises every live client stack against the
+// given services with opt.Probes probes each (default 25), warming each
+// stack with two discarded probes first (the Δd1/Δd2 split matters less
+// here: real schedulers dominate), and records wall-clock observability
+// into opt.Metrics.
 func RunStudyWithOptions(addrs Addrs, opt StudyOptions) ([]StudyRow, error) {
 	n := opt.Probes
 	if n <= 0 {

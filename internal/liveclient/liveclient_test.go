@@ -154,7 +154,7 @@ func TestRunStudyAllStacks(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	a := s.Addrs()
-	rows, err := RunStudy(Addrs{HTTP: a.HTTP, WS: a.WS, TCPEcho: a.TCPEcho, UDPEcho: a.UDPEcho}, 8)
+	rows, err := RunStudyWithOptions(Addrs{HTTP: a.HTTP, WS: a.WS, TCPEcho: a.TCPEcho, UDPEcho: a.UDPEcho}, StudyOptions{Probes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRunStudyMetricsMirrorSimNames(t *testing.T) {
 }
 
 func TestRunStudyBadAddress(t *testing.T) {
-	_, err := RunStudy(Addrs{HTTP: "127.0.0.1:1"}, 3)
+	_, err := RunStudyWithOptions(Addrs{HTTP: "127.0.0.1:1"}, StudyOptions{Probes: 3})
 	if err == nil {
 		t.Fatal("expected error for dead address")
 	}

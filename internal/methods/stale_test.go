@@ -85,7 +85,7 @@ func injectStale(t *testing.T, tb *testbed.Testbed, local, remote uint16, kind K
 		{netsim.FlagRST | netsim.FlagACK, nil},
 	} {
 		hdr := &netsim.TCP{SrcPort: remote, DstPort: local, Seq: seq, Flags: seg.flags}
-		tb.ClientNIC.Receive(nil, netsim.BuildTCP(tb.ServerNIC.MAC, tb.ClientNIC.MAC,
+		tb.ClientNIC.Receive(nil, netsim.BuildTCPArena(nil, tb.ServerNIC.MAC, tb.ClientNIC.MAC,
 			tb.ServerAddr, tb.ClientNIC.Addr, 0, hdr, seg.payload))
 		seq += uint32(len(seg.payload))
 	}

@@ -77,7 +77,7 @@ func checksumSeeds() [][]byte {
 		}
 		seeds = append(seeds, b)
 	}
-	frame := BuildTCP(macA, macB, ipA, ipB, 9,
+	frame := BuildTCPArena(nil, macA, macB, ipA, ipB, 9,
 		&TCP{SrcPort: 49152, DstPort: 80, Seq: 1, Ack: 2, Flags: FlagACK},
 		bytes.Repeat([]byte("0123456789"), 146))
 	seeds = append(seeds, frame)
@@ -133,8 +133,12 @@ func TestOversizePayloadRefused(t *testing.T) {
 		limit int
 		build func(payload []byte) []byte
 	}{
-		{"tcp", 65495, func(p []byte) []byte { return BuildTCP(macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2}, p) }},
-		{"udp", 65507, func(p []byte) []byte { return BuildUDP(macA, macB, ipA, ipB, 1, &UDP{SrcPort: 1, DstPort: 2}, p) }},
+		{"tcp", 65495, func(p []byte) []byte {
+			return BuildTCPArena(nil, macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2}, p)
+		}},
+		{"udp", 65507, func(p []byte) []byte {
+			return BuildUDPArena(nil, macA, macB, ipA, ipB, 1, &UDP{SrcPort: 1, DstPort: 2}, p)
+		}},
 	}
 	if MaxTCPPayload != cases[0].limit || MaxUDPPayload != cases[1].limit {
 		t.Fatalf("MaxTCPPayload, MaxUDPPayload = %d, %d; want 65495, 65507", MaxTCPPayload, MaxUDPPayload)

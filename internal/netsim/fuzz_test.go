@@ -18,12 +18,12 @@ func fuzzSeedFrames() [][]byte {
 	src := netip.MustParseAddr("192.168.1.10")
 	dst := netip.MustParseAddr("192.168.1.20")
 
-	tcp := BuildTCP(srcMAC, dstMAC, src, dst, 7,
+	tcp := BuildTCPArena(nil, srcMAC, dstMAC, src, dst, 7,
 		&TCP{SrcPort: 49152, DstPort: 80, Seq: 1000, Ack: 2000, Flags: FlagACK | FlagPSH, Window: 65535},
 		[]byte("GET /probe HTTP/1.1\r\n\r\n"))
-	syn := BuildTCP(srcMAC, dstMAC, src, dst, 1,
+	syn := BuildTCPArena(nil, srcMAC, dstMAC, src, dst, 1,
 		&TCP{SrcPort: 49153, DstPort: 80, Seq: 1, Flags: FlagSYN, Window: 65535}, nil)
-	udp := BuildUDP(srcMAC, dstMAC, src, dst, 9,
+	udp := BuildUDPArena(nil, srcMAC, dstMAC, src, dst, 9,
 		&UDP{SrcPort: 40000, DstPort: 9001}, []byte("probe-10-1"))
 
 	seeds := [][]byte{nil, {0}, tcp, syn, udp}
@@ -86,7 +86,7 @@ func checkParse(t *testing.T, data []byte) {
 
 // fuzzReuseFrame is a valid frame used to dirty a Packet before re-parsing
 // fuzz input into it.
-var fuzzReuseFrame = BuildUDP(MAC{0x02, 0, 0, 0, 0, 3}, MAC{0x02, 0, 0, 0, 0, 4},
+var fuzzReuseFrame = BuildUDPArena(nil, MAC{0x02, 0, 0, 0, 0, 3}, MAC{0x02, 0, 0, 0, 0, 4},
 	netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2"), 1,
 	&UDP{SrcPort: 1, DstPort: 2}, []byte("dirty"))
 
@@ -119,7 +119,7 @@ func TestPacketParseValidRoundTrip(t *testing.T) {
 	src := netip.MustParseAddr("192.168.1.10")
 	dst := netip.MustParseAddr("192.168.1.20")
 	hdr := &TCP{SrcPort: 49152, DstPort: 80, Seq: 42, Ack: 7, Flags: FlagACK, Window: 512}
-	frame := BuildTCP(srcMAC, dstMAC, src, dst, 3, hdr, []byte("xyz"))
+	frame := BuildTCPArena(nil, srcMAC, dstMAC, src, dst, 3, hdr, []byte("xyz"))
 	p, err := Decode(frame, time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -56,14 +56,6 @@ func (e *Ethernet) put(b []byte) {
 	binary.BigEndian.PutUint16(b[12:14], e.EtherType)
 }
 
-// Serialize appends the header followed by payload and returns the frame.
-func (e *Ethernet) Serialize(payload []byte) []byte {
-	b := make([]byte, ethernetHeaderLen+len(payload))
-	e.put(b)
-	copy(b[ethernetHeaderLen:], payload)
-	return b
-}
-
 // decode fills e from the front of b and returns the payload.
 func (e *Ethernet) decode(b []byte) ([]byte, error) {
 	if len(b) < ethernetHeaderLen {
@@ -73,16 +65,6 @@ func (e *Ethernet) decode(b []byte) ([]byte, error) {
 	copy(e.Dst[:], b[0:6])
 	copy(e.Src[:], b[6:12])
 	return b[ethernetHeaderLen:], nil
-}
-
-// DecodeEthernet parses an Ethernet II header, returning it and the payload.
-func DecodeEthernet(b []byte) (*Ethernet, []byte, error) {
-	e := &Ethernet{}
-	rest, err := e.decode(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, rest, nil
 }
 
 // IPv4 is an IPv4 header without options.
@@ -121,15 +103,6 @@ func (ip *IPv4) put(b []byte, payloadLen int) {
 	binary.BigEndian.PutUint16(b[10:12], Checksum(b[:ipv4HeaderLen]))
 }
 
-// Serialize appends the header (with computed checksum and total length)
-// followed by payload.
-func (ip *IPv4) Serialize(payload []byte) []byte {
-	b := make([]byte, ipv4HeaderLen+len(payload))
-	ip.put(b, len(payload))
-	copy(b[ipv4HeaderLen:], payload)
-	return b
-}
-
 // decode fills ip from the front of b and returns the payload. The header
 // checksum is verified.
 func (ip *IPv4) decode(b []byte) ([]byte, error) {
@@ -160,17 +133,6 @@ func (ip *IPv4) decode(b []byte) ([]byte, error) {
 	ip.Src = netip.AddrFrom4([4]byte(b[12:16]))
 	ip.Dst = netip.AddrFrom4([4]byte(b[16:20]))
 	return b[ihl:total], nil
-}
-
-// DecodeIPv4 parses an IPv4 header and returns it with its payload. The
-// header checksum is verified.
-func DecodeIPv4(b []byte) (*IPv4, []byte, error) {
-	ip := &IPv4{}
-	rest, err := ip.decode(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ip, rest, nil
 }
 
 // TCP flag bits.
@@ -212,15 +174,6 @@ func (t *TCP) put(b []byte, src, dst netip.Addr) {
 	binary.BigEndian.PutUint16(b[16:18], pseudoChecksum(src, dst, ProtoTCP, b))
 }
 
-// Serialize appends the header (with checksum over the IPv4 pseudo-header)
-// followed by payload.
-func (t *TCP) Serialize(src, dst netip.Addr, payload []byte) []byte {
-	b := make([]byte, tcpHeaderLen+len(payload))
-	copy(b[tcpHeaderLen:], payload)
-	t.put(b, src, dst)
-	return b
-}
-
 // decode fills t from the front of b, verifying the checksum against the
 // given IPv4 endpoints, and returns the payload.
 func (t *TCP) decode(src, dst netip.Addr, b []byte) ([]byte, error) {
@@ -241,17 +194,6 @@ func (t *TCP) decode(src, dst netip.Addr, b []byte) ([]byte, error) {
 	t.Flags = b[13]
 	t.Window = binary.BigEndian.Uint16(b[14:16])
 	return b[off:], nil
-}
-
-// DecodeTCP parses a TCP header, verifying the checksum against the given
-// IPv4 endpoints, and returns the header and payload.
-func DecodeTCP(src, dst netip.Addr, b []byte) (*TCP, []byte, error) {
-	t := &TCP{}
-	rest, err := t.decode(src, dst, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, rest, nil
 }
 
 // FlagString renders the flag bits as in tcpdump (e.g. "SA" for SYN+ACK).
@@ -299,15 +241,6 @@ func (u *UDP) put(b []byte, src, dst netip.Addr) {
 	binary.BigEndian.PutUint16(b[6:8], sum)
 }
 
-// Serialize appends the header (with length and pseudo-header checksum)
-// followed by payload.
-func (u *UDP) Serialize(src, dst netip.Addr, payload []byte) []byte {
-	b := make([]byte, udpHeaderLen+len(payload))
-	copy(b[udpHeaderLen:], payload)
-	u.put(b, src, dst)
-	return b
-}
-
 // decode fills u from the front of b, verifying length and checksum.
 func (u *UDP) decode(src, dst netip.Addr, b []byte) ([]byte, error) {
 	if len(b) < udpHeaderLen {
@@ -323,16 +256,6 @@ func (u *UDP) decode(src, dst netip.Addr, b []byte) ([]byte, error) {
 	u.SrcPort = binary.BigEndian.Uint16(b[0:2])
 	u.DstPort = binary.BigEndian.Uint16(b[2:4])
 	return b[udpHeaderLen:length], nil
-}
-
-// DecodeUDP parses a UDP header, verifying length and checksum.
-func DecodeUDP(src, dst netip.Addr, b []byte) (*UDP, []byte, error) {
-	u := &UDP{}
-	rest, err := u.decode(src, dst, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return u, rest, nil
 }
 
 // Checksum computes the RFC 1071 Internet checksum of b.

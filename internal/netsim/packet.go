@@ -116,16 +116,11 @@ func mustFit(proto string, n, max int) {
 	}
 }
 
-// BuildTCP assembles a complete Ethernet/IPv4/TCP frame in one allocation.
-// A payload over MaxTCPPayload bytes panics with ErrPayloadTooLarge.
-func BuildTCP(srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *TCP, payload []byte) []byte {
-	return BuildTCPArena(nil, srcMAC, dstMAC, src, dst, ipID, hdr, payload)
-}
-
-// BuildTCPArena is BuildTCP carving the frame from an arena instead of the
-// heap (nil arena falls back to the heap). The frame is valid until the
-// arena's next Reset; every byte is written, so recycled slab memory needs
-// no zeroing.
+// BuildTCPArena assembles a complete Ethernet/IPv4/TCP frame in one
+// allocation carved from an arena (nil arena falls back to the heap). The
+// frame is valid until the arena's next Reset; every byte is written, so
+// recycled slab memory needs no zeroing. A payload over MaxTCPPayload
+// bytes panics with ErrPayloadTooLarge.
 func BuildTCPArena(a *arena.Arena, srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *TCP, payload []byte) []byte {
 	mustFit("tcp", len(payload), MaxTCPPayload)
 	b := a.Bytes(ethernetHeaderLen + ipv4HeaderLen + tcpHeaderLen + len(payload))
@@ -139,14 +134,8 @@ func BuildTCPArena(a *arena.Arena, srcMAC, dstMAC MAC, src, dst netip.Addr, ipID
 	return b
 }
 
-// BuildUDP assembles a complete Ethernet/IPv4/UDP frame in one allocation.
-// A payload over MaxUDPPayload bytes panics with ErrPayloadTooLarge.
-func BuildUDP(srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *UDP, payload []byte) []byte {
-	return BuildUDPArena(nil, srcMAC, dstMAC, src, dst, ipID, hdr, payload)
-}
-
-// BuildUDPArena is BuildUDP carving the frame from an arena instead of the
-// heap (nil arena falls back to the heap).
+// BuildUDPArena is BuildTCPArena for an Ethernet/IPv4/UDP frame. A
+// payload over MaxUDPPayload bytes panics with ErrPayloadTooLarge.
 func BuildUDPArena(a *arena.Arena, srcMAC, dstMAC MAC, src, dst netip.Addr, ipID uint16, hdr *UDP, payload []byte) []byte {
 	mustFit("udp", len(payload), MaxUDPPayload)
 	b := a.Bytes(ethernetHeaderLen + ipv4HeaderLen + udpHeaderLen + len(payload))

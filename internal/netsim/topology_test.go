@@ -201,7 +201,7 @@ func TestSwitchForwardingDelay(t *testing.T) {
 	a, b := buildPair(sim, 0, 5*time.Microsecond)
 	var at time.Duration
 	b.SetHandler(func([]byte) { at = sim.Now() })
-	frame := BuildTCP(macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, nil)
+	frame := BuildTCPArena(nil, macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, nil)
 	a.Send(frame)
 	sim.Run()
 	// two link serializations (54B frame => 4.32us each) + 5us switch delay
@@ -230,9 +230,9 @@ func TestTapsSeeBothDirections(t *testing.T) {
 	var dirs []Direction
 	a.AddTap(func(_ []byte, _ time.Duration, d Direction) { dirs = append(dirs, d) })
 	b.SetHandler(func(f []byte) {
-		b.Send(BuildTCP(macB, macA, ipB, ipA, 1, &TCP{SrcPort: 2, DstPort: 1, Flags: FlagACK}, nil))
+		b.Send(BuildTCPArena(nil, macB, macA, ipB, ipA, 1, &TCP{SrcPort: 2, DstPort: 1, Flags: FlagACK}, nil))
 	})
-	a.Send(BuildTCP(macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, nil))
+	a.Send(BuildTCPArena(nil, macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, nil))
 	sim.Run()
 	if len(dirs) != 2 || dirs[0] != DirOut || dirs[1] != DirIn {
 		t.Fatalf("tap directions = %v, want [out in]", dirs)
@@ -249,7 +249,7 @@ func TestTapTimestampBeforeWireDelay(t *testing.T) {
 		}
 	})
 	sim.Advance(7 * time.Millisecond)
-	a.Send(BuildTCP(macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, nil))
+	a.Send(BuildTCPArena(nil, macA, macB, ipA, ipB, 1, &TCP{SrcPort: 1, DstPort: 2, Flags: FlagSYN}, nil))
 	sim.Run()
 	if outAt != 7*time.Millisecond {
 		t.Fatalf("out tap at %v, want 7ms (capture stamps at send, not arrival)", outAt)

@@ -80,7 +80,7 @@ func (g *TrafficGen) fire() {
 		g.payload = make([]byte, g.Size)
 	}
 	hdr := UDP{SrcPort: g.SrcPort, DstPort: g.DstPort}
-	frame := BuildUDP(g.nic.MAC, g.DstMAC, g.nic.Addr, g.Dst, g.ipID,
+	frame := BuildUDPArena(nil, g.nic.MAC, g.DstMAC, g.nic.Addr, g.Dst, g.ipID,
 		&hdr, g.payload)
 	g.nic.Send(frame)
 	g.Sent++

@@ -24,10 +24,10 @@ func TestInternedLabelZeroAlloc(t *testing.T) {
 // TestInternReturnsStableString checks the table maps equal content to the
 // identical string, including through the byte-rendered fast path.
 func TestInternReturnsStableString(t *testing.T) {
-	a := Intern("stage_send_ms")
-	b := Intern("stage_" + "send_ms")
+	a := internBytes([]byte("stage_send_ms"))
+	b := internBytes([]byte("stage_" + "send_ms"))
 	if a != b {
-		t.Fatalf("Intern not idempotent: %q vs %q", a, b)
+		t.Fatalf("internBytes not idempotent: %q vs %q", a, b)
 	}
 	l1 := L("m", "k", "v")
 	l2 := L("m", "k", "v")

@@ -104,7 +104,7 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// intern is the process-wide canonical-string table behind L and Intern.
+// intern is the process-wide canonical-string table behind L.
 // Keys repeat heavily (one per logical series), so the table stays small
 // while hot-path lookups stop allocating: the rendered key lives in a
 // stack buffer and the map lookup uses the compiler's zero-copy
@@ -115,25 +115,9 @@ var (
 	interned = make(map[string]string)
 )
 
-// Intern returns the canonical copy of s, storing it on first sight.
-func Intern(s string) string {
-	internMu.RLock()
-	v, ok := interned[s]
-	internMu.RUnlock()
-	if ok {
-		return v
-	}
-	internMu.Lock()
-	if v, ok = interned[s]; !ok {
-		interned[s] = s
-		v = s
-	}
-	internMu.Unlock()
-	return v
-}
-
-// internBytes is Intern for a rendered key still in its scratch buffer;
-// the string copy happens only on a miss.
+// internBytes returns the canonical copy of a rendered key still in its
+// scratch buffer, storing it on first sight; the string copy happens only
+// on a miss.
 func internBytes(b []byte) string {
 	internMu.RLock()
 	v, ok := interned[string(b)]

@@ -1,18 +1,9 @@
 package stats
 
-import (
-	"sort"
-	"time"
-)
-
 // Samples is a sample set sorted once at construction and sealed: every
-// derived statistic (quantiles, box summary, ECDF, KS, level clustering)
+// derived statistic (quantiles, box summary, ECDF, level clustering)
 // reuses the same sorted buffer instead of re-sorting a fresh copy per
 // call, which is what makes per-cell study statistics allocation-flat.
-//
-// Contract: after construction the backing buffer belongs to the Samples
-// value. Callers of SamplesInPlace must not mutate the slice they passed
-// in, and callers of Values must treat the returned slice as read-only.
 type Samples struct {
 	sorted []float64
 }
@@ -23,26 +14,8 @@ func NewSamples(samples []float64) *Samples {
 	return &Samples{sorted: sortedCopy(samples)}
 }
 
-// SamplesInPlace sorts the argument slice in place and seals it as a
-// Samples, avoiding the copy when the caller hands over ownership —
-// typically a per-cell buffer preallocated from the round count.
-func SamplesInPlace(samples []float64) *Samples {
-	sort.Float64s(samples)
-	return &Samples{sorted: samples}
-}
-
-// SamplesFromDurations converts durations to milliseconds into dst
-// (append-style; pass dst[:0] to reuse a buffer) and seals the result.
-func SamplesFromDurations(dst []float64, ds []time.Duration) *Samples {
-	return SamplesInPlace(DurationsToMsInto(dst, ds))
-}
-
 // N returns the sample count.
 func (s *Samples) N() int { return len(s.sorted) }
-
-// Values exposes the sorted samples. The slice is shared with the
-// Samples and must not be mutated.
-func (s *Samples) Values() []float64 { return s.sorted }
 
 // Quantile returns the q-quantile (R type-7). It panics on an empty set
 // or q outside [0,1].
@@ -74,7 +47,11 @@ func (s *Samples) CDF() *CDF {
 	return &CDF{sorted: s.sorted}
 }
 
-// Levels clusters the samples into discrete levels (see package Levels).
+// Levels clusters the samples into discrete levels: values within tol of
+// a level's running mean join it. It returns the level centers sorted
+// ascending with their member counts. The paper uses this structure to
+// show the two discrete Δd levels (~16 ms apart) the quantized Java clock
+// produces.
 func (s *Samples) Levels(tol float64) (centers []float64, counts []int) {
 	return levelsSorted(s.sorted, tol)
 }
@@ -83,12 +60,4 @@ func (s *Samples) Levels(tol float64) (centers []float64, counts []int) {
 // least gap apart, each holding at least minFrac of the mass.
 func (s *Samples) Bimodal(tol, gap, minFrac float64) bool {
 	return bimodalLevels(s.sorted, tol, gap, minFrac)
-}
-
-// KS computes the two-sample Kolmogorov–Smirnov statistic against t.
-func (s *Samples) KS(t *Samples) float64 {
-	if len(s.sorted) == 0 || len(t.sorted) == 0 {
-		panic("stats: KSStatistic of empty sample set")
-	}
-	return ksSorted(s.sorted, t.sorted)
 }

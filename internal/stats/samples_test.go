@@ -34,22 +34,6 @@ func TestNewSamplesDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestSamplesInPlaceTakesOwnership(t *testing.T) {
-	vals := []float64{3, 1, 2}
-	s := SamplesInPlace(vals)
-	if v := s.Values(); v[0] != 1 || v[2] != 3 {
-		t.Fatalf("SamplesInPlace not sorted: %v", v)
-	}
-}
-
-func TestSamplesFromDurationsAppends(t *testing.T) {
-	dst := make([]float64, 0, 4)
-	s := SamplesFromDurations(dst, []time.Duration{2 * time.Millisecond, time.Millisecond})
-	if s.N() != 2 || s.Values()[0] != 1 || s.Values()[1] != 2 {
-		t.Fatalf("SamplesFromDurations = %v", s.Values())
-	}
-}
-
 // TestSamplesDerivedStatsZeroAlloc is the stats-layer allocation
 // regression guard: once a Samples is sealed, every scalar statistic must
 // run without allocating — this is what lets the experiment layer derive

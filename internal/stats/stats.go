@@ -165,18 +165,6 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: sortedCopy(samples)}
 }
 
-// NewCDFInto builds the ECDF using dst as backing storage (append-style;
-// pass dst[:0] to reuse a buffer across repetitions). The buffer is
-// sealed into the CDF: the caller must not mutate it afterwards.
-func NewCDFInto(dst []float64, samples []float64) *CDF {
-	if len(samples) == 0 {
-		panic("stats: CDF of empty sample set")
-	}
-	dst = append(dst, samples...)
-	sort.Float64s(dst)
-	return &CDF{sorted: dst}
-}
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
 	// First index with sorted[i] > x.
@@ -191,19 +179,6 @@ func (c *CDF) At(x float64) float64 {
 func (c *CDF) Quantile(p float64) float64 {
 	checkQuantile(len(c.sorted), p)
 	return quantileSorted(c.sorted, p)
-}
-
-// Points returns the step-function vertices (x, P(X<=x)) for plotting.
-func (c *CDF) Points() (xs, ps []float64) {
-	n := len(c.sorted)
-	for i, v := range c.sorted {
-		if i+1 < n && c.sorted[i+1] == v {
-			continue // collapse duplicates to the last occurrence
-		}
-		xs = append(xs, v)
-		ps = append(ps, float64(i+1)/float64(n))
-	}
-	return xs, ps
 }
 
 // tTable holds two-sided 95% Student-t critical values by degrees of
@@ -253,18 +228,6 @@ func MeanCI95(samples []float64) (mean, half float64) {
 	return mean, half
 }
 
-// Levels clusters samples into discrete levels: values within tol of a
-// level's running mean join it. It returns the level centers sorted
-// ascending with their member counts. The paper uses this structure to
-// show the two discrete Δd levels (~16 ms apart) the quantized Java clock
-// produces.
-func Levels(samples []float64, tol float64) (centers []float64, counts []int) {
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	return levelsSorted(sortedCopy(samples), tol)
-}
-
 // levelsSorted clusters an already-sorted sample set.
 func levelsSorted(s []float64, tol float64) (centers []float64, counts []int) {
 	if len(s) == 0 {
@@ -286,15 +249,6 @@ func levelsSorted(s []float64, tol float64) (centers []float64, counts []int) {
 	}
 	flush(len(s))
 	return centers, counts
-}
-
-// Bimodal reports whether the samples split into two dominant levels at
-// least gap apart, each holding at least minFrac of the mass.
-func Bimodal(samples []float64, tol, gap, minFrac float64) bool {
-	if len(samples) == 0 {
-		return false
-	}
-	return bimodalLevels(sortedCopy(samples), tol, gap, minFrac)
 }
 
 // bimodalLevels runs the Bimodal test over an already-sorted sample set.

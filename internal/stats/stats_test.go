@@ -138,20 +138,6 @@ func TestCDFAt(t *testing.T) {
 	}
 }
 
-func TestCDFPointsCollapseDuplicates(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	xs, ps := c.Points()
-	if len(xs) != 3 || xs[1] != 2 || !almost(ps[1], 0.75, 1e-12) {
-		t.Fatalf("points = %v %v", xs, ps)
-	}
-	if !sort.Float64sAreSorted(xs) {
-		t.Fatal("xs not sorted")
-	}
-	if ps[len(ps)-1] != 1 {
-		t.Fatal("last CDF point must be 1")
-	}
-}
-
 func TestCDFQuantileInverse(t *testing.T) {
 	c := NewCDF([]float64{10, 20, 30, 40, 50})
 	if c.Quantile(0.5) != 30 {
@@ -195,7 +181,7 @@ func TestTCriticalFallbacks(t *testing.T) {
 
 func TestLevelsTwoClusters(t *testing.T) {
 	s := []float64{0.1, 0.2, 0.15, 15.6, 15.7, 15.65, 0.12}
-	centers, counts := Levels(s, 1.0)
+	centers, counts := NewSamples(s).Levels(1.0)
 	if len(centers) != 2 {
 		t.Fatalf("centers = %v", centers)
 	}
@@ -208,7 +194,7 @@ func TestLevelsTwoClusters(t *testing.T) {
 }
 
 func TestLevelsEmpty(t *testing.T) {
-	c, n := Levels(nil, 1)
+	c, n := NewSamples(nil).Levels(1)
 	if c != nil || n != nil {
 		t.Fatal("expected nil for empty input")
 	}
@@ -216,16 +202,16 @@ func TestLevelsEmpty(t *testing.T) {
 
 func TestBimodal(t *testing.T) {
 	bimodal := []float64{0, 0.1, 0.2, 0.1, 16, 15.9, 16.1, 15.8}
-	if !Bimodal(bimodal, 1, 10, 0.2) {
+	if !NewSamples(bimodal).Bimodal(1, 10, 0.2) {
 		t.Fatal("clear bimodal set not detected")
 	}
 	unimodal := []float64{5, 5.1, 5.2, 4.9, 5.05}
-	if Bimodal(unimodal, 1, 10, 0.2) {
+	if NewSamples(unimodal).Bimodal(1, 10, 0.2) {
 		t.Fatal("unimodal set misdetected")
 	}
 	// Two levels but one is a tiny minority: not bimodal at minFrac=0.3.
 	skewed := []float64{0, 0, 0, 0, 0, 0, 0, 0, 0, 16}
-	if Bimodal(skewed, 1, 10, 0.3) {
+	if NewSamples(skewed).Bimodal(1, 10, 0.3) {
 		t.Fatal("skewed set misdetected")
 	}
 }
@@ -298,16 +284,17 @@ func TestQuickCDFMonotone(t *testing.T) {
 		if len(s) == 0 {
 			return true
 		}
+		sort.Float64s(s)
 		c := NewCDF(s)
-		_, ps := c.Points()
 		prev := 0.0
-		for _, p := range ps {
+		for _, x := range s {
+			p := c.At(x)
 			if p < prev || p > 1 {
 				return false
 			}
 			prev = p
 		}
-		return ps[len(ps)-1] == 1
+		return prev == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -43,10 +43,11 @@ type Options struct {
 	// value.
 	Workers int
 
-	// Dir is the cache directory (required): one cells/<hash>.cell entry
-	// per completed cell. Re-running a killed sweep on the same Dir
-	// replays its finished cells and computes only the rest; Runs of one
-	// sweep on the same Dir at the same time share its cells.
+	// Dir is the cache directory: one cells/<hash>.cell entry per
+	// completed cell. Re-running a killed sweep on the same Dir replays
+	// its finished cells and computes only the rest; Runs of one sweep on
+	// the same Dir at the same time share its cells. Empty runs every
+	// cell uncached and writes nothing, exporting the same bytes.
 	Dir string
 	// Log, when non-nil, receives progress and corruption notices.
 	Log func(format string, args ...any)
@@ -157,15 +158,17 @@ func (o *Options) studyOptions() core.StudyOptions {
 // this Run's order.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts.fillDefaults()
-	cache, err := OpenCache(opts.Dir, "")
-	if err != nil {
-		return nil, err
-	}
-	cache.SetLog(opts.Log)
-	cache.SetMetrics(opts.Metrics)
-
 	so := opts.studyOptions()
-	so.Cache = cache
+	var cache *Cache
+	if opts.Dir != "" {
+		var err error
+		if cache, err = OpenCache(opts.Dir, ""); err != nil {
+			return nil, err
+		}
+		cache.SetLog(opts.Log)
+		cache.SetMetrics(opts.Metrics)
+		so.Cache = cache
+	}
 	cfgs := core.FaultCells(so, opts.Faults)
 	order := cellOrder(len(cfgs))
 	walk := make([]core.Config, len(cfgs))
@@ -205,7 +208,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		}
 	}
 	res.Stats.Wall = time.Since(start)
-	res.Stats.Corrupt = cache.Stats().Corrupt
+	if cache != nil {
+		res.Stats.Corrupt = cache.Stats().Corrupt
+	}
 	return res, nil
 }
 
@@ -256,6 +261,71 @@ func (r *Result) Report() string {
 		}
 		b.WriteString("\n")
 	}
+	return b.String()
+}
+
+// ImpactReport renders the fault-impact table of one browser profile of
+// the sweep: each method's round-2 Δd p95 under every fault profile, with
+// its change against the first (reference, normally clean) fault profile,
+// and per fault profile the worst HTTP method against the worst socket
+// method. Methods prof cannot run are left out. Deterministic: same
+// options ⇒ byte-identical output.
+func (r *Result) ImpactReport(prof *browser.Profile) string {
+	type row struct {
+		spec methods.Spec
+		p95  []float64
+	}
+	var rows []row
+	for _, k := range r.Options.Methods {
+		spec := methods.Get(k)
+		if !prof.Supports(spec.API) {
+			continue
+		}
+		rw := row{spec: spec}
+		for _, st := range r.Studies {
+			rw.p95 = append(rw.p95, st.Cell(k, prof.Label()).Exp.CDF(2).Quantile(0.95))
+		}
+		rows = append(rows, rw)
+	}
+	// worst returns the method of transport tr whose p95 grew most under
+	// fault profile i; ok is false when no method has that transport.
+	worst := func(i int, tr methods.Transport) (d float64, name string, ok bool) {
+		for _, rw := range rows {
+			if g := rw.p95[i] - rw.p95[0]; rw.spec.Transport == tr && (!ok || g > d) {
+				d, name, ok = g, rw.spec.Name, true
+			}
+		}
+		return d, name, ok
+	}
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "Fault-impact study — Δd2 p95 (ms) on %s, %d runs/cell, seed %d\n\n",
+		prof.Label(), r.Options.Runs, r.Options.BaseSeed)
+	fmt.Fprintf(&b, "%-22s %-12s", "method", "trans")
+	for _, fp := range r.Faults {
+		fmt.Fprintf(&b, " %16s", fp)
+	}
+	b.WriteString("\n")
+	for _, rw := range rows {
+		fmt.Fprintf(&b, "%-22s %-12s", rw.spec.Name, rw.spec.Transport)
+		for i, p := range rw.p95 {
+			if i == 0 {
+				fmt.Fprintf(&b, " %16.2f", p)
+			} else {
+				fmt.Fprintf(&b, " %8.2f (%+5.1f)", p, p-rw.p95[0])
+			}
+		}
+		b.WriteString("\n")
+	}
+	for i := 1; i < len(r.Faults); i++ {
+		wh, hm, okH := worst(i, methods.TransportHTTP)
+		ws, sm, okS := worst(i, methods.TransportSocket)
+		if okH && okS {
+			fmt.Fprintf(&b, "\n%s: worst HTTP %s %+.1f ms vs worst socket %s %+.1f ms (p95 vs %s)",
+				r.Faults[i], hm, wh, sm, ws, r.Faults[0])
+		}
+	}
+	b.WriteString("\n")
 	return b.String()
 }
 

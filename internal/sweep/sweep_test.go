@@ -142,13 +142,7 @@ func TestSweepMatchesUncachedStudies(t *testing.T) {
 		if err := st.WriteCSV(&want); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.SummaryCSV(&want); err != nil {
-			t.Fatal(err)
-		}
 		if err := res.Studies[si].WriteCSV(&got); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Studies[si].SummaryCSV(&got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -333,11 +327,42 @@ func TestSweepConfigsShareCacheDir(t *testing.T) {
 	}
 }
 
-func TestSweepRequiresDir(t *testing.T) {
-	opts := smallOpts("")
-	if _, err := Run(context.Background(), opts); err == nil {
-		t.Fatal("Run without Dir succeeded, want error")
+// TestSweepWithoutDirMatchesCached: a Run with no Dir computes every
+// cell uncached, writes no file, and exports the same bytes as a cached
+// Run of the same options.
+func TestSweepWithoutDirMatchesCached(t *testing.T) {
+	cached, err := Run(context.Background(), smallOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
 	}
+	before := dirNames(t, ".")
+	plain, err := Run(context.Background(), smallOpts(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sweepExportBytes(t, plain), sweepExportBytes(t, cached)) {
+		t.Error("Dir-less sweep exports differ from a cached sweep")
+	}
+	if s := plain.Stats; s.CachedHits != 0 || s.Computed != s.Cells-s.Skipped {
+		t.Errorf("Dir-less stats = %+v, want every supported cell computed", s)
+	}
+	if after := dirNames(t, "."); after != before {
+		t.Errorf("Dir-less sweep changed the working directory: %q, was %q", after, before)
+	}
+}
+
+// dirNames lists dir's entries.
+func dirNames(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return strings.Join(names, " ")
 }
 
 // failAfter accepts n bytes and then fails every write.

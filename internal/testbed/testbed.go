@@ -220,7 +220,7 @@ func New(cfg Config) *Testbed {
 		ClientNIC:  clientNIC,
 		ServerNIC:  serverNIC,
 		ServerAddr: serverIP,
-		Cap:        capture.Attach(clientNIC, nil),
+		Cap:        capture.Attach(clientNIC),
 		ServerLink: serverLink,
 		Impair:     impair,
 		Trace:      cfg.Tracer,

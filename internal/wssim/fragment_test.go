@@ -2,11 +2,51 @@ package wssim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/eventsim"
 )
+
+// SendFragmented transmits one message split into chunkSize-byte frames:
+// an initial frame with the real opcode and FIN clear, continuations, and
+// a final FIN continuation. The receiver reassembles into one OnMessage.
+// The simulated browsers send whole frames; the tests drive fragment
+// reassembly with it.
+func (c *Conn) SendFragmented(op Opcode, payload []byte, chunkSize int) error {
+	if chunkSize <= 0 {
+		return fmt.Errorf("wssim: chunk size must be positive")
+	}
+	first := true
+	for {
+		n := len(payload)
+		if n > chunkSize {
+			n = chunkSize
+		}
+		c.sframe = Frame{
+			Fin:     len(payload) <= chunkSize,
+			Opcode:  OpContinuation,
+			Payload: payload[:n],
+		}
+		if first {
+			c.sframe.Opcode = op
+			first = false
+		}
+		if c.client {
+			c.sframe.Masked = true
+			c.sframe.MaskKey = [4]byte{0x9a, 0xbc, 0xde, 0xf0}
+		}
+		fin := c.sframe.Fin
+		if err := c.TCP.Send(c.sframe.MarshalArena(c.TCP.Arena())); err != nil {
+			return err
+		}
+		payload = payload[n:]
+		if fin {
+			return nil
+		}
+	}
+}
 
 func TestFragmentedMessageReassembled(t *testing.T) {
 	sim := eventsim.New(31)

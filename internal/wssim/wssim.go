@@ -243,43 +243,6 @@ func (c *Conn) Send(op Opcode, payload []byte) error {
 	return c.TCP.Send(c.sframe.MarshalArena(c.TCP.Arena()))
 }
 
-// SendFragmented transmits one message split into chunkSize-byte frames:
-// an initial frame with the real opcode and FIN clear, continuations, and
-// a final FIN continuation. The receiver reassembles into one OnMessage.
-func (c *Conn) SendFragmented(op Opcode, payload []byte, chunkSize int) error {
-	if chunkSize <= 0 {
-		return fmt.Errorf("wssim: chunk size must be positive")
-	}
-	first := true
-	for {
-		n := len(payload)
-		if n > chunkSize {
-			n = chunkSize
-		}
-		c.sframe = Frame{
-			Fin:     len(payload) <= chunkSize,
-			Opcode:  OpContinuation,
-			Payload: payload[:n],
-		}
-		if first {
-			c.sframe.Opcode = op
-			first = false
-		}
-		if c.client {
-			c.sframe.Masked = true
-			c.sframe.MaskKey = [4]byte{0x9a, 0xbc, 0xde, 0xf0}
-		}
-		fin := c.sframe.Fin
-		if err := c.TCP.Send(c.sframe.MarshalArena(c.TCP.Arena())); err != nil {
-			return err
-		}
-		payload = payload[n:]
-		if fin {
-			return nil
-		}
-	}
-}
-
 // Close sends a Close frame and closes the transport.
 func (c *Conn) Close() {
 	c.sframe = Frame{Fin: true, Opcode: OpClose, Masked: c.client}
