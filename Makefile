@@ -106,25 +106,24 @@ bench-diff:
 	$(GO) run ./cmd/benchdiff $(if $(BENCH_OLD),-old $(BENCH_OLD)) -new $(BENCH_NEW)
 
 # fuzz-smoke runs each native fuzz target briefly. Go allows one -fuzz
-# target per invocation, so the budget is split across the eleven. The
-# weekly extended run (.github/workflows/fuzz-weekly.yml) uses the same
-# targets with FUZZTIME=100s. -fuzzminimizetime caps the time spent
-# minimizing each new corpus entry: under Go's 60 s default, minimizing
-# one entry grown from a multi-kilobyte sketch seed stalled
-# FuzzSketchDecode for most of a 30 s run.
+# target per invocation, so the targets are discovered with `go test
+# -list '^Fuzz'` per package and run one at a time: a new Fuzz function
+# joins without an edit here. The weekly extended run
+# (.github/workflows/fuzz-weekly.yml) uses the same targets with
+# FUZZTIME=100s. -fuzzminimizetime caps the time spent minimizing each
+# new corpus entry: under Go's 60 s default, minimizing one entry grown
+# from a multi-kilobyte sketch seed stalled FuzzSketchDecode for most of
+# a 30 s run.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -fuzz '^FuzzPacketParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/netsim/
-	$(GO) test -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/netsim/
-	$(GO) test -fuzz '^FuzzParseRequest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/httpsim/
-	$(GO) test -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/httpsim/
-	$(GO) test -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/frame/
-	$(GO) test -fuzz '^FuzzCellDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/sweep/
-	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/fleetwire/
-	$(GO) test -fuzz '^FuzzSketchDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/obs/
-	$(GO) test -fuzz '^FuzzSketchMerge$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/obs/
-	$(GO) test -fuzz '^FuzzAppendMs$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/core/
-	$(GO) test -fuzz '^FuzzObserveSequence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' ./internal/fleet/
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	targets="$$(printf '%s\n' "$$list" | awk '/^Fuzz/ {f[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2 "=" f[i]; n = 0}')"; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	for t in $$targets; do \
+		pkg=$${t%%=*}; fz=$${t#*=}; \
+		echo "fuzz-smoke: $$fz ($$pkg)"; \
+		$(GO) test -fuzz "^$$fz\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -run '^$$' $$pkg || exit 1; \
+	done
 
 # cover writes the whole-repo profile to coverage.out (the CI artifact)
 # and enforces a statement-coverage floor on each package:floor pair of

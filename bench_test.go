@@ -401,7 +401,7 @@ func BenchmarkSubstrate_PacketCodec(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ar.Reset()
-		frame := netsim.BuildTCPArena(ar, src, dst, tbd.Client.Addr(), tbd.ServerAddr, uint16(i), hdr, payload)
+		frame := netsim.BuildTCPArena(ar, src, dst, tbd.ClientNIC.Addr, tbd.ServerAddr, uint16(i), hdr, payload)
 		if err := pkt.Parse(frame, 0); err != nil {
 			b.Fatal(err)
 		}

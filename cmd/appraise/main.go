@@ -103,32 +103,30 @@ func exit(code int) {
 	os.Exit(code)
 }
 
-// baseSeed decorrelates the study cells; settable via -seed.
-var baseSeed int64
-
-// workers caps the study scheduler's parallelism; settable via -workers
-// (0 = one worker per CPU, 1 = sequential).
-var workers int
-
-// tracing / metricsReg / progressMode mirror the -trace, -metrics and
-// -progress flags for runStudy.
-var (
-	tracing      bool
-	metricsReg   *bm.Metrics
-	progressMode bool
-)
-
-// faultProfile is the impairment profile every study cell runs under
-// (-faults flag; FaultClean keeps the paper's pristine wire).
-var faultProfile bm.FaultProfile
-
-// studyCache, when non-nil (-cache-dir), replays unchanged study cells
-// from the content-addressed disk cache instead of recomputing them;
-// cacheDir is its directory, which the -faultimpact sweep shares.
-var (
-	studyCache *bm.SweepCache
-	cacheDir   string
-)
+// options are the parsed command line that run, runStudy and runSweep
+// read. The artifact selectors and side-output paths mirror the flags of
+// the same names.
+type options struct {
+	table, fig, runs                                                   int
+	all, recommend, ascii, attribution, impact, cellstats, faultimpact bool
+	csvPath, mdPath, tracePath, metricsPath                            string
+	// seed decorrelates the study cells; workers caps the scheduler's
+	// parallelism (0 = one worker per CPU, 1 = sequential).
+	seed    int64
+	workers int
+	// progress selects structured per-cell lines on stderr.
+	progress bool
+	// faults is the impairment profile every study cell runs under
+	// (FaultClean keeps the paper's pristine wire).
+	faults bm.FaultProfile
+	// cacheDir (-cache-dir) holds the content-addressed cell cache that
+	// cache, when non-nil, replays unchanged study cells from; the
+	// -faultimpact sweep shares the directory.
+	cacheDir string
+	cache    *bm.SweepCache
+	// metrics is the registry -metrics snapshots (nil without it).
+	metrics *bm.Metrics
+}
 
 // logStderr prints a cache notice (progress, a corrupt entry recomputed)
 // on stderr.
@@ -138,25 +136,25 @@ func logStderr(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n",
 // it prints goes to stderr — stdout is reserved for artifacts — and any
 // partial carriage-return counter line is terminated before returning,
 // so a following report or error message starts on a fresh line.
-func runStudy(runs int) (*bm.Study, error) {
+func runStudy(o *options) (*bm.Study, error) {
 	fmt.Fprintf(os.Stderr, "running the full matrix (%d methods x %d combos x %d runs)...\n",
-		len(bm.ComparedMethods()), len(bm.Profiles()), runs)
+		len(bm.ComparedMethods()), len(bm.Profiles()), o.runs)
 	opts := bm.StudyOptions{
-		Runs:     runs,
-		BaseSeed: baseSeed,
-		Workers:  workers,
-		Tracing:  tracing,
-		Metrics:  metricsReg,
+		Runs:     o.runs,
+		BaseSeed: o.seed,
+		Workers:  o.workers,
+		Tracing:  o.tracePath != "",
+		Metrics:  o.metrics,
 	}
-	opts.Testbed.Faults = faultProfile
-	if faultProfile.Enabled() {
-		fmt.Fprintf(os.Stderr, "fault profile: %s\n", faultProfile)
+	opts.Testbed.Faults = o.faults
+	if o.faults.Enabled() {
+		fmt.Fprintf(os.Stderr, "fault profile: %s\n", o.faults)
 	}
-	if studyCache != nil {
-		opts.Cache = studyCache
+	if o.cache != nil {
+		opts.Cache = o.cache
 	}
 	partialLine := false // an unterminated \r counter line is on stderr
-	if progressMode {
+	if o.progress {
 		// Structured per-cell lines: one complete line per cell, safe to
 		// interleave with other stderr writers and to parse.
 		opts.OnCellDone = func(cs bm.CellStatus) {
@@ -196,9 +194,9 @@ func runStudy(runs int) (*bm.Study, error) {
 	return study, nil
 }
 
-// writeMetricsSnapshot dumps the shared registry to path (JSON when the
+// writeMetricsSnapshot dumps the registry m to path (JSON when the
 // extension is .json, text otherwise); empty path is a no-op.
-func writeMetricsSnapshot(path string) error {
+func writeMetricsSnapshot(m *bm.Metrics, path string) error {
 	if path == "" {
 		return nil
 	}
@@ -208,9 +206,9 @@ func writeMetricsSnapshot(path string) error {
 	}
 	werr := error(nil)
 	if strings.HasSuffix(path, ".json") {
-		werr = metricsReg.WriteJSON(f)
+		werr = m.WriteJSON(f)
 	} else {
-		werr = metricsReg.WriteText(f)
+		werr = m.WriteText(f)
 	}
 	if werr != nil {
 		f.Close()
@@ -229,25 +227,25 @@ func writeMetricsSnapshot(path string) error {
 // the same sweep on it at once share the cells), with warm/cold
 // accounting on stderr and the summary table (plus optional full CSV) as
 // the stdout artifact.
-func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath string) error {
+func runSweep(o *options, sweepFaults []bm.FaultProfile) error {
 	opts := bm.SweepOptions{
 		Faults:   sweepFaults,
-		Runs:     runs,
-		BaseSeed: baseSeed,
-		Workers:  workers,
-		Dir:      cacheDir,
+		Runs:     o.runs,
+		BaseSeed: o.seed,
+		Workers:  o.workers,
+		Dir:      o.cacheDir,
 		Log:      logStderr,
-		Metrics:  metricsReg,
+		Metrics:  o.metrics,
 	}
 	nFaults := len(sweepFaults)
 	if nFaults == 0 {
 		nFaults = len(bm.FaultProfiles())
 	}
 	fmt.Fprintf(os.Stderr, "sweeping %d methods x %d combos x %d fault profiles (%d runs/cell, cache %s)...\n",
-		len(bm.ComparedMethods()), len(bm.Profiles()), nFaults, runs, cacheDir)
+		len(bm.ComparedMethods()), len(bm.Profiles()), nFaults, o.runs, o.cacheDir)
 	done := 0
 	partialLine := false
-	if progressMode {
+	if o.progress {
 		opts.OnCell = func(fp bm.FaultProfile, cs bm.CellStatus) {
 			status := "ok"
 			switch {
@@ -280,8 +278,8 @@ func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath 
 	// The report and the CSV are the byte surfaces that are identical
 	// however many processes shared the sweep's cache dir.
 	fmt.Println(res.Report())
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
+	if o.csvPath != "" {
+		f, err := os.Create(o.csvPath)
 		if err != nil {
 			return err
 		}
@@ -292,54 +290,49 @@ func runSweep(runs int, cacheDir string, sweepFaults []bm.FaultProfile, csvPath 
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote sweep samples to %s\n", csvPath)
+		fmt.Fprintf(os.Stderr, "wrote sweep samples to %s\n", o.csvPath)
 	}
 	return nil
 }
 
 func main() {
-	var (
-		table       = flag.Int("table", 0, "regenerate one table (1-4)")
-		fig         = flag.Int("fig", 0, "regenerate one figure (3-5)")
-		runs        = flag.Int("runs", 50, "repetitions per experiment cell")
-		all         = flag.Bool("all", false, "regenerate every table and figure")
-		recommend   = flag.Bool("recommend", false, "print the Section 5 recommendations")
-		ascii       = flag.Bool("ascii", false, "render Figure 3 as terminal box-plot art")
-		attribution = flag.Bool("attribution", false, "decompose overheads (Section 4 investigations)")
-		impact      = flag.Bool("impact", false, "jitter/throughput/loss impact report")
-		csvPath     = flag.String("csv", "", "also export the full study's samples as CSV to this file")
-		mdPath      = flag.String("markdown", "", "write a Markdown report of the full study to this file")
-		seed        = flag.Int64("seed", 0, "base seed for the deterministic simulation")
-		nworkers    = flag.Int("workers", 0, "concurrent study cells (0 = one per CPU, 1 = sequential; results are identical)")
-		tracePath   = flag.String("trace", "", "write the study as Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto)")
-		metricsPath = flag.String("metrics", "", "write a metrics snapshot to this file (.json extension = JSON, otherwise text)")
-		cellstats   = flag.Bool("cellstats", false, "print the slowest study cells by host wall time")
-		progressFl  = flag.Bool("progress", false, "structured per-cell progress lines on stderr (instead of the counter)")
-		faultsFl    = flag.String("faults", "", "network-impairment profile for every study cell (clean, lossy1pct, burstywifi, congested); with -sweep, a comma-separated list")
-		faultimpact = flag.Bool("faultimpact", false, "Δd degradation study: every method under every fault profile")
-		cacheDirFl  = flag.String("cache-dir", "", "content-addressed cell cache directory (unchanged cells replay from disk byte-identically)")
-		sweepFl     = flag.Bool("sweep", false, "run methods x browsers x fault profiles as one cache-backed sweep (requires -cache-dir; rerun to finish a killed sweep, run several at once to share it)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
-		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
-	)
+	var o options
+	flag.IntVar(&o.table, "table", 0, "regenerate one table (1-4)")
+	flag.IntVar(&o.fig, "fig", 0, "regenerate one figure (3-5)")
+	flag.IntVar(&o.runs, "runs", 50, "repetitions per experiment cell")
+	flag.BoolVar(&o.all, "all", false, "regenerate every table and figure")
+	flag.BoolVar(&o.recommend, "recommend", false, "print the Section 5 recommendations")
+	flag.BoolVar(&o.ascii, "ascii", false, "render Figure 3 as terminal box-plot art")
+	flag.BoolVar(&o.attribution, "attribution", false, "decompose overheads (Section 4 investigations)")
+	flag.BoolVar(&o.impact, "impact", false, "jitter/throughput/loss impact report")
+	flag.StringVar(&o.csvPath, "csv", "", "also export the full study's samples as CSV to this file")
+	flag.StringVar(&o.mdPath, "markdown", "", "write a Markdown report of the full study to this file")
+	flag.Int64Var(&o.seed, "seed", 0, "base seed for the deterministic simulation")
+	flag.IntVar(&o.workers, "workers", 0, "concurrent study cells (0 = one per CPU, 1 = sequential; results are identical)")
+	flag.StringVar(&o.tracePath, "trace", "", "write the study as Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto)")
+	flag.StringVar(&o.metricsPath, "metrics", "", "write a metrics snapshot to this file (.json extension = JSON, otherwise text)")
+	flag.BoolVar(&o.cellstats, "cellstats", false, "print the slowest study cells by host wall time")
+	flag.BoolVar(&o.progress, "progress", false, "structured per-cell progress lines on stderr (instead of the counter)")
+	faultsFl := flag.String("faults", "", "network-impairment profile for every study cell (clean, lossy1pct, burstywifi, congested); with -sweep, a comma-separated list")
+	flag.BoolVar(&o.faultimpact, "faultimpact", false, "Δd degradation study: every method under every fault profile")
+	flag.StringVar(&o.cacheDir, "cache-dir", "", "content-addressed cell cache directory (unchanged cells replay from disk byte-identically)")
+	sweepFl := flag.Bool("sweep", false, "run methods x browsers x fault profiles as one cache-backed sweep (requires -cache-dir; rerun to finish a killed sweep, run several at once to share it)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
 	flag.Parse()
 	if err := startProfiles(*cpuprofile, *memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "appraise:", err)
 		os.Exit(2)
 	}
 	defer stopProfiles() // normal returns; exit() covers the error paths
-	baseSeed = *seed
-	workers = *nworkers
-	tracing = *tracePath != ""
-	if *metricsPath != "" {
-		metricsReg = bm.NewMetrics()
+	if o.metricsPath != "" {
+		o.metrics = bm.NewMetrics()
 	}
-	progressMode = *progressFl
 
 	if *sweepFl {
 		// -faults may list several profiles, comma-separated (empty =
 		// every built-in profile).
-		if *cacheDirFl == "" {
+		if o.cacheDir == "" {
 			fmt.Fprintln(os.Stderr, "appraise: -sweep requires -cache-dir")
 			exit(2)
 		}
@@ -354,11 +347,11 @@ func main() {
 				sweepFaults = append(sweepFaults, fp)
 			}
 		}
-		if err := runSweep(*runs, *cacheDirFl, sweepFaults, *csvPath); err != nil {
+		if err := runSweep(&o, sweepFaults); err != nil {
 			fmt.Fprintln(os.Stderr, "appraise:", err)
 			exit(1)
 		}
-		if err := writeMetricsSnapshot(*metricsPath); err != nil {
+		if err := writeMetricsSnapshot(o.metrics, o.metricsPath); err != nil {
 			fmt.Fprintln(os.Stderr, "appraise:", err)
 			exit(1)
 		}
@@ -366,27 +359,26 @@ func main() {
 	}
 
 	var err error
-	faultProfile, err = bm.ParseFaultProfile(*faultsFl)
+	o.faults, err = bm.ParseFaultProfile(*faultsFl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "appraise:", err)
 		exit(2)
 	}
-	if cacheDir = *cacheDirFl; cacheDir != "" {
-		studyCache, err = bm.OpenSweepCache(cacheDir, "")
+	if o.cacheDir != "" {
+		o.cache, err = bm.OpenSweepCache(o.cacheDir, "")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "appraise:", err)
 			exit(2)
 		}
-		studyCache.SetLog(logStderr)
+		o.cache.SetLog(logStderr)
 	}
 
-	if !*all && *table == 0 && *fig == 0 && !*recommend && !*attribution && !*impact && *csvPath == "" && *mdPath == "" &&
-		*tracePath == "" && *metricsPath == "" && !*cellstats && !*faultimpact {
+	if !o.all && o.table == 0 && o.fig == 0 && !o.recommend && !o.attribution && !o.impact && o.csvPath == "" && o.mdPath == "" &&
+		o.tracePath == "" && o.metricsPath == "" && !o.cellstats && !o.faultimpact {
 		flag.Usage()
 		exit(2)
 	}
-	if err := run(os.Stdout, *table, *fig, *runs, *all, *recommend, *ascii, *attribution, *impact,
-		*csvPath, *mdPath, *tracePath, *metricsPath, *cellstats, *faultimpact); err != nil {
+	if err := run(os.Stdout, o); err != nil {
 		fmt.Fprintln(os.Stderr, "appraise:", err)
 		exit(1)
 	}
@@ -395,67 +387,67 @@ func main() {
 // run regenerates the selected artifacts onto w (stdout in main). Files
 // named by the path flags are written as side outputs, and progress goes
 // to stderr.
-func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, impact bool, csvPath, mdPath, tracePath, metricsPath string, cellstats, faultimpact bool) error {
+func run(w io.Writer, o options) error {
 	var study *bm.Study
-	needStudy := all || fig == 3 || recommend || csvPath != "" || mdPath != "" ||
-		tracePath != "" || metricsPath != "" || cellstats
+	needStudy := o.all || o.fig == 3 || o.recommend || o.csvPath != "" || o.mdPath != "" ||
+		o.tracePath != "" || o.metricsPath != "" || o.cellstats
 	if needStudy {
 		var err error
-		study, err = runStudy(runs)
+		study, err = runStudy(&o)
 		if err != nil {
 			return err
 		}
 	}
 
-	if all || table == 1 {
+	if o.all || o.table == 1 {
 		fmt.Fprintln(w, bm.Table1())
 	}
-	if all || table == 2 {
+	if o.all || o.table == 2 {
 		fmt.Fprintln(w, bm.Table2())
 	}
-	if all || fig == 3 {
-		if ascii {
+	if o.all || o.fig == 3 {
+		if o.ascii {
 			fmt.Fprintln(w, bm.Fig3ASCII(study, 72))
 		} else {
 			fmt.Fprintln(w, bm.Fig3(study))
 		}
 	}
-	if all || fig == 4 {
-		report, _, err := bm.Fig4(runs)
+	if o.all || o.fig == 4 {
+		report, _, err := bm.Fig4(o.runs)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, report)
-		if ascii {
-			art, err := bm.Fig4ASCII(runs, 50)
+		if o.ascii {
+			art, err := bm.Fig4ASCII(o.runs, 50)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintln(w, art)
 		}
 	}
-	if all || fig == 5 {
+	if o.all || o.fig == 5 {
 		report, _ := bm.Fig5(12)
 		fmt.Fprintln(w, report)
 	}
-	if all || table == 3 {
-		report, _, err := bm.Table3(runs)
+	if o.all || o.table == 3 {
+		report, _, err := bm.Table3(o.runs)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, report)
 	}
-	if all || table == 4 {
-		report, _, err := bm.Table4(runs)
+	if o.all || o.table == 4 {
+		report, _, err := bm.Table4(o.runs)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, report)
 	}
-	if all || recommend {
+	if o.all || o.recommend {
 		if study == nil {
 			var err error
-			study, err = runStudy(runs)
+			study, err = runStudy(&o)
 			if err != nil {
 				return err
 			}
@@ -477,7 +469,7 @@ func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, 
 			fmt.Fprintf(w, "  note: %s\n", n)
 		}
 	}
-	if all || attribution {
+	if o.all || o.attribution {
 		// The two Section 4 investigations: Opera's Flash handshake and
 		// the Java socket clock error.
 		for _, c := range []struct {
@@ -490,7 +482,7 @@ func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, 
 			{bm.MethodJavaTCP, bm.Chrome, bm.GetTime, 5 * time.Minute},
 		} {
 			report, err := bm.AttributionReport(c.m, c.b, bm.Windows, bm.Options{
-				Timing: c.timing, Runs: runs, Warp: c.warp,
+				Timing: c.timing, Runs: o.runs, Warp: c.warp,
 			})
 			if err != nil {
 				return err
@@ -498,8 +490,8 @@ func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, 
 			fmt.Fprintln(w, report)
 		}
 	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
+	if o.csvPath != "" {
+		f, err := os.Create(o.csvPath)
 		if err != nil {
 			return err
 		}
@@ -510,16 +502,16 @@ func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, 
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote study samples to %s\n", csvPath)
+		fmt.Fprintf(os.Stderr, "wrote study samples to %s\n", o.csvPath)
 	}
-	if mdPath != "" {
-		if err := os.WriteFile(mdPath, []byte(bm.MarkdownReport(study)), 0o644); err != nil {
+	if o.mdPath != "" {
+		if err := os.WriteFile(o.mdPath, []byte(bm.MarkdownReport(study)), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote Markdown report to %s\n", mdPath)
+		fmt.Fprintf(os.Stderr, "wrote Markdown report to %s\n", o.mdPath)
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			return err
 		}
@@ -530,35 +522,35 @@ func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, 
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", tracePath)
+		fmt.Fprintf(os.Stderr, "wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", o.tracePath)
 	}
-	if err := writeMetricsSnapshot(metricsPath); err != nil {
+	if err := writeMetricsSnapshot(o.metrics, o.metricsPath); err != nil {
 		return err
 	}
-	if all || impact {
+	if o.all || o.impact {
 		report, err := bm.ImpactReport(bm.Firefox, bm.Windows, bm.NanoTime)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, report)
-		sweep, err := bm.ServerOverheadReport(bm.Firefox, bm.Windows, bm.NanoTime, runs)
+		sweep, err := bm.ServerOverheadReport(bm.Firefox, bm.Windows, bm.NanoTime, o.runs)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, sweep)
 	}
-	if faultimpact {
+	if o.faultimpact {
 		fmt.Fprintf(os.Stderr, "running the fault-impact study (%d profiles x %d methods x %d runs)...\n",
-			len(bm.FaultProfiles()), len(bm.ComparedMethods()), runs)
+			len(bm.FaultProfiles()), len(bm.ComparedMethods()), o.runs)
 		// Opera/Windows supports all ten methods, and its Flash methods
 		// open fresh connections: the handshake-sensitivity showcase.
 		opera := bm.LookupProfile(bm.Opera, bm.Windows)
 		res, err := bm.RunSweep(context.Background(), bm.SweepOptions{
 			Profiles: []*bm.Profile{opera},
-			Runs:     runs,
-			BaseSeed: baseSeed,
-			Workers:  workers,
-			Dir:      cacheDir,
+			Runs:     o.runs,
+			BaseSeed: o.seed,
+			Workers:  o.workers,
+			Dir:      o.cacheDir,
 			Log:      logStderr,
 		})
 		if err != nil {
@@ -569,7 +561,7 @@ func run(w io.Writer, table, fig, runs int, all, recommend, ascii, attribution, 
 	}
 	// Last so the regenerated artifacts above stay byte-identical with
 	// and without the flag.
-	if cellstats {
+	if o.cellstats {
 		fmt.Fprintln(w, bm.CellStatsTable(study, 15))
 	}
 	return nil

@@ -31,14 +31,14 @@ func TestGoldenArtifacts(t *testing.T) {
 
 	// appraise -all -runs 50
 	var out bytes.Buffer
-	if err := run(&out, 0, 0, 50, true, false, false, false, false, "", "", "", "", false, false); err != nil {
+	if err := run(&out, options{all: true, runs: 50}); err != nil {
 		t.Fatal(err)
 	}
 	check("appraise_all.txt", out.Bytes())
 
 	// appraise -fig 3 -ascii -runs 50
 	out.Reset()
-	if err := run(&out, 0, 3, 50, false, false, true, false, false, "", "", "", "", false, false); err != nil {
+	if err := run(&out, options{fig: 3, ascii: true, runs: 50}); err != nil {
 		t.Fatal(err)
 	}
 	check("fig3_ascii.txt", out.Bytes())
@@ -46,7 +46,7 @@ func TestGoldenArtifacts(t *testing.T) {
 	// appraise -markdown report.md
 	md := filepath.Join(tmp, "report.md")
 	out.Reset()
-	if err := run(&out, 0, 0, 50, false, false, false, false, false, "", md, "", "", false, false); err != nil {
+	if err := run(&out, options{mdPath: md, runs: 50}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(md)
@@ -57,7 +57,7 @@ func TestGoldenArtifacts(t *testing.T) {
 
 	// appraise -csv study.csv
 	csv := filepath.Join(tmp, "study.csv")
-	if err := run(&out, 0, 0, 50, false, false, false, false, false, csv, "", "", "", false, false); err != nil {
+	if err := run(&out, options{csvPath: csv, runs: 50}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err = os.ReadFile(csv); err != nil {

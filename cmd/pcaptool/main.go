@@ -15,7 +15,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"slices"
 
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/capture"
@@ -24,85 +27,126 @@ import (
 	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
-func main() {
-	var (
-		gen    = flag.String("gen", "", "run one measurement and write its capture to this pcap file")
-		method = flag.Int("method", int(methods.WebSocket), "method kind for -gen (0-10, see Table 1 order)")
-		bName  = flag.String("browser", "C", "browser initial for -gen (C,F,IE,O,S)")
-		osName = flag.String("os", "W", "system initial for -gen (W,U)")
-		dump   = flag.String("dump", "", "print packets of this pcap file")
-		rtt    = flag.String("rtt", "", "compute request/response RTTs of this pcap file")
-		port   = flag.Uint("port", uint(testbed.WSPort), "server port for -rtt matching")
-		filter = flag.String("filter", "", "tcpdump-like filter for -dump (e.g. 'tcp and port 80')")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run executes one pcaptool command and returns its exit status: 0 on
+// success, 1 when the command fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pcaptool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		gen    = fs.String("gen", "", "run one measurement and write its capture to this pcap file")
+		method = fs.Int("method", int(methods.WebSocket), "method kind for -gen (0-10, see Table 1 order)")
+		bName  = fs.String("browser", "C", "browser initial for -gen (C,F,IE,O,S)")
+		osName = fs.String("os", "W", "system initial for -gen (W,U)")
+		dump   = fs.String("dump", "", "print packets of this pcap file")
+		rtt    = fs.String("rtt", "", "compute request/response RTTs of this pcap file")
+		port   = fs.Uint("port", uint(testbed.WSPort), "server port for -rtt matching")
+		filter = fs.String("filter", "", "tcpdump-like filter for -dump (e.g. 'tcp and port 80')")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	var err error
 	switch {
 	case *gen != "":
-		if err := generate(*gen, methods.Kind(*method), *bName, *osName); err != nil {
-			fail(err)
+		kind, prof, uerr := genConfig(*method, *bName, *osName)
+		if uerr != nil {
+			fmt.Fprintln(stderr, "pcaptool:", uerr)
+			return 2
+		}
+		var frames int
+		var probePort uint16
+		err = createWith(*gen, func(w io.Writer) (err error) {
+			frames, probePort, err = generate(w, kind, prof)
+			return err
+		})
+		if err == nil {
+			fmt.Fprintf(stdout, "wrote %d frames (%s on %s, probes on port %d) to %s\n",
+				frames, kind, prof.Label(), probePort, *gen)
 		}
 	case *dump != "":
-		if err := dumpFile(*dump, *filter); err != nil {
-			fail(err)
-		}
+		err = dumpFile(stdout, *dump, *filter)
 	case *rtt != "":
-		if err := rttFile(*rtt, uint16(*port)); err != nil {
-			fail(err)
+		if *port > math.MaxUint16 {
+			fmt.Fprintf(stderr, "pcaptool: port %d out of range\n", *port)
+			return 2
 		}
+		err = rttFile(stdout, *rtt, uint16(*port))
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "pcaptool:", err)
+		return 1
+	}
+	return 0
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "pcaptool:", err)
-	os.Exit(1)
-}
-
-func parseBrowser(initial string) (browser.Name, error) {
+// genConfig resolves the -gen flags to a method and a Table 2 profile.
+func genConfig(method int, bInitial, osInitial string) (methods.Kind, *browser.Profile, error) {
+	kind := methods.Kind(method)
+	if !slices.ContainsFunc(methods.All(), func(s methods.Spec) bool { return s.Kind == kind }) {
+		return 0, nil, fmt.Errorf("unknown method %d (want 0-%d)", method, len(methods.All())-1)
+	}
+	var b browser.Name
+	found := false
 	for _, n := range []browser.Name{browser.Chrome, browser.Firefox, browser.IE, browser.Opera, browser.Safari} {
-		if n.Initial() == initial {
-			return n, nil
+		if n.Initial() == bInitial {
+			b, found = n, true
 		}
 	}
-	return 0, fmt.Errorf("unknown browser initial %q", initial)
-}
-
-func generate(path string, kind methods.Kind, bInitial, osInitial string) error {
-	b, err := parseBrowser(bInitial)
-	if err != nil {
-		return err
+	if !found {
+		return 0, nil, fmt.Errorf("unknown browser initial %q", bInitial)
 	}
-	osv := browser.Windows
-	if osInitial == "U" {
+	var osv browser.OS
+	switch osInitial {
+	case "W":
+		osv = browser.Windows
+	case "U":
 		osv = browser.Ubuntu
+	default:
+		return 0, nil, fmt.Errorf("unknown system initial %q (want W or U)", osInitial)
 	}
 	prof := browser.Lookup(b, osv)
 	if prof == nil {
-		return fmt.Errorf("%s (%s) is not a Table 2 configuration", bInitial, osInitial)
+		return 0, nil, fmt.Errorf("%s (%s) is not a Table 2 configuration", bInitial, osInitial)
 	}
-	tb := testbed.New(testbed.Config{Seed: 1})
-	runner := &methods.Runner{TB: tb, Profile: prof}
-	res, err := runner.Run(kind)
-	if err != nil {
-		return err
-	}
+	return kind, prof, nil
+}
+
+// createWith creates the file at path, fills it through write and
+// closes it, reporting the first error of the three.
+func createWith(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := tb.Cap.WriteTo(f); err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Printf("wrote %d frames (%s on %s, probes on port %d) to %s\n",
-		len(tb.Cap.Records()), kind, prof.Label(), res.ServerPort, path)
-	return nil
+	return f.Close()
 }
 
-func dumpFile(path, filterExpr string) error {
+// generate runs one measurement of kind on prof and writes its capture
+// to w as pcap. It returns the frame count and the probes' server port.
+func generate(w io.Writer, kind methods.Kind, prof *browser.Profile) (frames int, port uint16, err error) {
+	tb := testbed.New(testbed.Config{Seed: 1})
+	runner := &methods.Runner{TB: tb, Profile: prof}
+	res, err := runner.Run(kind)
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := tb.Cap.WriteTo(w); err != nil {
+		return 0, 0, err
+	}
+	return len(tb.Cap.Records()), res.ServerPort, nil
+}
+
+func dumpFile(stdout io.Writer, path, filterExpr string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -121,18 +165,18 @@ func dumpFile(path, filterExpr string) error {
 	for _, r := range recs {
 		p, err := netsim.Decode(r.Data, r.Time)
 		if err != nil {
-			fmt.Printf("%v [undecodable: %v]\n", r.Time, err)
+			fmt.Fprintf(stdout, "%v [undecodable: %v]\n", r.Time, err)
 			continue
 		}
 		if filt != nil && !filt(p) {
 			continue
 		}
-		fmt.Println(p)
+		fmt.Fprintln(stdout, p)
 	}
 	return nil
 }
 
-func rttFile(path string, port uint16) error {
+func rttFile(stdout io.Writer, path string, port uint16) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -145,7 +189,7 @@ func rttFile(path string, port uint16) error {
 	cap := capture.FromRecords(recs)
 	pairs := cap.MatchRTT(port)
 	if len(pairs) == 0 {
-		fmt.Printf("no request/response pairs on port %d\n", port)
+		fmt.Fprintf(stdout, "no request/response pairs on port %d\n", port)
 		return nil
 	}
 	for i, p := range pairs {
@@ -153,7 +197,7 @@ func rttFile(path string, port uint16) error {
 		if p.Handshake {
 			hs = "  (preceded by TCP handshake)"
 		}
-		fmt.Printf("pair %d: send=%v recv=%v rtt=%v%s\n", i+1, p.SendAt, p.RecvAt, p.RTT(), hs)
+		fmt.Fprintf(stdout, "pair %d: send=%v recv=%v rtt=%v%s\n", i+1, p.SendAt, p.RecvAt, p.RTT(), hs)
 	}
 	return nil
 }

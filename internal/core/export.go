@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/stats"
 )
 
@@ -121,14 +120,4 @@ func appendMs(dst []byte, d time.Duration) []byte {
 	frac := units % 10000
 	return append(dst, '.',
 		byte('0'+frac/1000), byte('0'+frac/100%10), byte('0'+frac/10%10), byte('0'+frac%10))
-}
-
-// WriteCSV exports one experiment's samples with the same columns.
-func (e *Experiment) WriteCSV(w io.Writer) error {
-	st := &Study{Cells: []Cell{{
-		Spec:    methods.Get(e.Config.Method),
-		Profile: e.Config.Profile,
-		Exp:     e,
-	}}}
-	return st.WriteCSV(w)
 }

@@ -64,7 +64,8 @@ func TestWriteCSV(t *testing.T) {
 func TestExperimentWriteCSV(t *testing.T) {
 	exp := quickExp(t, methods.DOM, browser.Chrome, browser.Ubuntu, browser.NanoTime, 5)
 	var buf bytes.Buffer
-	if err := exp.WriteCSV(&buf); err != nil {
+	st := &Study{Cells: []Cell{{Spec: methods.Get(exp.Config.Method), Profile: exp.Config.Profile, Exp: exp}}}
+	if err := st.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "DOM") {

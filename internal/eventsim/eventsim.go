@@ -30,9 +30,6 @@ type event struct {
 	gen uint32
 
 	canceled bool
-	// canceledGen remembers the most recently canceled generation (+1, so
-	// zero means "none"), letting a stale handle still answer Canceled.
-	canceledGen uint32
 
 	fn   func()
 	bfn  func([]byte) // byte-argument variant; avoids a closure per frame
@@ -42,19 +39,10 @@ type event struct {
 }
 
 // Event is a cancelable handle to a scheduled callback. The zero value is
-// inert: Cancel is a no-op and Canceled reports false.
+// inert: Cancel is a no-op.
 type Event struct {
 	e   *event
 	gen uint32
-}
-
-// At returns the virtual time at which the event fires (zero for the zero
-// handle or after the record has been recycled).
-func (h Event) At() time.Duration {
-	if h.e == nil || h.e.gen != h.gen {
-		return 0
-	}
-	return h.e.at
 }
 
 // Cancel prevents a pending event from firing. Canceling an event that has
@@ -65,19 +53,6 @@ func (h Event) Cancel() {
 		return
 	}
 	e.canceled = true
-	e.canceledGen = h.gen + 1
-}
-
-// Canceled reports whether Cancel was called before the event fired.
-func (h Event) Canceled() bool {
-	e := h.e
-	if e == nil {
-		return false
-	}
-	if e.gen == h.gen {
-		return e.canceled
-	}
-	return e.canceledGen == h.gen+1
 }
 
 // Simulator is a discrete-event simulator with a virtual clock.

@@ -21,19 +21,21 @@ type AggConfig struct {
 	// reported stale and its sessions leave the cluster total
 	// (default 3×Interval). Its cumulative aggregates remain.
 	StaleAfter time.Duration
-	// Targets are the sketch quantile targets (default
-	// obs.DefaultSketchTargets); they must match the collectors'.
-	Targets []obs.SketchTarget
 	// Metrics receives the fleet_agg_* and fleet_stream_* series.
 	Metrics *obs.Metrics
-	// HistoryDepth/HistoryEvery/KeepAlive tune the shared live view
-	// exactly as in Config.
+	// HistoryDepth bounds the dashboard history ring: how many past
+	// snapshots /live/history retains and Last-Event-ID reconnects can
+	// replay (default 64).
 	HistoryDepth int
+	// HistoryEvery subsamples history recording: every Nth changed
+	// snapshot enters the ring (default 1, i.e. all of them). Raising it
+	// trades scrub resolution for a longer covered window at the same
+	// memory bound.
 	HistoryEvery int
-	KeepAlive    time.Duration
-	// MaxBody bounds one ingest POST (default 256 MiB).
-	MaxBody int64
 }
+
+// maxIngestBody bounds one ingest POST.
+const maxIngestBody = 256 << 20
 
 // nodeKey is the cluster aggregate key: which node reported the series.
 type nodeKey struct {
@@ -107,11 +109,8 @@ func NewAggregator(cfg AggConfig) *Aggregator {
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 3 * cfg.Interval
 	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 256 << 20
-	}
 	a := &Aggregator{
-		liveView:   newLiveView(cfg.HistoryDepth, cfg.HistoryEvery, cfg.KeepAlive),
+		liveView:   newLiveView(cfg.HistoryDepth, cfg.HistoryEvery),
 		cfg:        cfg,
 		nodes:      make(map[string]*nodeState),
 		globals:    make(map[nodeKey]*Agg),
@@ -154,8 +153,8 @@ func (a *Aggregator) IngestHandler() http.Handler {
 			http.Error(w, "POST frames", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(req.Body, a.cfg.MaxBody+1))
-		if err != nil || int64(len(body)) > a.cfg.MaxBody {
+		body, err := io.ReadAll(io.LimitReader(req.Body, maxIngestBody+1))
+		if err != nil || len(body) > maxIngestBody {
 			http.Error(w, "bad body", http.StatusBadRequest)
 			return
 		}
@@ -241,7 +240,7 @@ func (a *Aggregator) apply(f *fleetwire.Frame) {
 		mergeInto(a.globals, nk, &Agg{
 			Sketch: kd.Sketch, Count: kd.Count, Lost: kd.Lost,
 			JitterSum: kd.JitterSum, JitterN: kd.JitterN,
-		}, a.cfg.Targets)
+		})
 	}
 	a.frames++
 	a.ready.MarkReady()

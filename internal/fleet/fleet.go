@@ -78,23 +78,9 @@ type Config struct {
 	// Interval is the fan-in period for Start (default 1s). FanIn can
 	// always be called manually, ticker or not.
 	Interval time.Duration
-	// Targets are the sketch quantile targets for the per-key delay
-	// summaries (default obs.DefaultSketchTargets).
-	Targets []obs.SketchTarget
 	// Metrics receives the fleet_* self-metering series at each fan-in
 	// tick. nil disables metering at zero cost.
 	Metrics *obs.Metrics
-	// HistoryDepth bounds the dashboard history ring: how many past
-	// snapshots /live/history retains and Last-Event-ID reconnects can
-	// replay (default 64).
-	HistoryDepth int
-	// HistoryEvery subsamples history recording: every Nth changed
-	// snapshot enters the ring (default 1, i.e. all of them). Raising it
-	// trades scrub resolution for a longer covered window at the same
-	// memory bound.
-	HistoryEvery int
-	// KeepAlive is the idle SSE heartbeat period (default 15s).
-	KeepAlive time.Duration
 	// DeltaSink, when set, receives every fan-in tick's coalesced
 	// per-key deltas synchronously at the end of the pass — the hook
 	// the uplink ships multi-node frames from. Idle ticks arrive with
@@ -228,7 +214,7 @@ func New(cfg Config) *Registry {
 		cfg.Interval = time.Second
 	}
 	r := &Registry{
-		liveView:   newLiveView(cfg.HistoryDepth, cfg.HistoryEvery, cfg.KeepAlive),
+		liveView:   newLiveView(defaultHistoryDepth, 1),
 		cfg:        cfg,
 		mask:       uint64(n - 1),
 		shards:     make([]*shard, n),
@@ -301,7 +287,7 @@ func (r *Registry) Observe(id uint64, key Key, delayMs float64, lost bool) bool 
 		a = sh.slots[s.slot]
 	}
 	if a == nil || a.key != key {
-		a = sh.agg(key, r.cfg.Targets)
+		a = sh.agg(key)
 		s.slot = a.idx
 	}
 	sh.samples++
@@ -361,10 +347,10 @@ func (sh *shard) newSession(id uint64) int32 {
 
 // agg returns the shard's aggregate for key, creating it on first
 // sight. The caller holds sh.mu.
-func (sh *shard) agg(key Key, targets []obs.SketchTarget) *shardAgg {
+func (sh *shard) agg(key Key) *shardAgg {
 	a := sh.aggs[key]
 	if a == nil {
-		a = &shardAgg{Agg: Agg{Sketch: obs.NewSketch(targets...)}, key: key, idx: int32(len(sh.slots))}
+		a = &shardAgg{Agg: Agg{Sketch: obs.NewSketch()}, key: key, idx: int32(len(sh.slots))}
 		sh.aggs[key] = a
 		sh.slots = append(sh.slots, a)
 	}
@@ -437,7 +423,7 @@ func (r *Registry) FanIn() Snapshot {
 				continue
 			}
 			if a.spare == nil {
-				a.spare = obs.NewSketch(r.cfg.Targets...)
+				a.spare = obs.NewSketch()
 			}
 			taken = append(taken, DeltaKey{Key: a.key, Agg: a.Agg})
 			a.Agg, a.spare = Agg{Sketch: a.spare}, a.Sketch
@@ -462,7 +448,7 @@ func (r *Registry) FanIn() Snapshot {
 		t := &taken[i]
 		d := r.ticks[t.Key]
 		if d == nil {
-			d = &Agg{Sketch: obs.NewSketch(r.cfg.Targets...)}
+			d = &Agg{Sketch: obs.NewSketch()}
 			r.ticks[t.Key] = d
 		}
 		if d.Count == 0 {
@@ -482,7 +468,7 @@ func (r *Registry) FanIn() Snapshot {
 		deltas = append(deltas, DeltaKey{Key: k, Agg: *d})
 	}
 	for i := range deltas {
-		mergeInto(r.globals, deltas[i].Key, &deltas[i].Agg, r.cfg.Targets)
+		mergeInto(r.globals, deltas[i].Key, &deltas[i].Agg)
 	}
 
 	r.seq++
@@ -551,10 +537,10 @@ func meterStream(m *obs.Metrics, v *liveView) {
 
 // mergeInto folds d into the cumulative aggregate of key k, creating it
 // on first sight.
-func mergeInto[K comparable](globals map[K]*Agg, k K, d *Agg, targets []obs.SketchTarget) {
+func mergeInto[K comparable](globals map[K]*Agg, k K, d *Agg) {
 	g := globals[k]
 	if g == nil {
-		g = &Agg{Sketch: obs.NewSketch(targets...)}
+		g = &Agg{Sketch: obs.NewSketch()}
 		globals[k] = g
 	}
 	g.add(d)

@@ -18,7 +18,8 @@ func tickWithSample(r *Registry, k Key, id uint64, v float64) Snapshot {
 }
 
 func TestHistoryRingBounded(t *testing.T) {
-	r := New(Config{HistoryDepth: 4})
+	r := New(Config{})
+	r.liveView = newLiveView(4, 1)
 	k := Key{Method: "http-get", Browser: "chrome", Region: "us"}
 	for i := 0; i < 7; i++ {
 		tickWithSample(r, k, 1, float64(10+i))
@@ -44,7 +45,8 @@ func TestHistoryRingBounded(t *testing.T) {
 }
 
 func TestHistoryEverySubsamples(t *testing.T) {
-	r := New(Config{HistoryDepth: 16, HistoryEvery: 3})
+	r := New(Config{})
+	r.liveView = newLiveView(16, 3)
 	k := Key{Method: "udp", Browser: "opera", Region: "eu"}
 	for i := 0; i < 9; i++ {
 		tickWithSample(r, k, 1, float64(i+1))
@@ -61,7 +63,7 @@ func TestHistoryEverySubsamples(t *testing.T) {
 }
 
 func TestHistoryHandler(t *testing.T) {
-	r := New(Config{HistoryDepth: 8})
+	r := New(Config{})
 	k := Key{Method: "websocket", Browser: "firefox", Region: "ap"}
 	for i := 0; i < 3; i++ {
 		tickWithSample(r, k, 1, float64(20+i))
@@ -106,7 +108,7 @@ func TestHistoryHandler(t *testing.T) {
 
 func TestSSEEventIDsAndReconnectReplay(t *testing.T) {
 	m := obs.NewMetrics()
-	r := New(Config{HistoryDepth: 8, Metrics: m})
+	r := New(Config{Metrics: m})
 	k := Key{Method: "http-get", Browser: "chrome", Region: "us"}
 	for i := 0; i < 5; i++ {
 		tickWithSample(r, k, 1, float64(30+i))
@@ -170,7 +172,8 @@ func TestSSEFreshConnectStillGetsSnapshotFirst(t *testing.T) {
 }
 
 func TestSSEKeepAliveHeartbeat(t *testing.T) {
-	r := New(Config{KeepAlive: 25 * time.Millisecond})
+	r := New(Config{})
+	r.keepAlive = 25 * time.Millisecond
 	r.FanIn()
 	srv := httptest.NewServer(r.LiveHandler())
 	defer srv.Close()

@@ -72,6 +72,10 @@ func (h *hub) publish(frame []byte) {
 // timeouts.
 const defaultKeepAlive = 15 * time.Second
 
+// defaultHistoryDepth is how many past snapshots the history ring
+// retains when the caller sets no depth.
+const defaultHistoryDepth = 64
+
 // liveView is the read side of an aggregation plane — the current
 // snapshot, a bounded history ring of past snapshots, and the SSE hub —
 // shared by the single-node Registry and the multi-node Aggregator so
@@ -93,19 +97,19 @@ type liveView struct {
 	reconnects atomic.Int64
 }
 
-func newLiveView(depth, every int, keepAlive time.Duration) *liveView {
+// newLiveView builds a view whose history ring holds depth snapshots
+// (default defaultHistoryDepth) and records every Nth changed one
+// (default 1).
+func newLiveView(depth, every int) *liveView {
 	if depth <= 0 {
-		depth = 64
+		depth = defaultHistoryDepth
 	}
 	if every <= 0 {
 		every = 1
 	}
-	if keepAlive <= 0 {
-		keepAlive = defaultKeepAlive
-	}
 	return &liveView{
 		hub:       newHub(),
-		keepAlive: keepAlive,
+		keepAlive: defaultKeepAlive,
 		ring:      make([]Snapshot, 0, depth),
 		ringCap:   depth,
 		every:     every,

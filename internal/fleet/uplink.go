@@ -17,22 +17,25 @@ type UplinkConfig struct {
 	Node string
 	// URL is the root's ingest endpoint, e.g. http://root:9310/ingest.
 	URL string
-	// QueueDepth bounds the frames buffered while the root is
-	// unreachable (default 64). Overflow drops the oldest frame —
-	// counted, never blocking the fan-in tick that produced it.
-	QueueDepth int
-	// Timeout bounds one POST attempt (default 5s).
-	Timeout time.Duration
-	// Backoff is the initial retry delay after a failed ship (default
-	// 250ms), doubling up to MaxBackoff (default 10s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// Client overrides the HTTP client (tests). Timeout still applies
-	// per request via context when unset on the client.
-	Client *http.Client
 	// Metrics receives the fleet_uplink_* series. nil disables metering.
 	Metrics *obs.Metrics
 }
+
+// uplinkTimeout bounds one POST attempt.
+const uplinkTimeout = 5 * time.Second
+
+// uplinkLimits bounds an uplink's buffering and retries.
+type uplinkLimits struct {
+	// queueDepth bounds the frames buffered while the root is
+	// unreachable. Overflow drops the oldest frame — counted, never
+	// blocking the fan-in tick that produced it.
+	queueDepth int
+	// backoff is the initial retry delay after a failed ship, doubling
+	// up to maxBackoff.
+	backoff, maxBackoff time.Duration
+}
+
+var defaultUplinkLimits = uplinkLimits{queueDepth: 64, backoff: 250 * time.Millisecond, maxBackoff: 10 * time.Second}
 
 // Uplink ships fan-in tick deltas to the root aggregator as fleetwire
 // frames. Sink never blocks: frames queue in a bounded buffer and a
@@ -41,7 +44,9 @@ type UplinkConfig struct {
 // path and shard locks are never touched — the uplink only sees the
 // already-coalesced tick deltas the fan-in pass hands it.
 type Uplink struct {
-	cfg UplinkConfig
+	cfg    UplinkConfig
+	lim    uplinkLimits
+	client *http.Client
 	// epoch is this process's boot id, stamped into every frame so the
 	// root can tell a restart (new epoch, seq back at 1) from duplicate
 	// delivery (same epoch, repeated seq).
@@ -58,35 +63,24 @@ type Uplink struct {
 
 // NewUplink builds an uplink and starts its shipper goroutine. Close it
 // with Stop.
-func NewUplink(cfg UplinkConfig) (*Uplink, error) {
+func NewUplink(cfg UplinkConfig) (*Uplink, error) { return newUplink(cfg, defaultUplinkLimits) }
+
+func newUplink(cfg UplinkConfig, lim uplinkLimits) (*Uplink, error) {
 	if cfg.Node == "" {
 		return nil, fmt.Errorf("fleet: uplink requires a node name")
 	}
 	if cfg.URL == "" {
 		return nil, fmt.Errorf("fleet: uplink requires a root URL")
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 250 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 10 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: cfg.Timeout}
-	}
 	registerUplinkHelp(cfg.Metrics)
 	u := &Uplink{
-		cfg:   cfg,
-		epoch: uint64(time.Now().UnixNano()),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		cfg:    cfg,
+		lim:    lim,
+		client: &http.Client{Timeout: uplinkTimeout},
+		epoch:  uint64(time.Now().UnixNano()),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go u.run()
 	return u, nil
@@ -128,7 +122,7 @@ func (u *Uplink) Sink(d TickDelta) {
 	u.mu.Lock()
 	u.queue = append(u.queue, enc)
 	var over int
-	if over = len(u.queue) - u.cfg.QueueDepth; over > 0 {
+	if over = len(u.queue) - u.lim.queueDepth; over > 0 {
 		u.queue = append(u.queue[:0:0], u.queue[over:]...)
 	}
 	depth := len(u.queue)
@@ -168,7 +162,7 @@ func (u *Uplink) putBack(frames [][]byte) {
 	u.mu.Lock()
 	u.queue = append(frames, u.queue...)
 	var over int
-	if over = len(u.queue) - u.cfg.QueueDepth; over > 0 {
+	if over = len(u.queue) - u.lim.queueDepth; over > 0 {
 		u.queue = append(u.queue[:0:0], u.queue[over:]...)
 	}
 	depth := len(u.queue)
@@ -181,7 +175,7 @@ func (u *Uplink) putBack(frames [][]byte) {
 
 func (u *Uplink) run() {
 	defer close(u.done)
-	backoff := u.cfg.Backoff
+	backoff := u.lim.backoff
 	for {
 		select {
 		case <-u.stop:
@@ -196,7 +190,7 @@ func (u *Uplink) run() {
 			}
 			err, permanent := u.ship(frames)
 			if err == nil {
-				backoff = u.cfg.Backoff
+				backoff = u.lim.backoff
 				continue
 			}
 			if permanent {
@@ -204,7 +198,7 @@ func (u *Uplink) run() {
 				// version-mismatched by its lights): retrying the same
 				// bytes cannot succeed.
 				u.meterAdd("fleet_uplink_dropped_total", int64(len(frames)))
-				backoff = u.cfg.Backoff
+				backoff = u.lim.backoff
 				continue
 			}
 			u.putBack(frames)
@@ -215,8 +209,8 @@ func (u *Uplink) run() {
 				return
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > u.cfg.MaxBackoff {
-				backoff = u.cfg.MaxBackoff
+			if backoff *= 2; backoff > u.lim.maxBackoff {
+				backoff = u.lim.maxBackoff
 			}
 		}
 	}
@@ -239,7 +233,7 @@ func (u *Uplink) ship(frames [][]byte) (err error, permanent bool) {
 		return err, true
 	}
 	req.Header.Set("Content-Type", "application/x-bmwf")
-	resp, err := u.cfg.Client.Do(req)
+	resp, err := u.client.Do(req)
 	if err != nil {
 		return err, false
 	}

@@ -126,9 +126,9 @@ func TestUplinkRetriesWithBackoffThenDelivers(t *testing.T) {
 	defer srv.Close()
 
 	m := obs.NewMetrics()
-	u, err := NewUplink(UplinkConfig{
-		Node: "c1", URL: srv.URL, Backoff: 2 * time.Millisecond, Metrics: m,
-	})
+	lim := defaultUplinkLimits
+	lim.backoff = 2 * time.Millisecond
+	u, err := newUplink(UplinkConfig{Node: "c1", URL: srv.URL, Metrics: m}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,8 @@ func TestUplinkUnreachableRootNeverBlocksFanIn(t *testing.T) {
 	srv.Close()
 
 	m := obs.NewMetrics()
-	u, err := NewUplink(UplinkConfig{
-		Node: "c1", URL: url, QueueDepth: 4,
-		Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
-		Metrics: m,
-	})
+	u, err := newUplink(UplinkConfig{Node: "c1", URL: url, Metrics: m},
+		uplinkLimits{queueDepth: 4, backoff: time.Millisecond, maxBackoff: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

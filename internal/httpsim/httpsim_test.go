@@ -400,3 +400,6 @@ func TestClientConnHandlesGarbageResponse(t *testing.T) {
 		t.Fatalf("status = %d, want synthetic 0 for parse failure", status)
 	}
 }
+
+// Marshal serializes the request on the heap.
+func (r *Request) Marshal() []byte { return r.MarshalArena(nil) }

@@ -33,11 +33,3 @@ func (in *Interner) Intern(b []byte) string {
 	in.m[s] = s
 	return s
 }
-
-// Len reports how many distinct strings the interner holds.
-func (in *Interner) Len() int {
-	if in == nil {
-		return 0
-	}
-	return len(in.m)
-}

@@ -91,10 +91,6 @@ func headersLen(hs Headers) int {
 	return n
 }
 
-// Marshal serializes the request, adding Content-Length when a body is
-// present and none is set. The output is built in a single allocation.
-func (r *Request) Marshal() []byte { return r.MarshalArena(nil) }
-
 // MarshalArena is Marshal drawing the output buffer from an arena (nil
 // falls back to the heap). The bytes are valid until the arena's next
 // Reset.

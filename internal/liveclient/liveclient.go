@@ -23,10 +23,8 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/browsermetric/browsermetric/internal/fleet"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/stats"
 	"github.com/browsermetric/browsermetric/internal/wssim"
@@ -418,22 +416,7 @@ type StudyOptions struct {
 	// live_wire_rtt_ms and a live_probes_total counter. nil disables
 	// instrumentation at zero cost.
 	Metrics *obs.Metrics
-	// Fleet, when non-nil, folds each probe's tool-level RTT into the
-	// fleet aggregation plane: every client stack runs as its own fleet
-	// session under the (method, FleetBrowser, FleetRegion) key, so a
-	// study shows up on the live dashboard next to synthetic load.
-	Fleet *fleet.Registry
-	// FleetBrowser and FleetRegion label the fleet samples (defaults
-	// "go-live" and "local").
-	FleetBrowser string
-	FleetRegion  string
 }
-
-// fleetSessions allocates study-wide unique fleet session ids; the high
-// bit keeps them clear of loadgen's dense id space.
-var fleetSessions atomic.Uint64
-
-func nextFleetSession() uint64 { return fleetSessions.Add(1) | 1<<63 }
 
 // methodSeries holds the precomputed registry keys for one client
 // stack, so the probe loop does no label formatting.
@@ -505,13 +488,6 @@ func RunStudyWithOptions(addrs Addrs, opt StudyOptions) ([]StudyRow, error) {
 		{"raw TCP socket", "tcp", func() (Method, error) { return NewTCP(addrs.TCPEcho) }},
 		{"UDP socket", "udp", func() (Method, error) { return NewUDP(addrs.UDPEcho) }},
 	}
-	browserLabel, region := opt.FleetBrowser, opt.FleetRegion
-	if browserLabel == "" {
-		browserLabel = "go-live"
-	}
-	if region == "" {
-		region = "local"
-	}
 	var rows []StudyRow
 	for _, d := range drivers {
 		m, err := d.mk()
@@ -519,10 +495,6 @@ func RunStudyWithOptions(addrs Addrs, opt StudyOptions) ([]StudyRow, error) {
 			return rows, fmt.Errorf("liveclient: %s: %w", d.name, err)
 		}
 		ser := newMethodSeries(d.method)
-		var sid uint64
-		if opt.Fleet != nil {
-			sid = nextFleetSession()
-		}
 		var overheads, wires []float64
 		probeErr := func() error {
 			for i := 0; i < n+2; i++ {
@@ -534,20 +506,12 @@ func RunStudyWithOptions(addrs Addrs, opt StudyOptions) ([]StudyRow, error) {
 					continue // warm-up
 				}
 				observeProbe(opt.Metrics, ser, meas)
-				if opt.Fleet != nil {
-					opt.Fleet.Observe(sid,
-						fleet.Key{Method: d.method, Browser: browserLabel, Region: region},
-						stats.Ms(meas.BrowserRTT()), false)
-				}
 				overheads = append(overheads, stats.Ms(meas.Overhead()))
 				wires = append(wires, stats.Ms(meas.WireRTT()))
 			}
 			return nil
 		}()
 		m.Close()
-		if opt.Fleet != nil {
-			opt.Fleet.End(sid)
-		}
 		if probeErr != nil {
 			return rows, fmt.Errorf("liveclient: %s: %w", d.name, probeErr)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/browsermetric/browsermetric/internal/fleet"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/server"
 )
@@ -262,38 +261,5 @@ func TestOrderingHTTPAboveTCP(t *testing.T) {
 	// Both must be small and non-pathological on loopback.
 	if meanTCP > 5 || meanHTTP > 50 {
 		t.Fatalf("means = %.3f / %.3f ms, implausible on loopback", meanTCP, meanHTTP)
-	}
-}
-
-func TestRunStudyFoldsIntoFleet(t *testing.T) {
-	a := startServer(t, time.Millisecond)
-	fl := fleet.New(fleet.Config{})
-	rows, err := RunStudyWithOptions(
-		Addrs{HTTP: a.HTTP, WS: a.WS, TCPEcho: a.TCPEcho, UDPEcho: a.UDPEcho},
-		StudyOptions{Probes: 4, Fleet: fl, FleetBrowser: "go-net", FleetRegion: "lab"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	snap := fl.FanIn()
-	if len(snap.Keys) != 5 {
-		t.Fatalf("fleet keys = %d, want one per stack: %+v", len(snap.Keys), snap.Keys)
-	}
-	for _, ks := range snap.Keys {
-		if ks.Browser != "go-net" || ks.Region != "lab" {
-			t.Fatalf("labels = %+v", ks)
-		}
-		if ks.Count != 4 {
-			t.Fatalf("%s count = %d, want 4 (warm-ups excluded)", ks.Method, ks.Count)
-		}
-		if ks.P50 < 1 {
-			t.Fatalf("%s p50 = %g ms, below the server delay", ks.Method, ks.P50)
-		}
-	}
-	// Study sessions end with their drivers.
-	if got := fl.Sessions(); got != 0 {
-		t.Fatalf("sessions still live after study: %d", got)
 	}
 }

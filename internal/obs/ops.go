@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -74,6 +73,3 @@ func (o *OpsServer) Addr() string { return o.ln.Addr().String() }
 
 // Close shuts the ops endpoint down immediately.
 func (o *OpsServer) Close() error { return o.srv.Close() }
-
-// Shutdown drains the ops endpoint gracefully.
-func (o *OpsServer) Shutdown(ctx context.Context) error { return o.srv.Shutdown(ctx) }

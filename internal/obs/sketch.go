@@ -128,10 +128,6 @@ func (s *Sketch) Min() float64 { return s.min }
 // Max returns the largest observation (-Inf when empty).
 func (s *Sketch) Max() float64 { return s.max }
 
-// Len returns the number of stored tuples plus buffered observations —
-// the sketch's memory footprint, which the bounded-memory test pins.
-func (s *Sketch) Len() int { return len(s.samples) + len(s.buf) }
-
 // Quantile returns a value whose rank is within the configured error of
 // q·n. Each stored tuple carries an honest rank interval
 // [rmin, rmin+delta] (rmin = prefix width sum); the query returns the

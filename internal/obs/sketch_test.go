@@ -244,3 +244,7 @@ func TestLabelKeyCanonical(t *testing.T) {
 		t.Fatalf("no-label key = %q", got)
 	}
 }
+
+// Len returns the number of stored tuples plus buffered observations:
+// the sketch's memory footprint, which the bounded-memory tests pin.
+func (s *Sketch) Len() int { return len(s.samples) + len(s.buf) }

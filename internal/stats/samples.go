@@ -27,15 +27,6 @@ func (s *Samples) Quantile(q float64) float64 {
 // Median is Quantile(0.5).
 func (s *Samples) Median() float64 { return s.Quantile(0.5) }
 
-// Mean returns the arithmetic mean. It panics on an empty set.
-func (s *Samples) Mean() float64 { return Mean(s.sorted) }
-
-// StdDev returns the sample (n-1) standard deviation; 0 for n < 2.
-func (s *Samples) StdDev() float64 { return StdDev(s.sorted) }
-
-// MeanCI95 returns the mean and its two-sided 95% Student-t half-width.
-func (s *Samples) MeanCI95() (mean, half float64) { return MeanCI95(s.sorted) }
-
 // Box computes the five-number summary without re-sorting.
 func (s *Samples) Box() Box { return boxSorted(s.sorted) }
 

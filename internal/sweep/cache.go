@@ -83,9 +83,6 @@ func (c *Cache) SetMetrics(m *obs.Metrics) {
 	m.SetHelp("sweep_cache_stores_total", "Cells persisted to the cache.")
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // Key returns the content-address key of a cell config under the cache's
 // salt.
 func (c *Cache) Key(cfg core.Config) Key { return KeyFromConfig(cfg, c.salt) }

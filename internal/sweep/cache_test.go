@@ -311,7 +311,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, err := os.Stat(filepath.Join(c.Dir(), "cells")); err != nil {
+	if _, err := os.Stat(filepath.Join(c.dir, "cells")); err != nil {
 		t.Fatal(err)
 	}
 }

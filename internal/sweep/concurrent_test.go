@@ -97,7 +97,7 @@ func TestCacheTornFinalFileNeverServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := c.Key(cfg).Hash()
-	path := filepath.Join(c.Dir(), "cells", hash+".cell")
+	path := filepath.Join(c.dir, "cells", hash+".cell")
 	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestCacheLeftoverTempFilesHarmless(t *testing.T) {
 	}
 	cfg := cellConfig(11)
 	hash := c.Key(cfg).Hash()
-	debris := filepath.Join(c.Dir(), "cells", hash+".tmp123456")
+	debris := filepath.Join(c.dir, "cells", hash+".tmp123456")
 	if err := os.WriteFile(debris, []byte("partial garbage from a dead writer"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCacheConcurrentDistinctKeys(t *testing.T) {
 		t.Errorf("corrupt = %d, want 0", s.Corrupt)
 	}
 	// No temp debris left behind by successful stores.
-	entries, err := os.ReadDir(filepath.Join(c.Dir(), "cells"))
+	entries, err := os.ReadDir(filepath.Join(c.dir, "cells"))
 	if err != nil {
 		t.Fatal(err)
 	}

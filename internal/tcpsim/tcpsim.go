@@ -146,9 +146,6 @@ func NewStack(sim *eventsim.Simulator, nic *netsim.NIC) *Stack {
 	return s
 }
 
-// Addr returns the stack's IPv4 address.
-func (s *Stack) Addr() netip.Addr { return s.nic.Addr }
-
 // Listener accepts inbound connections on a port.
 type Listener struct {
 	Port   uint16

@@ -243,13 +243,6 @@ func (c *Conn) Send(op Opcode, payload []byte) error {
 	return c.TCP.Send(c.sframe.MarshalArena(c.TCP.Arena()))
 }
 
-// Close sends a Close frame and closes the transport.
-func (c *Conn) Close() {
-	c.sframe = Frame{Fin: true, Opcode: OpClose, Masked: c.client}
-	_ = c.TCP.Send(c.sframe.MarshalArena(c.TCP.Arena()))
-	c.TCP.Close()
-}
-
 // ConnData implements tcpsim.DataSink: handshake bytes until upgraded,
 // frames afterwards.
 func (c *Conn) ConnData(_ *tcpsim.Conn, b []byte) {

@@ -217,7 +217,11 @@ func TestCloseHandshake(t *testing.T) {
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
 		ws, _ := Dial(tc, "s", "/")
-		ws.OnOpen = func() { ws.Close() }
+		ws.OnOpen = func() {
+			ws.sframe = Frame{Fin: true, Opcode: OpClose, Masked: true}
+			_ = ws.TCP.Send(ws.sframe.Marshal())
+			ws.TCP.Close()
+		}
 	}
 	sim.RunUntil(10 * time.Second)
 	if !serverClosed {
