@@ -5,6 +5,7 @@
 #   make race        full suite under -race      (guards the parallel runner)
 #   make ci          tier1 + race
 #   make bench       paper-regeneration + scheduler benchmarks
+#   make race-reuse  the cross-worker testbed-reuse study, -race -count=10
 #   make race-live   loopback server/client under -race (live network path)
 #   make profile     cpu.pprof + mem.pprof of a full-matrix run (go tool pprof)
 #   make bench-json  run committed benchmarks, write $(BENCH_JSON) trajectory
@@ -21,7 +22,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test lint race race-core race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-cluster artifacts
+.PHONY: all build vet test lint race race-core race-reuse race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-cluster artifacts
 
 all: tier1
 
@@ -50,12 +51,18 @@ lint:
 	fi
 
 # race runs everything under the race detector; race-core is the quick
-# loop for the parallel study scheduler.
+# loop for the parallel study scheduler. race-reuse repeats the
+# cross-worker study ten times: each worker resets one testbed cell after
+# cell, which no other worker may reach, and the schedule, and with it
+# which cells share a testbed, varies from run to run.
 race:
 	$(GO) test -race ./...
 
-race-core:
+race-core: race-reuse
 	$(GO) test -race ./internal/core/...
+
+race-reuse:
+	$(GO) test -race -count=10 -run '^TestStudyReusesTestbedsAcrossWorkers$$' ./internal/core/
 
 # race-live exercises the real-socket path (loopback only): the live
 # measurement server, its drain/observability wiring and the client

@@ -31,6 +31,7 @@ var uncalledAllowed = map[string]string{
 	"obs.Metrics.FamiliesMissingHelp":   "registry read API that tests of other packages use",
 	"obs.MergeSketches":                 "reference fold the fleetwire tests compare merged sketches against",
 	"arena.Arena.SetPoison":             "switches on the poison checks that arena-lifetime tests rely on",
+	"tcpsim.Stack.SetPoison":            "switches on the poison checks that the connection-recycling tests rely on",
 	"tcpsim.Stack.LiveConns":            "conn-table read API for the TCP invariant hook",
 	"tcpsim.Conn.LocalPort":             "connection read API for the TCP invariant hook",
 	"tcpsim.Conn.RemotePort":            "connection read API for the TCP invariant hook",
@@ -309,9 +310,10 @@ func checkPackages(fset *token.FileSet, module string, dirs map[string][]*ast.Fi
 	var pkgs []*repoPkg
 	for _, dir := range order {
 		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(importPath(dir), fset, dirs[dir], info)

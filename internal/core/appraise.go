@@ -132,19 +132,23 @@ func Run(cfg Config) (*Experiment, error) {
 // repetitions, so an abort takes effect within one run's simulation time.
 // A canceled context returns ctx.Err() unwrapped.
 func RunContext(ctx context.Context, cfg Config) (*Experiment, error) {
-	return runLoop(ctx, cfg, nil)
+	exp, _, err := runOn(ctx, nil, cfg, nil)
+	return exp, err
 }
 
-// runLoop is the one repetition loop behind RunContext and
-// RunAttributed. After each run it hands onRun (when non-nil) the
-// testbed, the run's result and the Rounds samples it appended; the
-// result is recycled by the next run, so onRun must not retain it.
-func runLoop(ctx context.Context, cfg Config, onRun func(tb *testbed.Testbed, res *methods.Result, run []Sample)) (*Experiment, error) {
-	r, err := newRunner(&cfg)
+// runOn is the one repetition loop behind RunContext, RunAttributed and
+// the cell engine. It runs cfg on tb, reset to cfg's testbed config, or
+// on a new testbed when tb is nil, and returns the testbed, so that the
+// caller's next cell can reuse it. After each run it hands onRun (when
+// non-nil) the testbed, the run's result and the Rounds samples it
+// appended; the result is recycled by the next run, so onRun must not
+// retain it.
+func runOn(ctx context.Context, tb *testbed.Testbed, cfg Config, onRun func(tb *testbed.Testbed, res *methods.Result, run []Sample)) (*Experiment, *testbed.Testbed, error) {
+	r, err := newRunner(&cfg, tb)
 	if err != nil {
-		return nil, err
+		return nil, tb, err
 	}
-	tb := r.TB
+	tb = r.TB
 	exp := &Experiment{Config: cfg}
 	exp.Samples = make([]Sample, 0, cfg.Runs*methods.Rounds)
 	// One Runner serves every repetition: its result storage, client
@@ -152,17 +156,17 @@ func runLoop(ctx context.Context, cfg Config, onRun func(tb *testbed.Testbed, re
 	// recycles the arena-backed buffers below them.
 	for run := 0; run < cfg.Runs; run++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, tb, err
 		}
 		r.RunIndex = run
 		tb.BeginRun()
 		res, err := r.Run(cfg.Method)
 		if err != nil {
-			return nil, fmt.Errorf("core: run %d: %w", run, err)
+			return nil, tb, fmt.Errorf("core: run %d: %w", run, err)
 		}
 		pairs := tb.Cap.MatchRTT(res.ServerPort)
 		if len(pairs) < methods.Rounds {
-			return nil, fmt.Errorf("core: run %d captured %d wire pairs, want >= %d", run, len(pairs), methods.Rounds)
+			return nil, tb, fmt.Errorf("core: run %d captured %d wire pairs, want >= %d", run, len(pairs), methods.Rounds)
 		}
 		// The last Rounds pairs are the probes (earlier ones belong to
 		// preparation: container fetch or WebSocket upgrade).
@@ -189,14 +193,14 @@ func runLoop(ctx context.Context, cfg Config, onRun func(tb *testbed.Testbed, re
 		}
 		tb.Advance(cfg.Gap)
 	}
-	return exp, nil
+	return exp, tb, nil
 }
 
 // newRunner is the one testbed set-up of the repetition loop and the
-// impact measurements: it fills cfg's defaults, builds its testbed with
-// cfg's tracer and metrics installed, applies its warp and returns a
-// Runner on that testbed.
-func newRunner(cfg *Config) (*methods.Runner, error) {
+// impact measurements: it fills cfg's defaults, resets tb (or builds a
+// testbed when tb is nil) to cfg's testbed config with cfg's tracer and
+// metrics installed, applies its warp and returns a Runner on it.
+func newRunner(cfg *Config, tb *testbed.Testbed) (*methods.Runner, error) {
 	cfg.fillDefaults()
 	if cfg.Profile == nil {
 		return nil, fmt.Errorf("core: Config.Profile is nil")
@@ -204,9 +208,13 @@ func newRunner(cfg *Config) (*methods.Runner, error) {
 	tbCfg := cfg.Testbed
 	tbCfg.Tracer = cfg.Tracer
 	tbCfg.Metrics = cfg.Metrics
-	tb := testbed.New(tbCfg)
-	// The arena is observational-tier plumbing (a worker-owned buffer
-	// pool); the experiment's stored config must not retain it.
+	if tb == nil {
+		tb = testbed.New(tbCfg)
+	} else {
+		tb.Reset(tbCfg)
+	}
+	// The arena is observational-tier plumbing (a caller's buffer pool);
+	// the experiment's stored config must not retain it.
 	cfg.Testbed.Arena = nil
 	if cfg.Warp > 0 {
 		tb.Advance(cfg.Warp)

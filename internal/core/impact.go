@@ -44,7 +44,7 @@ type AttributedSample struct {
 // experiment and the decomposed samples in the same order.
 func RunAttributed(cfg Config) (*Experiment, []AttributedSample, error) {
 	var attributed []AttributedSample
-	exp, err := runLoop(context.Background(), cfg, func(tb *testbed.Testbed, res *methods.Result, run []Sample) {
+	exp, _, err := runOn(context.Background(), nil, cfg, func(tb *testbed.Testbed, res *methods.Result, run []Sample) {
 		for i, s := range run {
 			attributed = append(attributed, AttributedSample{
 				Sample:      s,
@@ -72,14 +72,22 @@ func (j JitterImpact) Inflation() float64 { return j.BrowserJitter - j.WireJitte
 
 // MeasureJitter runs a probe train and computes both jitters.
 func MeasureJitter(cfg Config, probes int) (JitterImpact, error) {
-	r, err := newRunner(&cfg)
+	ji, _, err := measureJitter(nil, cfg, probes)
+	return ji, err
+}
+
+// measureJitter is MeasureJitter on tb reset to cfg's testbed config, or
+// on a new testbed when tb is nil. It returns the testbed for the
+// caller's next measurement; so do measureThroughput and measureLoss.
+func measureJitter(tb *testbed.Testbed, cfg Config, probes int) (JitterImpact, *testbed.Testbed, error) {
+	r, err := newRunner(&cfg, tb)
 	if err != nil {
-		return JitterImpact{}, err
+		return JitterImpact{}, tb, err
 	}
 	r.TB.Cap.Reset()
 	train, err := r.RunTrain(cfg.Method, probes)
 	if err != nil {
-		return JitterImpact{}, err
+		return JitterImpact{}, r.TB, err
 	}
 	browserRTTs := stats.DurationsToMs(train.BrowserRTTs())
 	pairs := r.TB.Cap.MatchRTT(train.ServerPort)
@@ -96,7 +104,7 @@ func MeasureJitter(cfg Config, probes int) (JitterImpact, error) {
 		Probes:        probes,
 		BrowserJitter: ipdv(browserRTTs),
 		WireJitter:    ipdv(wireRTTs),
-	}, nil
+	}, r.TB, nil
 }
 
 // ipdv returns the mean absolute consecutive difference.
@@ -135,18 +143,23 @@ func (t ThroughputImpact) Bias() float64 {
 
 // MeasureThroughput runs one bulk transfer and compares both estimates.
 func MeasureThroughput(cfg Config, size int) (ThroughputImpact, error) {
-	r, err := newRunner(&cfg)
+	ti, _, err := measureThroughput(nil, cfg, size)
+	return ti, err
+}
+
+func measureThroughput(tb *testbed.Testbed, cfg Config, size int) (ThroughputImpact, *testbed.Testbed, error) {
+	r, err := newRunner(&cfg, tb)
 	if err != nil {
-		return ThroughputImpact{}, err
+		return ThroughputImpact{}, tb, err
 	}
 	r.TB.Cap.Reset()
 	res, err := r.RunThroughput(cfg.Method, size)
 	if err != nil {
-		return ThroughputImpact{}, err
+		return ThroughputImpact{}, r.TB, err
 	}
 	tr, ok := r.TB.Cap.MatchTransfer(res.ServerPort)
 	if !ok {
-		return ThroughputImpact{}, fmt.Errorf("core: capture saw no transfer")
+		return ThroughputImpact{}, r.TB, fmt.Errorf("core: capture saw no transfer")
 	}
 	return ThroughputImpact{
 		Bytes:        res.Bytes,
@@ -154,7 +167,7 @@ func MeasureThroughput(cfg Config, size int) (ThroughputImpact, error) {
 		WireMbps:     tr.BitsPerSecond() / 1e6,
 		BrowserRTTms: stats.Ms(res.TBr - res.TBs),
 		WireRTTms:    stats.Ms(tr.Duration()),
-	}, nil
+	}, r.TB, nil
 }
 
 // LossImpact compares tool-reported and capture-observed loss over a UDP
@@ -168,17 +181,22 @@ type LossImpact struct {
 
 // MeasureLoss runs a UDP train under the configured link loss rate.
 func MeasureLoss(cfg Config, probes int) (LossImpact, error) {
+	li, _, err := measureLoss(nil, cfg, probes)
+	return li, err
+}
+
+func measureLoss(tb *testbed.Testbed, cfg Config, probes int) (LossImpact, *testbed.Testbed, error) {
 	if cfg.Method != methods.JavaUDP {
-		return LossImpact{}, fmt.Errorf("core: loss measurement needs the Java UDP method")
+		return LossImpact{}, tb, fmt.Errorf("core: loss measurement needs the Java UDP method")
 	}
-	r, err := newRunner(&cfg)
+	r, err := newRunner(&cfg, tb)
 	if err != nil {
-		return LossImpact{}, err
+		return LossImpact{}, tb, err
 	}
 	r.TB.Cap.Reset()
 	train, err := r.RunTrain(methods.JavaUDP, probes)
 	if err != nil {
-		return LossImpact{}, err
+		return LossImpact{}, r.TB, err
 	}
 	sent, lost := r.TB.Cap.CountUnanswered(train.ServerPort)
 	li := LossImpact{
@@ -189,7 +207,7 @@ func MeasureLoss(cfg Config, probes int) (LossImpact, error) {
 	if sent > 0 {
 		li.WireLoss = float64(lost) / float64(sent)
 	}
-	return li, nil
+	return li, r.TB, nil
 }
 
 // AttributionReport renders mean attribution per round for an experiment

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/browser"
+	"github.com/browsermetric/browsermetric/internal/faults"
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/obs"
 	"github.com/browsermetric/browsermetric/internal/stats"
@@ -392,6 +395,71 @@ func TestMeasureHonoursObservability(t *testing.T) {
 		}
 		if name != "loss" && len(cfg.Tracer.Find("connect")) == 0 {
 			t.Errorf("%s: tracer saw no connect span", name)
+		}
+	}
+}
+
+// TestImpactMeasurementsOnReusedTestbed runs ImpactReport's measurements
+// in its order on one testbed that other cells used first, two of them
+// failing partway through, and requires each result, captured frame and
+// event count to equal the same measurement's on a testbed from New. The
+// second pass poisons every connection record the reused testbed's
+// stacks drop.
+func TestImpactMeasurementsOnReusedTestbed(t *testing.T) {
+	prof := browser.Lookup(browser.Firefox, browser.Windows)
+	cfg := func(kind methods.Kind) Config {
+		return Config{Method: kind, Profile: prof, Timing: browser.NanoTime}
+	}
+	type measure func(tb *testbed.Testbed) (any, *testbed.Testbed, error)
+	var measures []measure
+	for _, kind := range []methods.Kind{methods.XHRGet, methods.FlashGet, methods.WebSocket, methods.JavaTCP} {
+		measures = append(measures, func(tb *testbed.Testbed) (any, *testbed.Testbed, error) {
+			ji, tb, err := measureJitter(tb, cfg(kind), 20)
+			return ji, tb, err
+		})
+	}
+	for _, kind := range []methods.Kind{methods.XHRGet, methods.WebSocket, methods.JavaTCP} {
+		measures = append(measures, func(tb *testbed.Testbed) (any, *testbed.Testbed, error) {
+			ti, tb, err := measureThroughput(tb, cfg(kind), 256<<10)
+			return ti, tb, err
+		})
+	}
+	measures = append(measures, func(tb *testbed.Testbed) (any, *testbed.Testbed, error) {
+		loss := cfg(methods.JavaUDP)
+		loss.Testbed = testbed.Config{Seed: 4242, LossRate: 0.10}
+		li, tb, err := measureLoss(tb, loss, 100)
+		return li, tb, err
+	})
+	wire := func(tb *testbed.Testbed) []byte {
+		var w []byte
+		for _, r := range tb.Cap.Records() {
+			w = fmt.Appendf(w, "%d %d %x\n", r.Time, r.Dir, r.Data)
+		}
+		return fmt.Appendf(w, "fired %d at %d, dropped %d\n", tb.Sim.Fired(), tb.Sim.Now(), tb.ServerLink.Dropped)
+	}
+	for _, poison := range []bool{false, true} {
+		tb := testbed.New(testbed.Config{})
+		tb.Client.SetPoison(poison)
+		tb.Server.SetPoison(poison)
+		for _, dirty := range dirtyCells(faults.Lossy1pct) {
+			cellOn(tb, dirty) // the second and third cells fail by design
+		}
+		for i, m := range measures {
+			want, fresh, err := m(nil)
+			if err != nil {
+				t.Fatalf("measurement %d on a fresh testbed: %v", i, err)
+			}
+			got, reused, err := m(tb)
+			if err != nil {
+				t.Fatalf("poison=%v: measurement %d on a reused testbed: %v", poison, i, err)
+			}
+			if got != want {
+				t.Errorf("poison=%v: measurement %d on a reused testbed: %+v, fresh: %+v", poison, i, got, want)
+			}
+			if !bytes.Equal(wire(reused), wire(fresh)) {
+				t.Errorf("poison=%v: measurement %d: capture or event count on a reused testbed diverges from a fresh one", poison, i)
+			}
+			tb = reused
 		}
 	}
 }

@@ -102,13 +102,19 @@ func Fig3ASCII(st *Study, width int) string {
 func ImpactReport(prof *browser.Profile, timing browser.TimingFunc) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Derived-metric impact on %s (%v)\n", prof.Label(), timing)
+	// One testbed serves every measurement, reset to each one's config.
+	var (
+		tb  *testbed.Testbed
+		err error
+	)
 
 	fmt.Fprintf(&b, "\nJitter inflation (20-probe trains; wire jitter ~0 on the clean testbed):\n")
 	for _, kind := range []methods.Kind{methods.XHRGet, methods.FlashGet, methods.WebSocket, methods.JavaTCP} {
 		if !prof.Supports(methods.Get(kind).API) {
 			continue
 		}
-		ji, err := MeasureJitter(Config{Method: kind, Profile: prof, Timing: timing}, 20)
+		var ji JitterImpact
+		ji, tb, err = measureJitter(tb, Config{Method: kind, Profile: prof, Timing: timing}, 20)
 		if err != nil {
 			return "", err
 		}
@@ -121,7 +127,8 @@ func ImpactReport(prof *browser.Profile, timing browser.TimingFunc) (string, err
 		if !prof.Supports(methods.Get(kind).API) {
 			continue
 		}
-		ti, err := MeasureThroughput(Config{Method: kind, Profile: prof, Timing: timing}, 256<<10)
+		var ti ThroughputImpact
+		ti, tb, err = measureThroughput(tb, Config{Method: kind, Profile: prof, Timing: timing}, 256<<10)
 		if err != nil {
 			return "", err
 		}
@@ -130,7 +137,7 @@ func ImpactReport(prof *browser.Profile, timing browser.TimingFunc) (string, err
 	}
 
 	fmt.Fprintf(&b, "\nLoss agreement (Java UDP, 100 probes, 10%% injected frame loss):\n")
-	li, err := MeasureLoss(Config{
+	li, _, err := measureLoss(tb, Config{
 		Method: methods.JavaUDP, Profile: prof, Timing: timing,
 		Testbed: testbed.Config{Seed: 4242, LossRate: 0.10},
 	}, 100)
@@ -241,8 +248,9 @@ func fig4Cells(runs int, base int64, profiles []*browser.Profile) []Config {
 }
 
 // runArtifact runs an artifact's few short cells through RunCells on one
-// worker (a pool's hand-offs and per-worker arenas cost more CPU time than
-// the overlap saves there) and returns their experiments in cell order.
+// worker (a pool's hand-offs and per-worker testbeds cost more CPU time
+// than the overlap saves there) and returns their experiments in cell
+// order.
 func runArtifact(cfgs []Config) ([]*Experiment, error) {
 	st, err := RunCells(context.TODO(), StudyOptions{Workers: 1}, cfgs)
 	if err != nil {

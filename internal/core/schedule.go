@@ -9,11 +9,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/browsermetric/browsermetric/internal/arena"
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/faults"
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/obs"
+	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
 // CellSeed derives the testbed seed of the (methodIndex, profileIndex)
@@ -25,9 +25,12 @@ func CellSeed(base int64, methodIndex, profileIndex int) int64 {
 	return base + int64(methodIndex)*97 + int64(profileIndex)*13 + 1
 }
 
-// runExperiment indirects the per-cell experiment execution; tests swap it
-// to inject failures and stalls without building a broken testbed.
-var runExperiment = RunContext
+// runExperiment indirects the per-cell experiment execution (runOn on
+// the worker's testbed); tests swap it to inject failures and stalls
+// without building a broken testbed.
+var runExperiment = func(ctx context.Context, tb *testbed.Testbed, cfg Config) (*Experiment, *testbed.Testbed, error) {
+	return runOn(ctx, tb, cfg, nil)
+}
 
 // RunStudy executes the matrix. Unsupported combinations are marked
 // Skipped; any other failure aborts the study and is returned.
@@ -92,10 +95,10 @@ func SplitFaultStudies(opts StudyOptions, fps []faults.Profile, cells []Cell) []
 
 // RunCells is the cell engine: every study, artifact and sweep executes
 // its cells through it. The cells run on a pool of opts.Workers
-// goroutines (0 = GOMAXPROCS), each with one arena that backs its cells'
-// hot-path buffers, and every cell runs on its own freshly built testbed
-// under its own Config (seed included), so results are independent of
-// scheduling order and of the order of cfgs. Cells of the returned Study
+// goroutines (0 = GOMAXPROCS), each of which owns one testbed, and every
+// cell runs on its worker's testbed reset to the state testbed.New builds
+// for the cell's own Config (seed included), so results are independent
+// of scheduling order and of the order of cfgs. Cells of the returned Study
 // align index-for-index with cfgs; every cfg needs a Profile, and a cell
 // whose profile cannot run its method is Skipped. Of opts, only Workers,
 // OnCellDone, Tracing, Metrics and Cache are used; the Study's Options
@@ -146,11 +149,10 @@ func RunCells(ctx context.Context, opts StudyOptions, cfgs []Config) (*Study, er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One arena per worker: each cell's testbed draws its hot-path
-			// buffers from it, and the slabs recycle cell after cell. The
-			// arena is single-goroutine by design, which is exactly the
-			// worker's execution model.
-			a := arena.New(0)
+			// The worker's testbed: built for its first computed cell,
+			// reset by every later one. It serves one goroutine, like the
+			// simulator inside it.
+			var tb *testbed.Testbed
 			for idx := int(next.Add(1)) - 1; idx < total; idx = int(next.Add(1)) - 1 {
 				if ctx.Err() != nil {
 					return
@@ -161,7 +163,8 @@ func RunCells(ctx context.Context, opts StudyOptions, cfgs []Config) (*Study, er
 
 				cell := st.Cells[idx]
 				cellStart := time.Now()
-				err := runCell(ctx, &opts, cfgs[idx], &cell, a)
+				var err error
+				tb, err = runCell(ctx, &opts, cfgs[idx], &cell, tb)
 				wall := time.Since(cellStart)
 
 				if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -247,13 +250,12 @@ func mergeStudyMetrics(st *Study, m *obs.Metrics) {
 	m.Set("study_wall_ms", float64(st.Stats.Wall)/float64(time.Millisecond))
 }
 
-// runCell executes one cell on an isolated testbed, filling in cell.
-// a is the calling worker's arena; it backs the cell's hot-path buffers
-// and recycles between cells.
-func runCell(ctx context.Context, opts *StudyOptions, cfg Config, cell *Cell, a *arena.Arena) error {
+// runCell executes one cell on tb (see runOn), filling in cell, and
+// returns the testbed for the worker's next cell.
+func runCell(ctx context.Context, opts *StudyOptions, cfg Config, cell *Cell, tb *testbed.Testbed) (*testbed.Testbed, error) {
 	if !cfg.Profile.Supports(cell.Spec.API) {
 		cell.Skipped = true
-		return nil
+		return tb, nil
 	}
 	// The cache is consulted before the tracer/registry are attached:
 	// a hit replays the experiment without observability (the key does
@@ -263,10 +265,12 @@ func runCell(ctx context.Context, opts *StudyOptions, cfg Config, cell *Cell, a 
 		if exp, ok := opts.Cache.Load(cfg); ok {
 			cell.Exp = exp
 			cell.Cached = true
-			return nil
+			return tb, nil
 		}
 	}
-	cfg.Testbed.Arena = a
+	// An arena serves one goroutine, and the workers run cells at once:
+	// each worker's testbed brings its own.
+	cfg.Testbed.Arena = nil
 	// Each cell gets its own tracer/registry (a Tracer is single-
 	// goroutine); the scheduler merges registries in matrix order after
 	// the workers drain.
@@ -278,13 +282,13 @@ func runCell(ctx context.Context, opts *StudyOptions, cfg Config, cell *Cell, a 
 		cfg.Metrics = obs.NewMetrics()
 		cell.Metrics = cfg.Metrics
 	}
-	exp, err := runExperiment(ctx, cfg)
+	exp, tb, err := runExperiment(ctx, tb, cfg)
 	if err == nil && opts.Cache != nil {
 		// Persist with the observability fields stripped so the stored
 		// entry is keyed and reconstructed from the measurement-relevant
 		// config alone.
 		stored := cfg
-		stored.Tracer, stored.Metrics, stored.Testbed.Arena = nil, nil, nil
+		stored.Tracer, stored.Metrics = nil, nil
 		if err = opts.Cache.Store(stored, exp); err != nil {
 			err = fmt.Errorf("cache store: %w", err)
 		}
@@ -299,5 +303,5 @@ func runCell(ctx context.Context, opts *StudyOptions, cfg Config, cell *Cell, a 
 		err = fmt.Errorf("core: cell %s: %w", name, err)
 	}
 	cell.Exp = exp
-	return err
+	return tb, err
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/browsermetric/browsermetric/internal/browser"
 	"github.com/browsermetric/browsermetric/internal/methods"
+	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
 // checkNoGoroutineLeak fails the test if goroutines outlive it.
@@ -153,7 +154,10 @@ func TestRunStudyStatsAndCallback(t *testing.T) {
 func stubExperiments(t *testing.T, fn func(context.Context, Config) (*Experiment, error)) {
 	t.Helper()
 	old := runExperiment
-	runExperiment = fn
+	runExperiment = func(ctx context.Context, tb *testbed.Testbed, cfg Config) (*Experiment, *testbed.Testbed, error) {
+		exp, err := fn(ctx, cfg)
+		return exp, tb, err
+	}
 	t.Cleanup(func() { runExperiment = old })
 }
 

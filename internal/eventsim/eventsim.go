@@ -75,6 +75,20 @@ func New(seed int64) *Simulator {
 	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reset returns s to the state New(seed) builds while keeping its event
+// records: every queued event is dropped (outstanding handles become
+// inert), the clock and counters rewind, and the generator is reseeded,
+// which yields the same stream as a fresh source seeded with seed.
+func (s *Simulator) Reset(seed int64) {
+	for i, e := range s.queue {
+		s.recycle(e)
+		s.queue[i] = nil
+	}
+	s.queue = s.queue[:0]
+	s.now, s.nextSeq, s.fired, s.Limit = 0, 0, 0, 0
+	s.rng.Seed(seed)
+}
+
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 

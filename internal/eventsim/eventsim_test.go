@@ -412,3 +412,38 @@ func TestQuickAdvanceExact(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetMatchesNew checks that a used simulator, once Reset, behaves
+// exactly like New with the same seed: clock and counters at zero, no
+// pending events, the same random stream, and handles from before the
+// reset inert.
+func TestResetMatchesNew(t *testing.T) {
+	used := New(1)
+	fired := false
+	stale := used.Schedule(time.Second, func() { fired = true })
+	used.Schedule(time.Millisecond, func() {})
+	used.Step()
+	used.Rand().Int63()
+	used.Limit = 5
+	used.Reset(9)
+
+	fresh := New(9)
+	if used.Now() != 0 || used.Fired() != 0 || used.Pending() != 0 || used.Limit != 0 {
+		t.Fatalf("after Reset: now %v, fired %d, pending %d, limit %d", used.Now(), used.Fired(), used.Pending(), used.Limit)
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := used.Rand().Int63(), fresh.Rand().Int63(); a != b {
+			t.Fatalf("draw %d: reset stream %d, fresh stream %d", i, a, b)
+		}
+	}
+	var order []int
+	for i, s := range []*Simulator{used, fresh} {
+		s.Schedule(2*time.Second, func() { order = append(order, i) })
+	}
+	stale.Cancel() // must not cancel whatever now reuses its record
+	used.Run()
+	fresh.Run()
+	if fired || len(order) != 2 || used.Now() != fresh.Now() {
+		t.Fatalf("after Reset: stale event fired %v, order %v, clocks %v vs %v", fired, order, used.Now(), fresh.Now())
+	}
+}

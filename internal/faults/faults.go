@@ -100,10 +100,28 @@ type Impairment struct {
 // New builds an Impairment with its own deterministic generator. met may be
 // nil (counters still accumulate in Stats; only the obs export is skipped).
 func New(p Params, seed int64, met *obs.Metrics) *Impairment {
+	im := &Impairment{rng: rand.New(rand.NewSource(seed))}
+	im.init(p, met)
+	return im
+}
+
+// Reset returns im to the state New(p, seed, met) builds, keeping its
+// generator and reorder-window storage.
+func (im *Impairment) Reset(p Params, seed int64, met *obs.Metrics) {
+	im.rng.Seed(seed)
+	for i := range im.side {
+		im.side[i] = sideState{pending: im.side[i].pending[:0]}
+	}
+	im.Stats = Counters{}
+	im.init(p, met)
+}
+
+// init applies the parameters and registers the metric help texts.
+func (im *Impairment) init(p Params, met *obs.Metrics) {
 	if p.DupProb > 0 && p.DupDelay == 0 {
 		p.DupDelay = defaultDupDelay
 	}
-	im := &Impairment{p: p, rng: rand.New(rand.NewSource(seed)), met: met}
+	im.p, im.met = p, met
 	met.SetHelp("fault_frames", "Frames judged by the impairment layer.")
 	met.SetHelp("fault_drops_loss", "Frames dropped by random or bursty loss.")
 	met.SetHelp("fault_drops_queue", "Frames tail-dropped by the bottleneck queue.")
@@ -112,7 +130,6 @@ func New(p Params, seed int64, met *obs.Metrics) *Impairment {
 	met.SetHelp("fault_queue_bytes", "Bottleneck queue occupancy at frame arrival (bytes).")
 	met.SetHelp("fault_reorder_depth", "Frames already in flight that will overtake a held frame.")
 	met.SetHelp("fault_extra_delay_ms", "Extra delay added per delivered frame (queue + jitter + holds).")
-	return im
 }
 
 // Judge implements netsim.Impairer. The draw order is fixed — queue

@@ -308,3 +308,38 @@ func newSim(t *testing.T) *eventsim.Simulator {
 	t.Helper()
 	return eventsim.New(1)
 }
+
+// TestResetMatchesNew checks that an impairment that judged frames under
+// one profile, once Reset to another, issues the verdicts a fresh one
+// would.
+func TestResetMatchesNew(t *testing.T) {
+	lossy, err := Lossy1pct.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursty, err := BurstyWiFi.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	judge := func(im *Impairment) []netsim.Verdict {
+		var out []netsim.Verdict
+		for i := 0; i < 500; i++ {
+			now := time.Duration(i) * 100 * time.Microsecond
+			out = append(out, im.Judge(i%2, 1514, now, now+time.Millisecond))
+		}
+		return out
+	}
+	used := New(lossy, 3, nil)
+	judge(used)
+	used.Reset(bursty, 11, obs.NewMetrics())
+	fresh := New(bursty, 11, nil)
+	got, want := judge(used), judge(fresh)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("verdict %d: reset %+v, fresh %+v", i, got[i], want[i])
+		}
+	}
+	if used.Stats != fresh.Stats {
+		t.Fatalf("stats: reset %+v, fresh %+v", used.Stats, fresh.Stats)
+	}
+}

@@ -403,3 +403,26 @@ func TestClientConnHandlesGarbageResponse(t *testing.T) {
 
 // Marshal serializes the request on the heap.
 func (r *Request) Marshal() []byte { return r.MarshalArena(nil) }
+
+// ParseRequest parses one request from the front of b into a fresh
+// Request. It returns the request and the number of bytes consumed, or
+// ErrIncomplete if b does not yet hold a full message.
+func ParseRequest(b []byte) (*Request, int, error) {
+	req := &Request{}
+	n, err := ParseRequestInto(req, b, nil, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return req, n, nil
+}
+
+// ParseResponse parses one response from the front of b, analogous to
+// ParseRequest.
+func ParseResponse(b []byte) (*Response, int, error) {
+	resp := &Response{}
+	n, err := ParseResponseInto(resp, b, nil, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	return resp, n, nil
+}

@@ -7,13 +7,18 @@ package httpsim
 // the string — so a steady-state parse of recurring messages allocates
 // nothing for strings.
 //
-// The map is unbounded, so an interner should only be fed values drawn
-// from a bounded vocabulary (one interner per server or per measurement
-// runner, where the traffic shape is fixed). A nil *Interner simply
+// The interner is bounded: once it holds maxInterned strings, unknown
+// values are copied without being kept. A long-lived interner (a testbed
+// service reused cell after cell) therefore cannot grow with traffic whose
+// values vary, such as per-probe request targets. A nil *Interner simply
 // copies, so every call site works without one attached.
 type Interner struct {
 	m map[string]string
 }
+
+// maxInterned bounds an Interner. A testbed's traffic interns a few dozen
+// distinct strings.
+const maxInterned = 256
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
@@ -30,6 +35,8 @@ func (in *Interner) Intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	in.m[s] = s
+	if len(in.m) < maxInterned {
+		in.m[s] = s
+	}
 	return s
 }

@@ -192,18 +192,6 @@ func StatusText(code int) string {
 	}
 }
 
-// ParseRequest parses one request from the front of b. It returns the
-// request and the number of bytes consumed, or ErrIncomplete if b does not
-// yet hold a full message.
-func ParseRequest(b []byte) (*Request, int, error) {
-	req := &Request{}
-	n, err := ParseRequestInto(req, b, nil, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return req, n, nil
-}
-
 // ParseRequestInto parses one request from the front of b into req,
 // reusing req's header backing, interning strings through in, and drawing
 // the body copy from a (both optional — nil means plain allocation). On
@@ -235,17 +223,6 @@ func ParseRequestInto(req *Request, b []byte, in *Interner, a *arena.Arena) (int
 	}
 	req.Body = body
 	return consumed, nil
-}
-
-// ParseResponse parses one response from the front of b, analogous to
-// ParseRequest.
-func ParseResponse(b []byte) (*Response, int, error) {
-	resp := &Response{}
-	n, err := ParseResponseInto(resp, b, nil, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp, n, nil
 }
 
 // ParseResponseInto parses one response from the front of b into resp,

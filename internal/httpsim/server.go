@@ -5,6 +5,7 @@ import (
 
 	"github.com/browsermetric/browsermetric/internal/eventsim"
 	"github.com/browsermetric/browsermetric/internal/obs"
+	"github.com/browsermetric/browsermetric/internal/slab"
 	"github.com/browsermetric/browsermetric/internal/tcpsim"
 )
 
@@ -39,14 +40,15 @@ type Server struct {
 
 	in *Interner
 
-	// srvConn slab, chunked like tcpsim's conn slab: exhausted chunks are
-	// abandoned, never grown in place.
-	scSlab []srvConn
-	scOff  int
+	// records holds the srvConn records accept hands out; Forget rewinds
+	// them, as tcpsim.Stack.Forget does for the transport records.
+	records slab.Chunks[srvConn]
 
 	// exFree is a freelist of exchange records; it stabilizes at the peak
-	// number of concurrently delayed responses.
-	exFree *exchange
+	// number of concurrently delayed responses. inFlight counts the
+	// exchanges scheduled and not yet answered.
+	exFree   *exchange
+	inFlight int
 }
 
 // srvConn is the server's per-connection receive state.
@@ -81,16 +83,39 @@ func (s *Server) accept(c *tcpsim.Conn) {
 	if s.in == nil {
 		s.in = NewInterner()
 	}
-	if s.scOff >= len(s.scSlab) {
-		s.scSlab = make([]srvConn, 16)
-		s.scOff = 0
-	}
-	sc := &s.scSlab[s.scOff]
-	s.scOff++
+	sc := s.records.Next()
 	sc.srv = s
 	sc.c = c
+	sc.buf = sc.buf[:0]
+	sc.off = 0
 	c.Upper = sc
 	c.Sink = s
+}
+
+// Idle reports whether no response is pending: every request the server
+// parsed has been answered (or found its connection gone).
+func (s *Server) Idle() bool { return s.inFlight == 0 }
+
+// Forget recycles the per-connection records of every connection the
+// server accepted. Call it when the stack forgets its connections, and
+// only while the server is Idle: a pending response holds its
+// connection's record. Receive buffers keep their capacity.
+func (s *Server) Forget() {
+	s.records.Rewind(func(used []srvConn) {
+		for i := range used {
+			used[i].c = nil
+		}
+	})
+}
+
+// Reset returns the server to its state before its first connection,
+// keeping its interner and record storage: pending responses are
+// dropped (the caller discards the events that would send them) and
+// the request counter rewinds.
+func (s *Server) Reset() {
+	s.inFlight = 0
+	s.Requests = 0
+	s.Forget()
 }
 
 // ConnData implements tcpsim.DataSink: accumulate, parse, respond.
@@ -130,10 +155,12 @@ func (s *Server) newExchange(sc *srvConn) *exchange {
 		ex.next = nil
 	}
 	ex.sc = sc
+	s.inFlight++
 	return ex
 }
 
 func (s *Server) freeExchange(ex *exchange) {
+	s.inFlight--
 	ex.sc = nil
 	ex.span = nil
 	ex.req.Body = nil

@@ -200,6 +200,7 @@ func (r *Runner) drive(what string, timeout time.Duration) error {
 		r.TB.Sim.Step()
 	}
 	r.sc.close()
+	r.dropConns()
 	switch elapsed := r.TB.Sim.Now() - start; {
 	case r.fail != nil:
 		return r.fail
@@ -210,6 +211,16 @@ func (r *Runner) drive(what string, timeout time.Duration) error {
 	default:
 		return fmt.Errorf("methods: %s timed out after %v (virtual)", what, timeout)
 	}
+}
+
+// dropConns clears the Runner's pointers to the connections of the drive
+// that just ended. The next BeginRun may recycle those connection
+// records (see tcpsim.Stack.Forget), so no pointer to one may outlive its
+// drive.
+func (r *Runner) dropConns() {
+	r.sc.tcp, r.sc.ws = nil, nil
+	r.fp.pc = nil
+	r.hs.container.Conn, r.hs.fresh.Conn = nil, nil
 }
 
 // dial opens a client connection to the server's port. A failed dial
@@ -511,6 +522,7 @@ type sockConn struct {
 	tcp     *tcpsim.Conn
 	udpPort uint16
 	udpOpen bool
+	wsc     wssim.Client
 
 	dialEcho   func()
 	onWSEst    func()
@@ -564,7 +576,7 @@ func (c *sockConn) initCallbacks() {
 		}
 	}
 	c.onWSEst = func() {
-		ws, err := wssim.Dial(c.tcp, "server", "/ws")
+		ws, err := c.wsc.Dial(c.tcp, "server", "/ws")
 		if err != nil {
 			c.r.finish(err)
 			return

@@ -22,16 +22,20 @@ func TestStaleSocketTrafficSparesLaterRun(t *testing.T) {
 			twoRuns := func(inject bool) (Result, error) {
 				tb := testbed.New(testbed.Config{Seed: 11})
 				r := &Runner{TB: tb, Profile: prof, Timing: browser.NanoTime}
-				if _, err := r.Run(kind); err != nil {
+				first, err := r.Run(kind)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if inject {
-					prev := r.sc.tcp
+					// The Runner drops its conn pointers when a drive ends,
+					// so the first run's tuple comes from the capture.
+					port := first.ServerPort
+					local := lastClientPort(t, tb, port)
 					orig := r.ss.afterSend
 					r.ss.afterSend = func() {
 						orig()
 						r.ss.afterSend = orig
-						tb.Sim.Schedule(0, func() { injectStale(t, tb, prev.LocalPort(), prev.RemotePort(), kind) })
+						tb.Sim.Schedule(0, func() { injectStale(t, tb, local, port, kind) })
 					}
 				}
 				res, err := r.Run(kind)
@@ -53,6 +57,22 @@ func TestStaleSocketTrafficSparesLaterRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lastClientPort returns the client port of the last segment the client
+// sent to the server's port in the capture.
+func lastClientPort(t *testing.T, tb *testbed.Testbed, port uint16) uint16 {
+	t.Helper()
+	local := uint16(0)
+	for _, p := range tb.Cap.Packets() {
+		if p.TCP != nil && p.IP.Src == tb.ClientNIC.Addr && p.TCP.DstPort == port {
+			local = p.TCP.SrcPort
+		}
+	}
+	if local == 0 {
+		t.Fatalf("no client segment to port %d in the capture", port)
+	}
+	return local
 }
 
 // injectStale hands the client an echo and then an RST from the server on

@@ -92,6 +92,17 @@ func NewLink(sim *eventsim.Simulator, bitsPerSecond int64, propagation time.Dura
 	return &Link{sim: sim, BitsPerSecond: bitsPerSecond, Propagation: propagation}
 }
 
+// Reset rewinds the link's transmit queues and its drop counter, as
+// before its first frame. Attachments and settings stay.
+func (l *Link) Reset() {
+	for _, p := range l.ports {
+		if p != nil {
+			p.busyUntil = 0
+		}
+	}
+	l.Dropped = 0
+}
+
 // Attach connects dev to the next free end of the link and returns its Port.
 // A link has exactly two ends; attaching a third device panics.
 func (l *Link) Attach(dev Device) *Port {
@@ -262,6 +273,9 @@ type learned struct {
 func NewSwitch(sim *eventsim.Simulator, forwardingDelay time.Duration) *Switch {
 	return &Switch{sim: sim, ForwardingDelay: forwardingDelay}
 }
+
+// Reset forgets every learned address, as before the switch's first frame.
+func (s *Switch) Reset() { s.table = s.table[:0] }
 
 // learn records that src was seen on port in, moving a known MAC.
 func (s *Switch) learn(src MAC, in *Port) {

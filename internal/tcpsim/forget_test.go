@@ -159,3 +159,88 @@ func TestDialReportsPortExhaustion(t *testing.T) {
 		t.Fatalf("dial after Forget: %v", err)
 	}
 }
+
+// TestForgetRecyclesRecords opens and forgets one echo connection per
+// cycle: every cycle after the first must hand out the same records
+// again, zeroed.
+func TestForgetRecyclesRecords(t *testing.T) {
+	sim := eventsim.New(6)
+	client, server := pair(t, sim, 50*time.Microsecond)
+	var first [2]*Conn
+	for i := 0; i < 100; i++ {
+		if i > 0 {
+			server.CloseListener(7)
+		}
+		cc, sc := echoExchange(t, sim, client, server)
+		if i == 0 {
+			first = [2]*Conn{cc, sc}
+		} else if cc != first[0] || sc != first[1] {
+			t.Fatalf("cycle %d: the forgotten records were not handed out again", i)
+		}
+		client.Forget()
+		server.Forget()
+		if cc.State() != StateClosed || cc.stack != nil {
+			t.Fatalf("cycle %d: a forgotten record was not zeroed", i)
+		}
+	}
+}
+
+// TestPoisonedRecordPanics checks the SetPoison contract: a record that a
+// poisoning Forget dropped is never handed out again, and any method
+// call on it panics.
+func TestPoisonedRecordPanics(t *testing.T) {
+	sim := eventsim.New(7)
+	client, server := pair(t, sim, 50*time.Microsecond)
+	client.SetPoison(true)
+	cc, _ := echoExchange(t, sim, client, server)
+	client.Forget()
+	if next, err := client.Dial(ipB, 7); err != nil || next == cc {
+		t.Fatalf("dial after a poisoning Forget = %p, %v; want a fresh record", next, err)
+	}
+	for name, call := range map[string]func(){
+		"State": func() { cc.State() },
+		"Send":  func() { _ = cc.Send([]byte("x")) },
+		"Close": func() { cc.Close() },
+		"Arena": func() { cc.Arena() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a poisoned record did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestResetRewindsStack drives traffic through a stack, resets it and
+// checks that a second exchange sends the same frames as on a stack that
+// never carried traffic.
+func TestResetRewindsStack(t *testing.T) {
+	exchange := func(reset bool) [][]byte {
+		sim := eventsim.New(8)
+		client, server := pair(t, sim, 50*time.Microsecond)
+		if reset {
+			echoExchange(t, sim, client, server)
+			client.Dial(ipB, 9) // left half-open: its SYN is never answered
+			sim.Reset(8)
+			client.Reset()
+			server.Reset()
+			server.CloseListener(7)
+		}
+		var sent sentFrames
+		sent.tap(client.nic)
+		echoExchange(t, sim, client, server)
+		return sent.frames
+	}
+	want, got := exchange(false), exchange(true)
+	if len(got) != len(want) {
+		t.Fatalf("reset stack sent %d frames, fresh stack %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("frame %d differs between a reset and a fresh stack", i)
+		}
+	}
+}

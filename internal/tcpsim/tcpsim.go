@@ -22,6 +22,7 @@ import (
 	"github.com/browsermetric/browsermetric/internal/eventsim"
 	"github.com/browsermetric/browsermetric/internal/netsim"
 	"github.com/browsermetric/browsermetric/internal/obs"
+	"github.com/browsermetric/browsermetric/internal/slab"
 )
 
 // MSS is the maximum segment payload this stack sends.
@@ -123,13 +124,17 @@ type Stack struct {
 	// Safe because all frame delivery is event-scheduled, never reentrant.
 	rxPkt netsim.Packet
 
-	// connSlab is a grow-only chunk of connection records handed out by
-	// newConn. A Conn's queue slices alias its own inline arrays, so a
-	// chunk is never grown or compacted in place — when exhausted it is
-	// simply abandoned for a fresh one. Conns are not recycled within a
-	// cell; the chunks amortize their allocation across runs.
-	connSlab []Conn
-	connOff  int
+	// records holds the connection records Dial and accept hand out.
+	// Forget and Reset zero every record handed out since the previous
+	// rewind and rewind the cursor: each such record belongs to a
+	// connection that was torn down or has just been forgotten, so the
+	// chunks hold about as many records as the busiest interval between
+	// two Forgets opened connections.
+	records slab.Chunks[Conn]
+
+	// poison makes Forget poison the records it would recycle; see
+	// SetPoison.
+	poison bool
 }
 
 // NewStack creates a stack and installs itself as the NIC frame handler.
@@ -218,6 +223,17 @@ type Conn struct {
 	connectSpan *obs.Span
 
 	closed bool
+	// poisoned marks a record a poisoning Forget dropped: any method call
+	// on it panics (see Stack.SetPoison).
+	poisoned bool
+}
+
+// live panics when c is a poisoned record: a holder kept a pointer to a
+// connection past the Forget that dropped it.
+func (c *Conn) live() {
+	if c.poisoned {
+		panic("tcpsim: use of a connection record after Forget")
+	}
 }
 
 // DataSink receives a connection's inbound in-order data. It is the
@@ -240,16 +256,28 @@ func (c *Conn) deliver(b []byte) {
 }
 
 // State returns the connection state.
-func (c *Conn) State() State { return c.state }
+func (c *Conn) State() State {
+	c.live()
+	return c.state
+}
 
 // LocalPort returns the connection's local port.
-func (c *Conn) LocalPort() uint16 { return c.tuple.localPort }
+func (c *Conn) LocalPort() uint16 {
+	c.live()
+	return c.tuple.localPort
+}
 
 // RemotePort returns the connection's remote port.
-func (c *Conn) RemotePort() uint16 { return c.tuple.remotePort }
+func (c *Conn) RemotePort() uint16 {
+	c.live()
+	return c.tuple.remotePort
+}
 
 // Remote returns the peer address.
-func (c *Conn) Remote() netip.Addr { return netip.AddrFrom4(c.tuple.remote) }
+func (c *Conn) Remote() netip.Addr {
+	c.live()
+	return netip.AddrFrom4(c.tuple.remote)
+}
 
 type segment struct {
 	seq     uint32
@@ -273,24 +301,29 @@ func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
 // seqLT reports a < b in mod-2^32 arithmetic.
 func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
 
-// connChunkSize is how many Conn records a slab chunk holds. Probe
-// workloads open a handful of connections per run, so one chunk covers
-// several runs.
-const connChunkSize = 32
-
-// newConn hands out a zeroed connection record from the stack's slab
-// chunk. An exhausted chunk is abandoned (its conns still own their
-// inline queue arrays and must never move), and a fresh one allocated —
-// one allocation per 32 connections instead of one each.
-func (s *Stack) newConn() *Conn {
-	if s.connOff >= len(s.connSlab) {
-		s.connSlab = make([]Conn, connChunkSize)
-		s.connOff = 0
+// recycleConns zeroes every record handed out since the last rewind and
+// rewinds the cursor to the first record. Under SetPoison the records
+// are poisoned and their chunks dropped instead, so none is handed out
+// again.
+func (s *Stack) recycleConns() {
+	if !s.poison {
+		s.records.Rewind(func(used []Conn) { clear(used) })
+		return
 	}
-	c := &s.connSlab[s.connOff]
-	s.connOff++
-	return c
+	s.records.Rewind(func(used []Conn) {
+		for i := range used {
+			used[i].poisoned = true
+		}
+	})
+	s.records = slab.Chunks[Conn]{}
 }
+
+// SetPoison toggles poisoning of forgotten connection records. Meant for
+// tests: instead of recycling the records a Forget drops, the stack marks
+// them so that any later method call on one panics, which turns a holder
+// that outlives its connection from a silent cross-talk between two
+// connections into a loud failure.
+func (s *Stack) SetPoison(on bool) { s.poison = on }
 
 // Dial opens a connection to dst:port. The returned Conn is in SYN_SENT;
 // OnEstablished fires when the handshake completes. dst must be IPv4.
@@ -304,7 +337,7 @@ func (s *Stack) Dial(dst netip.Addr, port uint16) (*Conn, error) {
 	}
 	tuple := fourTuple{localPort: local, remotePort: port, remote: dst.As4()}
 	isn := uint32(s.sim.Rand().Int63())
-	c := s.newConn()
+	c := s.records.Next()
 	c.stack = s
 	c.tuple = tuple
 	c.state = StateSynSent
@@ -334,21 +367,40 @@ func (s *Stack) Quiescent() bool {
 	return true
 }
 
-// Forget drops every connection from the table at once: each is marked
-// CLOSED, no FIN or RST is sent and no callback fires. A segment that
+// Forget drops every connection from the table at once: no FIN or RST
+// is sent, no callback fires and no timer stays armed. A segment that
 // later arrives for a forgotten tuple takes the no-connection path (an
 // RST). The testbed forgets at a run boundary where both stacks are
 // Quiescent, so a table only ever holds the connections opened since
 // the last quiet boundary, and the table scans of Quiescent and Dial
 // cost that many steps rather than one per connection the stack ever
-// opened. The records stay valid for holders of a *Conn (Send on one
-// fails).
+// opened.
+//
+// Forget also recycles the records of every connection opened since the
+// previous Forget, the torn-down ones included: they are zeroed (a
+// zeroed record reads CLOSED, and Send on it fails) and the next Dial or
+// accept hands them out again. So no one may hold a *Conn across a
+// Forget: the caller clears its holders first (the testbed's BeginRun
+// runs after the methods runner has cleared its per-run pointers, and
+// resets its services' per-connection state in the same step).
 func (s *Stack) Forget() {
 	for _, c := range s.conns {
-		c.closed = true
-		c.state = StateClosed
+		c.rtoTimer.Cancel()
 	}
 	clear(s.conns)
+	s.recycleConns()
+}
+
+// Reset returns the stack to the state NewStack builds, keeping its
+// listeners, UDP handlers and connection records: every connection is
+// dropped as by Forget, quiescent or not, and the port, IP ID and
+// segment counters rewind. The SetPoison setting stays.
+func (s *Stack) Reset() {
+	s.Forget()
+	s.nextEphemeral = ephemeralBase
+	s.ipID = 0
+	s.SegmentsSent, s.SegmentsRetransmitted, s.FastRetransmits = 0, 0, 0
+	s.DropTx = nil
 }
 
 // LiveConns returns how many connections the stack's table holds.
@@ -356,14 +408,23 @@ func (s *Stack) LiveConns() int { return len(s.conns) }
 
 // Tracer returns the stack's tracer (possibly nil) so higher layers
 // built on a Conn — like wssim — can record their own spans.
-func (c *Conn) Tracer() *obs.Tracer { return c.stack.Trace }
+func (c *Conn) Tracer() *obs.Tracer {
+	c.live()
+	return c.stack.Trace
+}
 
 // Metrics returns the stack's metrics registry (possibly nil).
-func (c *Conn) Metrics() *obs.Metrics { return c.stack.Metrics }
+func (c *Conn) Metrics() *obs.Metrics {
+	c.live()
+	return c.stack.Metrics
+}
 
 // Arena returns the stack's arena (possibly nil) so higher layers can
 // draw their message buffers from the same per-run epoch.
-func (c *Conn) Arena() *arena.Arena { return c.stack.Arena }
+func (c *Conn) Arena() *arena.Arena {
+	c.live()
+	return c.stack.Arena
+}
 
 // ephemeralBase is the first of the 1<<14 ephemeral ports Dial hands out.
 const ephemeralBase = 49152
@@ -399,6 +460,7 @@ func (s *Stack) allocEphemeral() (uint16, error) {
 // It may be called once the connection is established (or from the
 // OnEstablished callback). Payload is segmented by MSS.
 func (c *Conn) Send(payload []byte) error {
+	c.live()
 	if c.state != StateEstablished && c.state != StateCloseWait {
 		return fmt.Errorf("tcpsim: send in state %v", c.state)
 	}
@@ -415,6 +477,7 @@ func (c *Conn) Send(payload []byte) error {
 
 // Close initiates an orderly shutdown by sending FIN.
 func (c *Conn) Close() {
+	c.live()
 	switch c.state {
 	case StateEstablished:
 		c.state = StateFinWait
@@ -432,6 +495,7 @@ func (c *Conn) Close() {
 
 // Abort sends RST and drops the connection immediately.
 func (c *Conn) Abort() {
+	c.live()
 	c.rawSend(netsim.FlagRST|netsim.FlagACK, c.sndNxt, c.rcvNxt, nil)
 	c.abort()
 }
@@ -562,13 +626,17 @@ func (c *Conn) armRTO() {
 
 // Cwnd exposes the current congestion window (bytes) for tests and
 // diagnostics.
-func (c *Conn) Cwnd() int { return c.cwnd }
+func (c *Conn) Cwnd() int {
+	c.live()
+	return c.cwnd
+}
 
 // onRTOAny adapts onRTO for eventsim.ScheduleAny: one shared func(any)
 // instead of a per-connection method value, which would allocate.
 func onRTOAny(v any) { v.(*Conn).onRTO() }
 
 func (c *Conn) onRTO() {
+	c.live()
 	if len(c.retxQ) == 0 || c.closed {
 		return
 	}
@@ -667,7 +735,7 @@ func (s *Stack) sendRST(tuple fourTuple, p *netsim.Packet) {
 
 func (s *Stack) acceptSyn(l *Listener, tuple fourTuple, p *netsim.Packet) {
 	isn := uint32(s.sim.Rand().Int63())
-	c := s.newConn()
+	c := s.records.Next()
 	c.stack = s
 	c.tuple = tuple
 	c.state = StateSynReceived
@@ -684,6 +752,7 @@ func (s *Stack) acceptSyn(l *Listener, tuple fourTuple, p *netsim.Packet) {
 
 // handle processes one inbound segment for an existing connection.
 func (c *Conn) handle(p *netsim.Packet) {
+	c.live()
 	t := p.TCP
 	if t.Flags&netsim.FlagRST != 0 {
 		if c.OnReset != nil {

@@ -81,7 +81,8 @@ type Config struct {
 	Metrics *obs.Metrics
 	// Arena, when non-nil, owns the testbed's per-run buffers (frames,
 	// HTTP messages, parse scratch); BeginRun resets it between runs so a
-	// warm run allocates nothing. New creates a private arena when nil.
+	// warm run allocates nothing. When nil, the testbed uses a private
+	// arena of its own.
 	// Like Tracer/Metrics it is observational: reuse cannot change any
 	// simulated outcome (the determinism suite enforces this), so it is
 	// excluded from sweep cache keys.
@@ -106,6 +107,12 @@ func (c *Config) fillDefaults() {
 func (c *Config) Normalize() { c.fillDefaults() }
 
 // Testbed is an assembled Figure 2 network.
+//
+// A finished testbed can serve another cell: Reset returns it to exactly
+// the state New builds for the cell's config. The simulator's event
+// records, both stacks' connection records, listeners and services, the
+// capture's storage and the testbed's own arena survive the reset, so a
+// cell after the first allocates almost no set-up.
 type Testbed struct {
 	Sim        *eventsim.Simulator
 	Client     *tcpsim.Stack
@@ -135,6 +142,14 @@ type Testbed struct {
 
 	cfg Config
 
+	clientLink *netsim.Link
+	sw         *netsim.Switch
+	// own is the testbed's private arena, used whenever Config.Arena is
+	// nil; impair is the impairment Reset rewinds when a profile needs
+	// one, kept while the clean path runs without it.
+	own    *arena.Arena
+	impair *faults.Impairment
+
 	// probe holds the per-testbed cached probe responses served by the
 	// HTTP handler, so steady-state requests build no response objects.
 	probe probeResponses
@@ -148,15 +163,18 @@ type Testbed struct {
 
 // New builds the testbed with the paper's parameters (see Config).
 func New(cfg Config) *Testbed {
-	cfg.fillDefaults()
-	if cfg.Arena == nil {
-		cfg.Arena = arena.New(0)
-	}
-	sim := eventsim.New(cfg.Seed)
+	tb := build(cfg.Seed)
+	tb.configure(cfg)
+	return tb
+}
+
+// build assembles the topology and services on a simulator seeded with
+// seed; configure applies the rest of a Config.
+func build(seed int64) *Testbed {
+	sim := eventsim.New(seed)
 	// Slab-reserve event records for the testbed's peak concurrent load
 	// (delayed frames in flight, per-conn RTO timers, method timers).
 	sim.Reserve(256)
-	cfg.Tracer.Bind(sim.Now)
 
 	clientMAC := netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
 	serverMAC := netsim.MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
@@ -165,26 +183,10 @@ func New(cfg Config) *Testbed {
 
 	clientNIC := netsim.NewNIC(sim, "client-eth0", clientMAC, clientIP)
 	serverNIC := netsim.NewNIC(sim, "server-eth0", serverMAC, serverIP)
-	serverNIC.EgressDelay = cfg.ServerDelay
 
 	sw := netsim.NewSwitch(sim, 2*time.Microsecond)
-	clientLink := netsim.NewLink(sim, cfg.LinkRate, cfg.Propagation)
-	serverLink := netsim.NewLink(sim, cfg.LinkRate, cfg.Propagation)
-	serverLink.LossRate = cfg.LossRate
-	var impair *faults.Impairment
-	if cfg.Faults.Enabled() {
-		params, err := cfg.Faults.Params()
-		if err != nil {
-			panic(err)
-		}
-		// Salt the seed so the impairment stream is independent of the
-		// simulator's own generator while remaining a pure function of the
-		// testbed seed.
-		impair = faults.New(params, cfg.Seed^0x66a17, cfg.Metrics)
-		serverLink.Impair = impair
-	}
-	clientLink.Metrics = cfg.Metrics
-	serverLink.Metrics = cfg.Metrics
+	clientLink := netsim.NewLink(sim, 0, 0)
+	serverLink := netsim.NewLink(sim, 0, 0)
 	clientNIC.Connect(clientLink)
 	sw.Connect(clientLink)
 	serverNIC.Connect(serverLink)
@@ -206,12 +208,6 @@ func New(cfg Config) *Testbed {
 	serverStack := tcpsim.NewStack(sim, serverNIC)
 	clientStack.Resolve = resolve
 	serverStack.Resolve = resolve
-	clientStack.Trace = cfg.Tracer
-	clientStack.Metrics = cfg.Metrics
-	serverStack.Trace = cfg.Tracer
-	serverStack.Metrics = cfg.Metrics
-	clientStack.Arena = cfg.Arena
-	serverStack.Arena = cfg.Arena
 
 	tb := &Testbed{
 		Sim:        sim,
@@ -222,14 +218,83 @@ func New(cfg Config) *Testbed {
 		ServerAddr: serverIP,
 		Cap:        capture.Attach(clientNIC),
 		ServerLink: serverLink,
-		Impair:     impair,
-		Trace:      cfg.Tracer,
-		Metrics:    cfg.Metrics,
-		Arena:      cfg.Arena,
-		cfg:        cfg,
+		clientLink: clientLink,
+		sw:         sw,
 	}
 	tb.startServices()
 	return tb
+}
+
+// Reset returns tb to exactly the state New(cfg) builds: the simulator
+// restarts at time zero on a generator reseeded from cfg.Seed, every
+// queued event, connection and captured frame is dropped, the switch
+// table, the links' transmit queues, the port allocators and the
+// services' per-connection state rewind, and cfg's delays, rates, loss,
+// fault profile, observers and arena are applied. Listeners, services and
+// all record storage are kept. The caller must hold nothing it obtained
+// from tb before the reset (connections, capture records, arena
+// buffers). Unknown fault profiles panic, as in New.
+func (tb *Testbed) Reset(cfg Config) {
+	tb.Sim.Reset(cfg.Seed)
+	tb.configure(cfg)
+}
+
+// configure applies cfg to a testbed whose simulator is fresh or was
+// just reset: it rewinds everything else Reset names and installs cfg's
+// parameters, observers and arena.
+func (tb *Testbed) configure(cfg Config) {
+	cfg.fillDefaults()
+	var params faults.Params
+	if cfg.Faults.Enabled() {
+		p, err := cfg.Faults.Params()
+		if err != nil {
+			panic(err)
+		}
+		params = p
+	}
+	if cfg.Arena == nil {
+		if tb.own == nil {
+			tb.own = arena.New(0)
+		}
+		tb.own.Reset()
+		cfg.Arena = tb.own
+	}
+	tb.cfg = cfg
+	tb.Trace, tb.Metrics, tb.Arena = cfg.Tracer, cfg.Metrics, cfg.Arena
+
+	if cfg.Tracer != nil {
+		cfg.Tracer.Bind(tb.Sim.Now) // the method value allocates
+	}
+	tb.ServerNIC.EgressDelay = cfg.ServerDelay
+	tb.sw.Reset()
+	for _, l := range []*netsim.Link{tb.clientLink, tb.ServerLink} {
+		l.Reset()
+		l.BitsPerSecond = cfg.LinkRate
+		l.Propagation = cfg.Propagation
+		l.Metrics = cfg.Metrics
+	}
+	tb.ServerLink.LossRate = cfg.LossRate
+	tb.Impair, tb.ServerLink.Impair = nil, nil
+	if cfg.Faults.Enabled() {
+		// Salt the seed so the impairment stream is independent of the
+		// simulator's own generator while remaining a pure function of the
+		// testbed seed.
+		seed := cfg.Seed ^ 0x66a17
+		if tb.impair == nil {
+			tb.impair = faults.New(params, seed, cfg.Metrics)
+		} else {
+			tb.impair.Reset(params, seed, cfg.Metrics)
+		}
+		tb.Impair, tb.ServerLink.Impair = tb.impair, tb.impair
+	}
+	for _, st := range []*tcpsim.Stack{tb.Client, tb.Server} {
+		st.Reset()
+		st.Trace, st.Metrics, st.Arena = cfg.Tracer, cfg.Metrics, cfg.Arena
+	}
+	tb.Cap.Reset()
+	tb.HTTP.Reset()
+	tb.HTTP.ParseCost = cfg.ServerParseCost
+	tb.nextUDPPort = 0
 }
 
 // BeginRun marks the start of a measurement run: the capture truncates,
@@ -237,21 +302,25 @@ func New(cfg Config) *Testbed {
 // per-run buffer of the previous run. Call it between runs, after
 // Advance has idled the testbed through the inter-run gap.
 //
-// The forget and the arena reset are guarded by transport quiescence:
-// if any connection still holds unacked or undelivered bytes (a
-// retransmission recovering from a fault-profile loss can straddle a
-// short gap), both are skipped for this boundary, and the tables and the
-// arena keep growing until the next quiet one. No run uses a connection
-// an earlier run opened, so forgetting them sends nothing and changes no
-// outcome; it keeps each run's connection-table scans as short as the
-// runs since the last quiet boundary. Quiescence is a pure function of
-// simulator state, so the skip decision — like everything else — is
-// deterministic.
+// The forget and the arena reset are guarded by quiescence: if any
+// connection still holds unacked or undelivered bytes (a retransmission
+// recovering from a fault-profile loss can straddle a short gap), or the
+// web server still owes a response, both are skipped for this boundary,
+// and the tables and the arena keep growing until the next quiet one.
+// No run uses a connection an earlier run opened, so forgetting them
+// sends nothing and changes no outcome; it keeps each run's
+// connection-table scans as short as the runs since the last quiet
+// boundary, and it recycles the connection records (the methods runner
+// holds no pointer to one past its run, and the web server's
+// per-connection records are recycled in the same step). Quiescence is
+// a pure function of simulator state, so the skip decision — like
+// everything else — is deterministic.
 func (tb *Testbed) BeginRun() {
 	tb.Cap.Reset()
-	if tb.Client.Quiescent() && tb.Server.Quiescent() {
+	if tb.Client.Quiescent() && tb.Server.Quiescent() && tb.HTTP.Idle() {
 		tb.Client.Forget()
 		tb.Server.Forget()
+		tb.HTTP.Forget()
 		tb.Arena.Reset()
 	}
 }
@@ -260,10 +329,9 @@ func (tb *Testbed) BeginRun() {
 func (tb *Testbed) startServices() {
 	tb.probe.init()
 	tb.HTTP = &httpsim.Server{
-		Sim:       tb.Sim,
-		Stack:     tb.Server,
-		Handler:   tb.probe.handle,
-		ParseCost: tb.cfg.ServerParseCost,
+		Sim:     tb.Sim,
+		Stack:   tb.Server,
+		Handler: tb.probe.handle,
 	}
 	if err := tb.HTTP.Serve(HTTPPort); err != nil {
 		panic(err)

@@ -1,10 +1,13 @@
 package testbed
 
 import (
+	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/browsermetric/browsermetric/internal/faults"
 	"github.com/browsermetric/browsermetric/internal/httpsim"
 	"github.com/browsermetric/browsermetric/internal/wssim"
 )
@@ -85,7 +88,7 @@ func TestWebSocketEcho(t *testing.T) {
 	var echoed string
 	c, _ := tb.Client.Dial(tb.ServerAddr, WSPort)
 	c.OnEstablished = func() {
-		ws, _ := wssim.Dial(c, "server", "/")
+		ws, _ := new(wssim.Client).Dial(c, "server", "/")
 		ws.OnOpen = func() { ws.Send(wssim.OpText, []byte("hello")) }
 		ws.OnMessage = func(_ wssim.Opcode, p []byte) { echoed = string(p) }
 	}
@@ -139,5 +142,46 @@ func TestAdvance(t *testing.T) {
 	tb.Advance(42 * time.Second)
 	if tb.Sim.Now() != 42*time.Second {
 		t.Fatalf("Now = %v", tb.Sim.Now())
+	}
+}
+
+// wsEchoTrace dials the WebSocket echo service on tb, echoes one message
+// and returns every frame the client captured, with its timestamp.
+func wsEchoTrace(t *testing.T, tb *Testbed) []string {
+	t.Helper()
+	c, err := tb.Client.Dial(tb.ServerAddr, WSPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.OnEstablished = func() {
+		ws, _ := new(wssim.Client).Dial(c, "server", "/")
+		ws.OnOpen = func() { ws.Send(wssim.OpText, []byte("hello")) }
+	}
+	tb.Sim.RunUntil(5 * time.Second)
+	var out []string
+	for _, r := range tb.Cap.Records() {
+		out = append(out, fmt.Sprintf("%v %v %x", r.Time, r.Dir, r.Data))
+	}
+	return out
+}
+
+// TestResetTestbedComesBackAsNew resets a testbed in the middle of an
+// exchange, with frames in flight on a lossy, delayed path, and checks
+// that it captures what a testbed from New captures.
+func TestResetTestbedComesBackAsNew(t *testing.T) {
+	cfg := Config{Seed: 3}
+	want := wsEchoTrace(t, New(cfg))
+
+	tb := New(Config{Seed: 9, ServerDelay: 5 * time.Millisecond, LossRate: 0.2, Faults: faults.Congested})
+	c, _ := tb.Client.Dial(tb.ServerAddr, HTTPPort)
+	c.OnEstablished = func() { _ = c.Send([]byte("GET / HTTP/1.1\r\n\r\n")) }
+	tb.NextUDPPort()
+	tb.Sim.RunUntil(7 * time.Millisecond)
+	tb.Reset(cfg)
+	if got := wsEchoTrace(t, tb); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a testbed reset to the config captured\n%v\nwant\n%v", got, want)
+	}
+	if p := tb.NextUDPPort(); p != udpPortBase {
+		t.Fatalf("first UDP port after the reset = %d, want %d", p, udpPortBase)
 	}
 }

@@ -68,7 +68,7 @@ func TestFragmentedMessageReassembled(t *testing.T) {
 	}
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnOpen = func() {
 			if err := ws.SendFragmented(OpBinary, payload, 300); err != nil {
 				t.Errorf("SendFragmented: %v", err)
@@ -99,7 +99,7 @@ func TestFragmentExactMultiple(t *testing.T) {
 	payload := make([]byte, 600) // exactly 2 chunks of 300
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnOpen = func() { ws.SendFragmented(OpText, payload, 300) }
 	}
 	sim.RunUntil(10 * time.Second)
@@ -117,7 +117,7 @@ func TestSingleChunkFragmentedIsJustAFrame(t *testing.T) {
 	})
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnOpen = func() { ws.SendFragmented(OpBinary, []byte("tiny"), 100) }
 	}
 	sim.RunUntil(10 * time.Second)
@@ -136,7 +136,7 @@ func TestStrayContinuationAborts(t *testing.T) {
 	})
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnOpen = func() {
 			// A continuation with no message in progress is a protocol
 			// violation; the peer must tear the connection down.
@@ -162,7 +162,7 @@ func TestInterleavedControlDuringFragmentation(t *testing.T) {
 	var pong bool
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnMessage = func(op Opcode, _ []byte) {
 			if op == OpPong {
 				pong = true

@@ -228,7 +228,21 @@ type Conn struct {
 	sframe   Frame       // reused send-marshal source
 	acceptCb func(*Conn) // server side: pending accept callback
 	upSpan   *obs.Span   // client side: upgrade span
+	up       *upgrade    // handshake parse state shared with the conn's client or service
 }
+
+// upgrade is the handshake parse state that a Client, or the service a
+// Serve call installs, reuses across its connections: a request and a
+// response whose header storage recycles, and an interner for their
+// strings. A handshake is parsed and consulted within one delivery, and
+// one stack's deliveries never interleave, so the conns can share it.
+type upgrade struct {
+	in   *httpsim.Interner
+	req  httpsim.Request
+	resp httpsim.Response
+}
+
+func newUpgrade() *upgrade { return &upgrade{in: httpsim.NewInterner()} }
 
 // Send transmits one data frame. Client connections mask it, per RFC 6455.
 func (c *Conn) Send(op Opcode, payload []byte) error {
@@ -335,7 +349,8 @@ func (c *Conn) finishHandshake(consumed int) {
 }
 
 func (c *Conn) clientHandshake() {
-	resp, n, err := httpsim.ParseResponse(c.buf)
+	resp := &c.up.resp
+	n, err := httpsim.ParseResponseInto(resp, c.buf, c.up.in, c.TCP.Arena())
 	if err == httpsim.ErrIncomplete {
 		return
 	}
@@ -357,7 +372,8 @@ func (c *Conn) clientHandshake() {
 }
 
 func (c *Conn) serverHandshake() {
-	req, n, err := httpsim.ParseRequest(c.buf)
+	req := &c.up.req
+	n, err := httpsim.ParseRequestInto(req, c.buf, c.up.in, c.TCP.Arena())
 	if err == httpsim.ErrIncomplete {
 		return
 	}
@@ -415,11 +431,22 @@ var stdUpgradeResponse = (&httpsim.Response{
 	},
 }).Marshal()
 
+// Client dials WebSocket connections. It keeps the upgrade-response parse
+// state that its connections share, so a handshake allocates no parse
+// results. The zero value is ready to use; like the connections it
+// dials, a Client belongs to one stack.
+type Client struct {
+	up *upgrade
+}
+
 // Dial performs the client upgrade handshake on an *established* tcpsim
 // connection and returns the WebSocket conn. OnOpen fires when the 101
 // response arrives.
-func Dial(tc *tcpsim.Conn, host, path string) (*Conn, error) {
-	c := &Conn{TCP: tc, client: true}
+func (cl *Client) Dial(tc *tcpsim.Conn, host, path string) (*Conn, error) {
+	if cl.up == nil {
+		cl.up = newUpgrade()
+	}
+	c := &Conn{TCP: tc, client: true, up: cl.up}
 	c.upSpan = tc.Tracer().Begin("ws-upgrade").Str("path", path)
 	req := httpsim.Request{
 		Method: "GET",
@@ -439,8 +466,9 @@ func Dial(tc *tcpsim.Conn, host, path string) (*Conn, error) {
 // Serve installs a WebSocket acceptor on stack port. accept is invoked
 // with each upgraded connection; the handler should set OnMessage.
 func Serve(stack *tcpsim.Stack, port uint16, accept func(*Conn)) error {
+	up := newUpgrade()
 	_, err := stack.Listen(port, func(tc *tcpsim.Conn) {
-		c := &Conn{TCP: tc, acceptCb: accept}
+		c := &Conn{TCP: tc, acceptCb: accept, up: up}
 		tc.Sink = c
 	})
 	return err

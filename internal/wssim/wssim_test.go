@@ -142,7 +142,7 @@ func TestEndToEndEcho(t *testing.T) {
 	opened := false
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, err := Dial(tc, "server", "/ws")
+		ws, err := new(Client).Dial(tc, "server", "/ws")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestPingGetsPong(t *testing.T) {
 	var pongs int
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnOpen = func() {
 			// Client sends a ping; the conn auto-pongs on the peer side.
 			f := &Frame{Fin: true, Opcode: OpPing, Masked: true, Payload: []byte("hb")}
@@ -216,7 +216,7 @@ func TestCloseHandshake(t *testing.T) {
 	})
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnOpen = func() {
 			ws.sframe = Frame{Fin: true, Opcode: OpClose, Masked: true}
 			_ = ws.TCP.Send(ws.sframe.Marshal())
@@ -239,7 +239,7 @@ func TestMultipleMessagesOneSegment(t *testing.T) {
 	})
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		ws, _ := Dial(tc, "s", "/")
+		ws, _ := new(Client).Dial(tc, "s", "/")
 		ws.OnOpen = func() {
 			f1 := (&Frame{Fin: true, Opcode: OpBinary, Masked: true, Payload: []byte("one")}).Marshal()
 			f2 := (&Frame{Fin: true, Opcode: OpBinary, Masked: true, MaskKey: [4]byte{9, 9, 9, 9}, Payload: []byte("two")}).Marshal()

@@ -40,19 +40,20 @@ func warmRunStep(t testing.TB, kind methods.Kind) func() {
 // (almost) nothing. The ceilings are measured values plus one object of
 // slack — not round numbers — so any new per-run allocation fails the
 // guard. WebSocket's ceiling is higher because the method's semantics
-// open a fresh TCP connection and WebSocket upgrade every run (the
-// connection objects and handshake parse results are per-run state, not
-// recyclable buffers); the connection-reusing methods sit at zero or
-// one.
+// open a fresh TCP connection and WebSocket upgrade every run: the two
+// WebSocket conn objects, their receive buffers and the echo callback are
+// per-run state (the TCP records recycle, and the upgrade parses reuse
+// their client's or service's request and response); the
+// connection-reusing methods sit at zero.
 func TestWarmRunSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		kind    methods.Kind
 		ceiling float64
 	}{
-		{methods.JavaTCP, 1},    // persistent echo socket: measured 0
-		{methods.XHRGet, 2},     // container connection reuse: measured 1
-		{methods.FlashGet, 2},   // container connection reuse: measured 1
-		{methods.WebSocket, 44}, // fresh dial + upgrade per run: measured 36
+		{methods.JavaTCP, 1},   // persistent echo socket: measured 0
+		{methods.XHRGet, 1},    // container connection reuse: measured 0
+		{methods.FlashGet, 1},  // container connection reuse: measured 0
+		{methods.WebSocket, 6}, // fresh dial + upgrade per run: measured 5
 	}
 	for _, tc := range cases {
 		step := warmRunStep(t, tc.kind)
