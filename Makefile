@@ -1,7 +1,7 @@
 # Tier-1 verification and CI targets.
 #
 #   make tier1       build + vet + test          (the ROADMAP tier-1 gate)
-#   make lint        gofmt -l empty + go vet (+ staticcheck when installed)
+#   make lint        gofmt -l empty + go vet of both modules (+ staticcheck when installed)
 #   make race        full suite under -race      (guards the parallel runner)
 #   make ci          tier1 + race
 #   make bench       paper-regeneration + scheduler benchmarks
@@ -35,15 +35,19 @@ vet:
 test:
 	$(GO) test ./...
 
-# lint fails when any file needs gofmt, then vets. staticcheck runs only
-# when present on PATH (CI images without it skip with a note rather than
-# requiring a network install).
+# lint fails when any file needs gofmt, then vets. The benchmark in
+# perfbench/ is its own module and imports internal packages by name, so
+# it is vetted too: a rename that the main module builds past still
+# breaks the benchmark build here. staticcheck runs only when present on
+# PATH (CI images without it skip with a note rather than requiring a
+# network install).
 lint:
 	@fmtout="$$(gofmt -l .)"; \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

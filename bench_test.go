@@ -333,7 +333,7 @@ func BenchmarkRun(b *testing.B) {
 
 // BenchmarkRunTraced runs the identical workload with a live tracer and
 // metrics registry, measuring the full recording cost (span and attribute
-// allocation, histogram updates).
+// allocation, sketch updates).
 func BenchmarkRunTraced(b *testing.B) {
 	b.ReportAllocs()
 	var spans int

@@ -332,9 +332,9 @@ type Tracer = obs.Tracer
 // Span is one traced operation with virtual start/end and attributes.
 type Span = obs.Span
 
-// Metrics is a registry of counters, gauges and fixed-bucket histograms
-// fed by the simulated stack and the study scheduler. A nil *Metrics is
-// the disabled registry.
+// Metrics is a registry of counters, gauges and mergeable quantile
+// sketches fed by the simulated stack, the study scheduler and the live
+// services. A nil *Metrics is the disabled registry.
 type Metrics = obs.Metrics
 
 // NewTracer returns an enabled span tracer for Options/StudyOptions.

@@ -27,7 +27,6 @@ var uncalledAllowed = map[string]string{
 	"obs.Span.GetInt":                   "trace read API that tests of other packages use",
 	"obs.Metrics.Gauge":                 "registry read API that tests of other packages use",
 	"obs.Metrics.SketchCount":           "registry read API that tests of other packages use",
-	"obs.Metrics.Hist":                  "registry read API that tests of other packages use",
 	"obs.Metrics.FamiliesMissingHelp":   "registry read API that tests of other packages use",
 	"obs.MergeSketches":                 "reference fold the fleetwire tests compare merged sketches against",
 	"arena.Arena.SetPoison":             "switches on the poison checks that arena-lifetime tests rely on",

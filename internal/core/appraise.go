@@ -41,7 +41,7 @@ type Config struct {
 	Testbed testbed.Config
 	// Tracer and Metrics, when non-nil, are installed on the testbed and
 	// receive the full observability stream (spans, counters, stage
-	// histograms). Purely observational: results are byte-identical with
+	// sketches). Purely observational: results are byte-identical with
 	// or without them.
 	Tracer  *obs.Tracer
 	Metrics *obs.Metrics

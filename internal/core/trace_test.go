@@ -136,6 +136,48 @@ func TestRunStudyDeterminismWithTracing(t *testing.T) {
 	}
 }
 
+// TestStudyMetricsIndependentOfWorkers: the merged study registry is the
+// same at any worker count once its host-time series are left out. The
+// scheduler merges the cells' registries in matrix order, and sketch
+// merges and float sums depend on that order, so a merge in completion
+// order would show up here as differing sketch tuples or sums.
+func TestStudyMetricsIndependentOfWorkers(t *testing.T) {
+	hostTime := []string{"study_cell_wall_ms", "study_wall_ms", "study_workers"}
+	snapshot := func(workers int) []byte {
+		m := obs.NewMetrics()
+		if _, err := RunStudy(StudyOptions{Runs: 3, Gap: time.Second, BaseSeed: 42, Workers: workers, Metrics: m}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var snap map[string]map[string]json.RawMessage
+		if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+			t.Fatal(err)
+		}
+		for _, section := range snap {
+			for _, k := range hostTime {
+				delete(section, k)
+			}
+		}
+		for _, k := range []string{"delta_d_ms", "stage_send_path_ms", "stage_event_dispatch_ms", "stage_handshake_ms"} {
+			if _, ok := snap["sketches"][k]; !ok {
+				t.Fatalf("workers=%d: snapshot has no %s sketch", workers, k)
+			}
+		}
+		out, err := json.MarshalIndent(snap, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	one, four := snapshot(1), snapshot(4)
+	if !bytes.Equal(one, four) {
+		t.Fatalf("study registry differs between 1 and 4 workers:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", one, four)
+	}
+}
+
 // TestWriteChromeTraceOperaFlashHandshake is the acceptance check for the
 // trace exporter: a small Opera × Flash GET study must produce valid
 // Chrome trace_event JSON containing a handshake span for the Δd1 round —

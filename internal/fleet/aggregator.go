@@ -319,7 +319,7 @@ func (a *Aggregator) Publish() Snapshot {
 		m.Add("fleet_agg_node_restarts_total", int64(restarts))
 		m.Add(obs.L("fleet_agg_frames_rejected_total", "reason", "corrupt"), int64(rejC))
 		m.Add(obs.L("fleet_agg_frames_rejected_total", "reason", "version"), int64(rejV))
-		m.SketchDur("fleet_agg_publish_ms", took)
+		m.ObserveDur("fleet_agg_publish_ms", took)
 		meterStream(m, a.liveView)
 	}
 	return snap

@@ -518,7 +518,7 @@ func (r *Registry) FanIn() Snapshot {
 		m.Add("fleet_samples_total", int64(samples))
 		m.Add("fleet_samples_lost_total", int64(lost))
 		m.Add("fleet_fanin_total", 1)
-		m.SketchDur("fleet_fanin_ms", took)
+		m.ObserveDur("fleet_fanin_ms", took)
 		meterStream(m, r.liveView)
 	}
 	return snap

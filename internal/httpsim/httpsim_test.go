@@ -194,28 +194,6 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-func TestServerProcessingDelay(t *testing.T) {
-	sim := eventsim.New(2)
-	client, serverStack, serverIP := netPair(t, sim, 0)
-	srv := &Server{Sim: sim, Stack: serverStack, ProcessingDelay: 50 * time.Millisecond,
-		Handler: func(*Request) *Response { return &Response{Status: 200} }}
-	srv.Serve(80)
-
-	var sentAt, gotAt time.Duration
-	c, _ := client.Dial(serverIP, 80)
-	cc := NewClientConn(c)
-	c.OnEstablished = func() {
-		sentAt = sim.Now()
-		cc.RoundTrip(&Request{Method: "GET", Target: "/"}, func(*Response) { gotAt = sim.Now() })
-	}
-	sim.RunUntil(10 * time.Second)
-
-	rtt := gotAt - sentAt
-	if rtt < 50*time.Millisecond || rtt > 51*time.Millisecond {
-		t.Fatalf("request RTT = %v, want ~50ms (processing delay dominates)", rtt)
-	}
-}
-
 func TestServerKeepAliveTwoRequests(t *testing.T) {
 	sim := eventsim.New(3)
 	client, serverStack, serverIP := netPair(t, sim, 10*time.Microsecond)

@@ -17,8 +17,8 @@ import (
 type HandlerFunc func(*Request) *Response
 
 // Server is an HTTP/1.1 server over tcpsim, playing the role of the
-// paper's Apache instance. ProcessingDelay models the artificial +50 ms
-// the testbed adds before every response to make the path RTT measurable.
+// paper's Apache instance. The artificial +50 ms path delay of the
+// testbed is not the server's: it sits on the server NIC's egress.
 //
 // The server is a tcpsim.DataSink: all per-connection state lives in
 // slab-chunked srvConn records keyed off Conn.Upper, so accepting and
@@ -29,9 +29,6 @@ type Server struct {
 	Sim     *eventsim.Simulator
 	Stack   *tcpsim.Stack
 	Handler HandlerFunc
-	// ProcessingDelay is applied between receiving a complete request and
-	// emitting the response (the paper's simulated Internet delay).
-	ProcessingDelay time.Duration
 	// ParseCost models per-request server-side CPU cost.
 	ParseCost time.Duration
 
@@ -169,13 +166,11 @@ func (s *Server) freeExchange(ex *exchange) {
 }
 
 func (s *Server) respond(ex *exchange) {
-	delay := s.ProcessingDelay + s.ParseCost
 	ex.span = ex.sc.c.Tracer().Begin("server-delay").
 		Str("http_method", ex.req.Method).
 		Str("target", ex.req.Target).
-		Dur("processing", s.ProcessingDelay).
 		Dur("parse_cost", s.ParseCost)
-	s.Sim.ScheduleAny(delay, respondNowAny, ex)
+	s.Sim.ScheduleAny(s.ParseCost, respondNowAny, ex)
 }
 
 // respondNowAny adapts respondNow for eventsim.ScheduleAny: one shared

@@ -459,11 +459,11 @@ func observeProbe(m *obs.Metrics, ser methodSeries, meas Measurement) {
 		return
 	}
 	m.Add(ser.probes, 1)
-	m.SketchDur(ser.rtt, meas.BrowserRTT())
-	m.SketchDur(ser.wire, meas.WireRTT())
-	m.SketchDur(ser.send, meas.TNs.Sub(meas.TBs))
-	m.SketchDur(ser.dispatch, meas.TBr.Sub(meas.TNr))
-	m.SketchDur(ser.delta, meas.Overhead())
+	m.ObserveDur(ser.rtt, meas.BrowserRTT())
+	m.ObserveDur(ser.wire, meas.WireRTT())
+	m.ObserveDur(ser.send, meas.TNs.Sub(meas.TBs))
+	m.ObserveDur(ser.dispatch, meas.TBr.Sub(meas.TNr))
+	m.ObserveDur(ser.delta, meas.Overhead())
 }
 
 // RunStudyWithOptions appraises every live client stack against the

@@ -11,84 +11,14 @@ import (
 	"time"
 )
 
-// DefaultBuckets are the fixed histogram bucket upper bounds, in
-// milliseconds. They cover the dynamic range the testbed produces: from
-// sub-10 µs socket-path costs through the ~15.6 ms Windows clock granule
-// up to multi-second cell wall times. The final implicit bucket is +Inf.
-var DefaultBuckets = []float64{
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 10000,
-}
-
-// Histogram is a fixed-bucket histogram over float64 observations
-// (milliseconds by convention). Bucket counts are cumulative-free: each
-// count covers (prevBound, bound]; observations above the last bound land
-// in the overflow bucket.
-type Histogram struct {
-	// Bounds are the bucket upper bounds; Counts has len(Bounds)+1
-	// entries, the last being the overflow (+Inf) bucket.
-	Bounds []float64
-	Counts []uint64
-	Count  uint64
-	Sum    float64
-	Min    float64
-	Max    float64
-}
-
-func newHistogram() *Histogram {
-	return &Histogram{
-		Bounds: DefaultBuckets,
-		Counts: make([]uint64, len(DefaultBuckets)+1),
-		Min:    math.Inf(1),
-		Max:    math.Inf(-1),
-	}
-}
-
-func (h *Histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.Bounds, v)
-	h.Counts[i]++
-	h.Count++
-	h.Sum += v
-	if v < h.Min {
-		h.Min = v
-	}
-	if v > h.Max {
-		h.Max = v
-	}
-}
-
-// Mean returns the mean observation (zero for an empty histogram).
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
-func (h *Histogram) merge(o *Histogram) {
-	for i, c := range o.Counts {
-		if i < len(h.Counts) {
-			h.Counts[i] += c
-		}
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	if o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-}
-
-// Metrics is a registry of named counters, gauges and fixed-bucket
-// histograms. All methods are safe for concurrent use, and a nil *Metrics
-// is the disabled registry: every method is an allocation-free no-op, so
-// instrumentation can stay unconditional on hot paths.
+// Metrics is a registry of named counters, gauges and streaming
+// quantile sketches. All methods are safe for concurrent use, and a nil
+// *Metrics is the disabled registry: every method is an allocation-free
+// no-op, so instrumentation can stay unconditional on hot paths.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	gauges   map[string]float64
-	hists    map[string]*Histogram
 	sketches map[string]*Sketch
 	help     map[string]string
 }
@@ -98,7 +28,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: make(map[string]int64),
 		gauges:   make(map[string]float64),
-		hists:    make(map[string]*Histogram),
 		sketches: make(map[string]*Sketch),
 		help:     make(map[string]string),
 	}
@@ -259,36 +188,11 @@ func (m *Metrics) Gauge(name string) float64 {
 	return m.gauges[name]
 }
 
-// Observe records one observation into the named histogram (created on
-// first use with DefaultBuckets).
+// Observe records one observation into the named sketch (created on
+// first use with DefaultSketchTargets). The sketch answers p50/p95/p99
+// over millions of samples in bounded memory and merges across
+// registries.
 func (m *Metrics) Observe(name string, v float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	h := m.hists[name]
-	if h == nil {
-		h = newHistogram()
-		m.hists[name] = h
-	}
-	h.observe(v)
-	m.mu.Unlock()
-}
-
-// ObserveDur records a duration observation in milliseconds.
-func (m *Metrics) ObserveDur(name string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.Observe(name, float64(d)/float64(time.Millisecond))
-}
-
-// ObserveSketch records one observation into the named streaming
-// quantile sketch (created on first use with DefaultSketchTargets). The
-// sketch is the bounded-memory histogram backend for long-running
-// wall-clock services: it answers p50/p95/p99 over millions of samples
-// without storing them.
-func (m *Metrics) ObserveSketch(name string, v float64) {
 	if m == nil {
 		return
 	}
@@ -302,13 +206,12 @@ func (m *Metrics) ObserveSketch(name string, v float64) {
 	m.mu.Unlock()
 }
 
-// SketchDur records a duration observation in milliseconds into the
-// named sketch.
-func (m *Metrics) SketchDur(name string, d time.Duration) {
+// ObserveDur records a duration observation in milliseconds.
+func (m *Metrics) ObserveDur(name string, d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.ObserveSketch(name, float64(d)/float64(time.Millisecond))
+	m.Observe(name, float64(d)/float64(time.Millisecond))
 }
 
 // SketchQuantile returns the named sketch's estimate for quantile q
@@ -340,27 +243,13 @@ func (m *Metrics) SketchCount(name string) uint64 {
 	return s.Count()
 }
 
-// Hist returns a copy of the named histogram, or nil.
-func (m *Metrics) Hist(name string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.hists[name]
-	if h == nil {
-		return nil
-	}
-	cp := *h
-	cp.Counts = append([]uint64(nil), h.Counts...)
-	return &cp
-}
-
-// Merge folds another registry into this one: counters and histogram
-// buckets add, gauges take the other's value. Counts are commutative;
-// histogram Sum is a float accumulation, so callers wanting byte-identical
-// snapshots must merge in a fixed order (the study scheduler merges cells
-// in index order, not completion order, for exactly this reason).
+// Merge folds another registry into this one: counters add, sketches
+// merge and gauges take the other's value. Counts are commutative; a
+// sketch's Sum is a float accumulation, and a fold of several sketches
+// compresses after each merge, so its tuples depend on the fold order.
+// Callers wanting byte-identical snapshots must merge in a fixed order
+// (the study scheduler merges cells in index order, not completion
+// order, for exactly this reason).
 func (m *Metrics) Merge(o *Metrics) {
 	if m == nil || o == nil {
 		return
@@ -374,14 +263,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	}
 	for k, v := range o.gauges {
 		m.gauges[k] = v
-	}
-	for k, oh := range o.hists {
-		h := m.hists[k]
-		if h == nil {
-			h = newHistogram()
-			m.hists[k] = h
-		}
-		h.merge(oh)
 	}
 	for k, os := range o.sketches {
 		s := m.sketches[k]
@@ -399,8 +280,8 @@ func (m *Metrics) Merge(o *Metrics) {
 }
 
 // FamiliesMissingHelp returns the sorted metric family names present in
-// the registry (counters, gauges, histograms and sketches, with label
-// sets stripped) that have no SetHelp text. Package test suites assert
+// the registry (counters, gauges and sketches, with label sets
+// stripped) that have no SetHelp text. Package test suites assert
 // this is empty, so WritePrometheus output never ships HELP-less series.
 func (m *Metrics) FamiliesMissingHelp() []string {
 	if m == nil {
@@ -424,9 +305,6 @@ func (m *Metrics) FamiliesMissingHelp() []string {
 	for k := range m.gauges {
 		check(k)
 	}
-	for k := range m.hists {
-		check(k)
-	}
 	for k := range m.sketches {
 		check(k)
 	}
@@ -436,13 +314,9 @@ func (m *Metrics) FamiliesMissingHelp() []string {
 // snapshot is the export form of a registry; maps marshal with sorted
 // keys, so both writers are deterministic for deterministic contents.
 type snapshot struct {
-	Counters   map[string]int64        `json:"counters"`
-	Gauges     map[string]float64      `json:"gauges"`
-	Histograms map[string]histSnapshot `json:"histograms"`
-	// Sketches is only populated by wall-clock registries; the map stays
-	// nil otherwise so the virtual-time exports of PR 1/2 remain
-	// byte-identical.
-	Sketches map[string]sketchSnapshot `json:"sketches,omitempty"`
+	Counters map[string]int64          `json:"counters"`
+	Gauges   map[string]float64        `json:"gauges"`
+	Sketches map[string]sketchSnapshot `json:"sketches"`
 }
 
 type sketchSnapshot struct {
@@ -458,35 +332,11 @@ type quantileValue struct {
 	V float64 `json:"v"`
 }
 
-type histSnapshot struct {
-	Count   uint64       `json:"count"`
-	Sum     float64      `json:"sum"`
-	Min     float64      `json:"min"`
-	Max     float64      `json:"max"`
-	Mean    float64      `json:"mean"`
-	Buckets []bucketEdge `json:"buckets"`
-}
-
-type bucketEdge struct {
-	LE    float64 `json:"le"` // +Inf encodes as the JSON string "+Inf"
-	Count uint64  `json:"count"`
-}
-
-func (b bucketEdge) MarshalJSON() ([]byte, error) {
-	le := "null"
-	if !math.IsInf(b.LE, 1) {
-		le = fmt.Sprintf("%g", b.LE)
-	} else {
-		le = `"+Inf"`
-	}
-	return []byte(fmt.Sprintf(`{"le":%s,"count":%d}`, le, b.Count)), nil
-}
-
 func (m *Metrics) snapshot() snapshot {
 	snap := snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]histSnapshot{},
+		Counters: map[string]int64{},
+		Gauges:   map[string]float64{},
+		Sketches: map[string]sketchSnapshot{},
 	}
 	if m == nil {
 		return snap
@@ -499,27 +349,7 @@ func (m *Metrics) snapshot() snapshot {
 	for k, v := range m.gauges {
 		snap.Gauges[k] = v
 	}
-	for k, h := range m.hists {
-		hs := histSnapshot{Count: h.Count, Sum: h.Sum, Mean: h.Mean()}
-		if h.Count > 0 {
-			hs.Min, hs.Max = h.Min, h.Max
-		}
-		for i, c := range h.Counts {
-			if c == 0 {
-				continue // only occupied buckets; keeps snapshots readable
-			}
-			le := math.Inf(1)
-			if i < len(h.Bounds) {
-				le = h.Bounds[i]
-			}
-			hs.Buckets = append(hs.Buckets, bucketEdge{LE: le, Count: c})
-		}
-		snap.Histograms[k] = hs
-	}
 	for k, s := range m.sketches {
-		if snap.Sketches == nil {
-			snap.Sketches = map[string]sketchSnapshot{}
-		}
 		ss := sketchSnapshot{Count: s.Count(), Sum: s.Sum()}
 		if s.Count() > 0 {
 			// Quantiles of an empty sketch are NaN, which JSON cannot
@@ -543,7 +373,7 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 }
 
 // WriteText writes a human-readable snapshot: counters, gauges, then
-// histograms, each section sorted by name.
+// sketches, each section sorted by name.
 func (m *Metrics) WriteText(w io.Writer) error {
 	snap := m.snapshot()
 	var err error
@@ -560,28 +390,12 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	for _, k := range sortedKeys(snap.Gauges) {
 		p("%s %g\n", k, snap.Gauges[k])
 	}
-	p("# histograms (ms)\n")
-	for _, k := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[k]
-		p("%s count=%d sum=%.4f mean=%.4f min=%.4f max=%.4f\n", k, h.Count, h.Sum, h.Mean, h.Min, h.Max)
-		for _, b := range h.Buckets {
-			if math.IsInf(b.LE, 1) {
-				p("  le=+Inf %d\n", b.Count)
-			} else {
-				p("  le=%g %d\n", b.LE, b.Count)
-			}
-		}
-	}
-	// Wall-clock registries only; absent in virtual-time snapshots so the
-	// sim's text exports stay byte-identical.
-	if len(snap.Sketches) > 0 {
-		p("# sketches (ms)\n")
-		for _, k := range sortedKeys(snap.Sketches) {
-			s := snap.Sketches[k]
-			p("%s count=%d sum=%.4f min=%.4f max=%.4f\n", k, s.Count, s.Sum, s.Min, s.Max)
-			for _, qv := range s.Quantiles {
-				p("  q%g %.4f\n", qv.Q, qv.V)
-			}
+	p("# sketches (ms)\n")
+	for _, k := range sortedKeys(snap.Sketches) {
+		s := snap.Sketches[k]
+		p("%s count=%d sum=%.4f min=%.4f max=%.4f\n", k, s.Count, s.Sum, s.Min, s.Max)
+		for _, qv := range s.Quantiles {
+			p("  q%g %.4f\n", qv.Q, qv.V)
 		}
 	}
 	return err

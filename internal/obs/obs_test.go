@@ -118,7 +118,7 @@ func TestMetricsCountersGaugesHistograms(t *testing.T) {
 	m.Set("workers", 8)
 	m.Observe("lat_ms", 0.02)
 	m.Observe("lat_ms", 7)
-	m.ObserveDur("lat_ms", 20*time.Second) // overflow bucket
+	m.ObserveDur("lat_ms", 20*time.Second)
 
 	if got := m.Counter("frames"); got != 5 {
 		t.Fatalf("Counter(frames) = %d", got)
@@ -126,18 +126,18 @@ func TestMetricsCountersGaugesHistograms(t *testing.T) {
 	if got := m.Gauge("workers"); got != 8 {
 		t.Fatalf("Gauge(workers) = %g", got)
 	}
-	h := m.Hist("lat_ms")
-	if h == nil || h.Count != 3 {
-		t.Fatalf("Hist(lat_ms) = %+v", h)
+	if got := m.SketchCount("lat_ms"); got != 3 {
+		t.Fatalf("SketchCount(lat_ms) = %d, want 3", got)
 	}
-	if h.Min != 0.02 || h.Max != 20000 {
-		t.Fatalf("min/max = %g/%g", h.Min, h.Max)
+	// Three observations stay exact in the sketch: the extremes and the
+	// tail read back the observed values themselves.
+	for _, c := range []struct{ q, want float64 }{{0, 0.02}, {0.99, 20000}, {1, 20000}} {
+		if got := m.SketchQuantile("lat_ms", c.q); got != c.want {
+			t.Fatalf("SketchQuantile(lat_ms, %g) = %g, want %g", c.q, got, c.want)
+		}
 	}
-	if got := h.Counts[len(h.Counts)-1]; got != 1 {
-		t.Fatalf("overflow bucket = %d, want 1", got)
-	}
-	if m.Hist("missing") != nil {
-		t.Fatal("Hist(missing) should be nil")
+	if m.SketchCount("missing") != 0 {
+		t.Fatal("SketchCount(missing) should be 0")
 	}
 }
 
@@ -185,7 +185,7 @@ func TestMetricsNilSafe(t *testing.T) {
 	m.ObserveDur("h", time.Second)
 	m.Merge(NewMetrics())
 	NewMetrics().Merge(m)
-	if m.Counter("c") != 0 || m.Gauge("g") != 0 || m.Hist("h") != nil {
+	if m.Counter("c") != 0 || m.Gauge("g") != 0 || m.SketchCount("h") != 0 {
 		t.Fatal("nil metrics accessors must return zeros")
 	}
 	var buf bytes.Buffer
@@ -218,14 +218,14 @@ func TestMetricsWriteTextAndJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decoded struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms map[string]struct {
-			Count   uint64 `json:"count"`
-			Buckets []struct {
-				LE    any    `json:"le"`
-				Count uint64 `json:"count"`
-			} `json:"buckets"`
-		} `json:"histograms"`
+		Counters map[string]int64 `json:"counters"`
+		Sketches map[string]struct {
+			Count     uint64 `json:"count"`
+			Quantiles []struct {
+				Q float64 `json:"q"`
+				V float64 `json:"v"`
+			} `json:"quantiles"`
+		} `json:"sketches"`
 	}
 	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
 		t.Fatalf("metrics JSON invalid: %v\n%s", err, js.String())
@@ -233,8 +233,14 @@ func TestMetricsWriteTextAndJSON(t *testing.T) {
 	if decoded.Counters["tcp_segments_sent"] != 42 {
 		t.Fatalf("decoded counter = %d", decoded.Counters["tcp_segments_sent"])
 	}
-	if h := decoded.Histograms["stage_send_path_ms"]; h.Count != 1 || len(h.Buckets) != 1 {
-		t.Fatalf("decoded histogram = %+v", h)
+	sk := decoded.Sketches["stage_send_path_ms"]
+	if sk.Count != 1 || len(sk.Quantiles) != len(DefaultSketchTargets) {
+		t.Fatalf("decoded sketch = %+v", sk)
+	}
+	for _, qv := range sk.Quantiles {
+		if qv.V != 0.08 {
+			t.Fatalf("decoded sketch quantile %g = %g, want the one observation 0.08", qv.Q, qv.V)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func get(t *testing.T, url string) (*http.Response, string) {
 func TestOpsHandlerEndpoints(t *testing.T) {
 	m := NewMetrics()
 	m.Add(L("bm_requests_total", "service", "http", "endpoint", "/probe"), 3)
-	m.SketchDur(L("bm_service_latency_ms", "endpoint", "/probe"), 1500000) // 1.5 ms
+	m.ObserveDur(L("bm_service_latency_ms", "endpoint", "/probe"), 1500000) // 1.5 ms
 	ts := httptest.NewServer(NewOpsHandler(m))
 	defer ts.Close()
 

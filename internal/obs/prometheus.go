@@ -12,9 +12,8 @@ import (
 // format, version 0.0.4: one block per metric family with `# HELP` (when
 // registered via SetHelp) and `# TYPE` comment lines, then every series
 // of the family with its labels. Counters export as `counter`, gauges as
-// `gauge`, fixed-bucket histograms as `histogram` (cumulative `le`
-// buckets plus `_sum`/`_count`), and streaming sketches as `summary`
-// (`quantile` label per target plus `_sum`/`_count`).
+// `gauge`, and sketches as `summary` (`quantile` label per target plus
+// `_sum`/`_count`).
 //
 // The output is part of the registry's API contract: families sort by
 // name, series within a family sort by label string, and two scrapes of
@@ -34,7 +33,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	}
 	type family struct {
 		name string
-		kind string // "counter", "gauge", "histogram", "summary"
+		kind string // "counter", "gauge", "summary"
 		ser  []series
 	}
 	fams := map[string]*family{}
@@ -54,9 +53,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	}
 	for k := range m.gauges {
 		collect(k, "gauge")
-	}
-	for k := range m.hists {
-		collect(k, "histogram")
 	}
 	for k := range m.sketches {
 		collect(k, "summary")
@@ -94,19 +90,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 				writeSeriesLine(&b, f.name, "", s.labels, "", strconv.FormatInt(m.counters[s.key], 10))
 			case "gauge":
 				writeSeriesLine(&b, f.name, "", s.labels, "", formatPromFloat(m.gauges[s.key]))
-			case "histogram":
-				h := m.hists[s.key]
-				var cum uint64
-				for i, c := range h.Counts {
-					cum += c
-					le := "+Inf"
-					if i < len(h.Bounds) {
-						le = formatPromFloat(h.Bounds[i])
-					}
-					writeSeriesLine(&b, f.name, "_bucket", s.labels, `le="`+le+`"`, strconv.FormatUint(cum, 10))
-				}
-				writeSeriesLine(&b, f.name, "_sum", s.labels, "", formatPromFloat(h.Sum))
-				writeSeriesLine(&b, f.name, "_count", s.labels, "", strconv.FormatUint(h.Count, 10))
 			case "summary":
 				sk := m.sketches[s.key]
 				for _, t := range sk.Targets() {
@@ -124,7 +107,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 
 // writeSeriesLine emits `name[suffix]{labels[,extra]} value\n`. labels is
 // the raw label body from the registry key; extra is an
-// exposition-internal label (`le`/`quantile`) appended after it.
+// exposition-internal label (`quantile`) appended after it.
 func writeSeriesLine(b *strings.Builder, name, suffix, labels, extra, value string) {
 	b.WriteString(name)
 	b.WriteString(suffix)

@@ -29,7 +29,7 @@ func buildSampleRegistry() *Metrics {
 	m.Observe("stage_send_path_ms", 0.07)
 	m.Observe("stage_send_path_ms", 3.2)
 	for i := 0; i < 100; i++ {
-		m.ObserveSketch(L("bm_service_latency_ms", "endpoint", "/probe"), float64(i))
+		m.Observe(L("bm_service_latency_ms", "endpoint", "/probe"), float64(i))
 	}
 	return m
 }
@@ -45,9 +45,10 @@ func TestPrometheusConformance(t *testing.T) {
 		`bm_requests_total{endpoint="/probe",service="http"} 7` + "\n",
 		"# TYPE bm_artificial_delay_config_ms gauge\n",
 		"bm_artificial_delay_config_ms 50\n",
-		"# TYPE stage_send_path_ms histogram\n",
-		`stage_send_path_ms_bucket{le="0.1"} 1` + "\n",
-		`stage_send_path_ms_bucket{le="+Inf"} 2` + "\n",
+		"# TYPE stage_send_path_ms summary\n",
+		`stage_send_path_ms{quantile="0.5"} 0.07` + "\n",
+		`stage_send_path_ms{quantile="0.99"} 3.2` + "\n",
+		"stage_send_path_ms_sum 3.27\n",
 		"stage_send_path_ms_count 2\n",
 		"# HELP bm_service_latency_ms Service latency in milliseconds.\n",
 		"# TYPE bm_service_latency_ms summary\n",
@@ -57,11 +58,6 @@ func TestPrometheusConformance(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("scrape missing %q\n--- scrape ---\n%s", want, out)
 		}
-	}
-
-	// Histogram buckets are cumulative: the +Inf bucket equals _count.
-	if !strings.Contains(out, `stage_send_path_ms_bucket{le="2.5"} 1`) {
-		t.Errorf("bucket below 3.2 should stay at 1:\n%s", out)
 	}
 
 	// Every non-comment line is `name{labels} value` with a parseable value.
@@ -161,7 +157,7 @@ func TestPrometheusEmptyAndNil(t *testing.T) {
 func TestPrometheusSummaryQuantilesWithinBound(t *testing.T) {
 	m := NewMetrics()
 	for i := 1; i <= 10000; i++ {
-		m.ObserveSketch("lat_ms", float64(i))
+		m.Observe("lat_ms", float64(i))
 	}
 	out := scrape(t, m)
 	re := regexp.MustCompile(`lat_ms\{quantile="([0-9.]+)"\} ([0-9.eE+]+)`)

@@ -190,7 +190,7 @@ func TestMetricsSketchAPI(t *testing.T) {
 	m := NewMetrics()
 	key := L("live_probe_rtt_ms", "method", "http-get")
 	for i := 0; i < 1000; i++ {
-		m.ObserveSketch(key, float64(i))
+		m.Observe(key, float64(i))
 	}
 	if c := m.SketchCount(key); c != 1000 {
 		t.Fatalf("sketch count = %d", c)
@@ -206,7 +206,7 @@ func TestMetricsSketchAPI(t *testing.T) {
 	// Merge folds sketches across registries (export-time path).
 	o := NewMetrics()
 	for i := 1000; i < 2000; i++ {
-		o.ObserveSketch(key, float64(i))
+		o.Observe(key, float64(i))
 	}
 	m.Merge(o)
 	if c := m.SketchCount(key); c != 2000 {
@@ -219,8 +219,8 @@ func TestMetricsSketchAPI(t *testing.T) {
 func TestNilMetricsSketchZeroAlloc(t *testing.T) {
 	var m *Metrics
 	allocs := testing.AllocsPerRun(200, func() {
-		m.ObserveSketch("x", 1.5)
-		m.SketchDur("x", 12345)
+		m.Observe("x", 1.5)
+		m.ObserveDur("x", 12345)
 		_ = m.SketchQuantile("x", 0.5)
 		_ = m.SketchCount("x")
 		m.SetHelp("x", "help")

@@ -181,9 +181,9 @@ func (s *Server) observe(ser series, start time.Time) {
 	took := time.Since(start)
 	if m := s.cfg.Metrics; m.Enabled() {
 		m.Add(ser.total, 1)
-		m.SketchDur(ser.latency, took)
+		m.ObserveDur(ser.latency, took)
 		if s.cfg.Delay > 0 {
-			m.SketchDur(s.delayKey, s.cfg.Delay)
+			m.ObserveDur(s.delayKey, s.cfg.Delay)
 		}
 	}
 	if lg := s.cfg.Logger; lg != nil {

@@ -76,7 +76,7 @@ type Config struct {
 	// to the simulator clock. Tracing only observes; it cannot change any
 	// simulated outcome.
 	Tracer *obs.Tracer
-	// Metrics, when non-nil, receives counters and histograms from every
+	// Metrics, when non-nil, receives counters and sketches from every
 	// simulated layer (segments, retransmits, bytes on wire, requests).
 	Metrics *obs.Metrics
 	// Arena, when non-nil, owns the testbed's per-run buffers (frames,
