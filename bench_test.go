@@ -20,9 +20,15 @@ import (
 	"github.com/browsermetric/browsermetric/internal/core"
 	"github.com/browsermetric/browsermetric/internal/methods"
 	"github.com/browsermetric/browsermetric/internal/netsim"
+	"github.com/browsermetric/browsermetric/internal/tcpsim"
 	"github.com/browsermetric/browsermetric/internal/testbed"
 	"github.com/browsermetric/browsermetric/internal/wssim"
 )
+
+// sinkFunc adapts a function to tcpsim.DataSink.
+type sinkFunc func([]byte)
+
+func (f sinkFunc) ConnData(_ *tcpsim.Conn, b []byte) { f(b) }
 
 // benchRuns keeps regeneration benches affordable while preserving every
 // distributional shape (the paper uses 50; medians stabilize well below).
@@ -376,7 +382,7 @@ func BenchmarkSubstrate_TCPTransfer(b *testing.B) {
 			b.Fatal(err)
 		}
 		c.OnEstablished = func() { c.Send(payload) }
-		c.OnData = func(p []byte) { got += len(p) }
+		c.Sink = sinkFunc(func(p []byte) { got += len(p) })
 		tb.Sim.RunUntil(30 * time.Second)
 		if got != len(payload) {
 			b.Fatalf("echoed %d of %d bytes", got, len(payload))

@@ -32,11 +32,6 @@ var uncalledAllowed = map[string]string{
 	"arena.Arena.SetPoison":             "switches on the poison checks that arena-lifetime tests rely on",
 	"tcpsim.Stack.SetPoison":            "switches on the poison checks that the connection-recycling tests rely on",
 	"tcpsim.Stack.LiveConns":            "conn-table read API for the TCP invariant hook",
-	"tcpsim.Conn.LocalPort":             "connection read API for the TCP invariant hook",
-	"tcpsim.Conn.RemotePort":            "connection read API for the TCP invariant hook",
-	"tcpsim.Conn.Remote":                "connection read API for the TCP invariant hook",
-	"tcpsim.Conn.Cwnd":                  "connection read API for the TCP invariant hook",
-	"tcpsim.Stack.CloseListener":        "listener teardown for the TCP invariant hook",
 	"testbed.Testbed.StartCrossTraffic": "drives BenchmarkAblation_CrossTraffic",
 	"capture.Capture.Packets":           "decoded-frame view that the methods tests inspect",
 	"stats.KSDifferent":                 "two-sample KS test the core tests use",
@@ -45,7 +40,7 @@ var uncalledAllowed = map[string]string{
 	"eventsim.Simulator.Run":            "drains the event queue for the substrate tests of four packages",
 	"netsim.TrafficGen.Stop":            "stops the generators StartCrossTraffic starts, for the cross-traffic tests of two packages",
 	"stats.CDF.At":                      "ECDF evaluation, public through the root package's CDF alias",
-	"fleet.Registry.End":                "session teardown that the session tests pin; no binary ends a session yet",
+	"fleet.Registry.End":                "explicit session teardown that the session tests pin; binaries rely on the idle expiry in FanIn",
 	"browser.Profile.MedianOverhead":    "calibration oracle that the calibration tests of seven files compare against",
 }
 

@@ -11,7 +11,7 @@
 //	appraise -runs 20            # fewer repetitions (faster)
 //	appraise -workers 4          # cap the study's cell-level parallelism
 //	appraise -trace out.json     # Chrome trace_event export of the study
-//	appraise -metrics m.json     # metrics snapshot (JSON or text by extension)
+//	appraise -metrics m.json     # metrics snapshot (JSON, or Prometheus text without .json)
 //	appraise -cellstats          # slowest cells by host wall time
 //	appraise -progress           # structured per-cell progress on stderr
 //	appraise -faults lossy1pct   # appraise under a network-impairment profile
@@ -195,7 +195,8 @@ func runStudy(o *options) (*bm.Study, error) {
 }
 
 // writeMetricsSnapshot dumps the registry m to path (JSON when the
-// extension is .json, text otherwise); empty path is a no-op.
+// extension is .json, the Prometheus text exposition otherwise); empty
+// path is a no-op.
 func writeMetricsSnapshot(m *bm.Metrics, path string) error {
 	if path == "" {
 		return nil
@@ -208,7 +209,7 @@ func writeMetricsSnapshot(m *bm.Metrics, path string) error {
 	if strings.HasSuffix(path, ".json") {
 		werr = m.WriteJSON(f)
 	} else {
-		werr = m.WriteText(f)
+		werr = m.WritePrometheus(f)
 	}
 	if werr != nil {
 		f.Close()
@@ -310,7 +311,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 0, "base seed for the deterministic simulation")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent study cells (0 = one per CPU, 1 = sequential; results are identical)")
 	flag.StringVar(&o.tracePath, "trace", "", "write the study as Chrome trace_event JSON to this file (open in chrome://tracing or Perfetto)")
-	flag.StringVar(&o.metricsPath, "metrics", "", "write a metrics snapshot to this file (.json extension = JSON, otherwise text)")
+	flag.StringVar(&o.metricsPath, "metrics", "", "write a metrics snapshot to this file (.json extension = JSON, otherwise Prometheus text)")
 	flag.BoolVar(&o.cellstats, "cellstats", false, "print the slowest study cells by host wall time")
 	flag.BoolVar(&o.progress, "progress", false, "structured per-cell progress lines on stderr (instead of the counter)")
 	faultsFl := flag.String("faults", "", "network-impairment profile for every study cell (clean, lossy1pct, burstywifi, congested); with -sweep, a comma-separated list")

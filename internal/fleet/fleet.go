@@ -73,7 +73,9 @@ type Config struct {
 	Shards int
 	// MaxSessions caps the live session population (default 262144).
 	// Observe calls for new sessions beyond the cap are rejected and
-	// counted in fleet_sessions_rejected_total.
+	// counted in fleet_sessions_rejected_total. FanIn ends every session
+	// with no sample for sessionIdleTicks consecutive passes, so sessions
+	// that stop probing free their places.
 	MaxSessions int
 	// Interval is the fan-in period for Start (default 1s). FanIn can
 	// always be called manually, ticker or not.
@@ -127,14 +129,22 @@ type TickDelta struct {
 	Keys     []DeltaKey
 }
 
+// sessionIdleTicks is how many consecutive fan-in passes a session may
+// go without a sample before FanIn ends it.
+const sessionIdleTicks = 60
+
 // session is the bounded per-client state: just enough to turn the next
 // delay sample into a jitter increment, plus the index in its shard's
 // slots of the aggregate its last sample went to (-1 before the first
 // sample), so a session whose key stays the same skips the key hash.
+// idle counts the fan-in passes since its last sample; live is false on
+// a freed record.
 type session struct {
 	last    float64
 	slot    int32
+	idle    uint8
 	hasLast bool
+	live    bool
 }
 
 // shardAgg is one key's delta in a shard since the last fan-in, plus
@@ -238,7 +248,7 @@ func registerFleetHelp(m *obs.Metrics) {
 	}
 	m.SetHelp("fleet_sessions_active", "Live probe sessions currently tracked by the fleet registry.")
 	m.SetHelp("fleet_sessions_started_total", "Probe sessions admitted since start.")
-	m.SetHelp("fleet_sessions_ended_total", "Probe sessions ended since start.")
+	m.SetHelp("fleet_sessions_ended_total", "Probe sessions ended since start, idle ones included.")
 	m.SetHelp("fleet_sessions_rejected_total", "Probe sessions rejected because the session cap was reached.")
 	m.SetHelp("fleet_samples_total", "Delay samples folded into shard aggregates.")
 	m.SetHelp("fleet_samples_lost_total", "Samples reported as lost probes.")
@@ -282,6 +292,7 @@ func (r *Registry) Observe(id uint64, key Key, delayMs float64, lost bool) bool 
 		i = sh.newSession(id)
 	}
 	s := &sh.slab[i]
+	s.idle = 0
 	var a *shardAgg
 	if s.slot >= 0 {
 		a = sh.slots[s.slot]
@@ -336,10 +347,10 @@ func (sh *shard) newSession(id uint64) int32 {
 	if n := len(sh.free); n > 0 {
 		i = sh.free[n-1]
 		sh.free = sh.free[:n-1]
-		sh.slab[i] = session{slot: -1}
+		sh.slab[i] = session{slot: -1, live: true}
 	} else {
 		i = int32(len(sh.slab))
-		sh.slab = append(sh.slab, session{slot: -1})
+		sh.slab = append(sh.slab, session{slot: -1, live: true})
 	}
 	sh.ids[id] = i
 	return i
@@ -363,12 +374,44 @@ func (r *Registry) End(id uint64) {
 	sh := r.shardFor(id)
 	sh.mu.Lock()
 	if i, ok := sh.ids[id]; ok {
-		delete(sh.ids, id)
-		sh.free = append(sh.free, i)
-		sh.ended++
+		sh.end(id, i)
 		r.active.Add(-1)
 	}
 	sh.mu.Unlock()
+}
+
+// end frees session id's record i. The caller holds sh.mu and gives the
+// place under the cap back.
+func (sh *shard) end(id uint64, i int32) {
+	delete(sh.ids, id)
+	sh.slab[i].live = false
+	sh.free = append(sh.free, i)
+	sh.ended++
+}
+
+// expireIdle counts one more fan-in pass against every live session and
+// ends those with no sample for sessionIdleTicks passes, returning how
+// many it ended. Only a pass that ends a session walks the id map. The
+// caller holds sh.mu.
+func (sh *shard) expireIdle() int64 {
+	expired := false
+	for i := range sh.slab {
+		if s := &sh.slab[i]; s.live {
+			s.idle++
+			expired = expired || s.idle >= sessionIdleTicks
+		}
+	}
+	if !expired {
+		return 0
+	}
+	var n int64
+	for id, i := range sh.ids {
+		if sh.slab[i].idle >= sessionIdleTicks {
+			sh.end(id, i)
+			n++
+		}
+	}
+	return n
 }
 
 // Sessions returns the live session count.
@@ -406,7 +449,8 @@ type Snapshot struct {
 // swapped out under the shard lock (ingest blocks only for the swap, not
 // the merge), merged into the cumulative per-key summaries, and
 // published as a new snapshot plus a changed-keys delta on the live
-// stream. Shard event counters and the pass's own duration are folded
+// stream. Each pass also ends the sessions idle for sessionIdleTicks
+// passes. Shard event counters and the pass's own duration are folded
 // into the metrics registry here — the only place the fleet plane
 // touches obs.Metrics.
 func (r *Registry) FanIn() Snapshot {
@@ -428,6 +472,7 @@ func (r *Registry) FanIn() Snapshot {
 			taken = append(taken, DeltaKey{Key: a.key, Agg: a.Agg})
 			a.Agg, a.spare = Agg{Sketch: a.spare}, a.Sketch
 		}
+		r.active.Add(-sh.expireIdle())
 		started += sh.started
 		ended += sh.ended
 		rejected += sh.rejected

@@ -10,7 +10,8 @@ import (
 )
 
 // TestSessionRecordIs16Bytes pins the per-session state at 16 bytes:
-// the previous delay, the cached slot index and the has-last bit.
+// the previous delay, the cached slot index, the idle-pass count and the
+// has-last and live bits.
 func TestSessionRecordIs16Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(session{}); n != 16 {
 		t.Fatalf("session record is %d bytes, want 16", n)
@@ -290,4 +291,57 @@ func FuzzObserveSequence(f *testing.F) {
 		}
 		check(steps)
 	})
+}
+
+// TestIdleSessionsExpireAtCap fills the session cap, then keeps sampling
+// only the even half. Once the odd half has gone sessionIdleTicks fan-in
+// passes without a sample, the pass ends exactly those sessions (counted
+// in fleet_sessions_ended_total) and their places admit new sessions;
+// one pass earlier, nothing has ended and the cap still rejects.
+func TestIdleSessionsExpireAtCap(t *testing.T) {
+	const limit = 64
+	k := Key{Method: "ws", Browser: "firefox", Region: "eu"}
+	m := obs.NewMetrics()
+	r := New(Config{Shards: 4, MaxSessions: limit, Metrics: m})
+	for id := uint64(1); id <= limit; id++ {
+		if !r.Observe(id, k, 10, false) {
+			t.Fatalf("session %d rejected below the cap", id)
+		}
+	}
+	for pass := 1; pass <= sessionIdleTicks; pass++ {
+		if pass == sessionIdleTicks {
+			if r.Observe(limit+1, k, 10, false) {
+				t.Fatal("a new session was admitted over the cap")
+			}
+		}
+		for id := uint64(2); id <= limit; id += 2 {
+			if !r.Observe(id, k, 10, false) {
+				t.Fatalf("pass %d: active session %d rejected", pass, id)
+			}
+		}
+		snap := r.FanIn()
+		want := limit
+		if pass == sessionIdleTicks {
+			want = limit / 2
+		}
+		if snap.Sessions != want {
+			t.Fatalf("after pass %d: %d sessions, want %d", pass, snap.Sessions, want)
+		}
+	}
+	if got := m.Counter("fleet_sessions_ended_total"); got != limit/2 {
+		t.Fatalf("fleet_sessions_ended_total = %d, want %d", got, limit/2)
+	}
+	for id := uint64(limit + 1); id <= limit+limit/2; id++ {
+		if !r.Observe(id, k, 10, false) {
+			t.Fatalf("new session %d rejected after the idle half ended", id)
+		}
+	}
+	if r.Observe(1, k, 10, false) {
+		t.Fatal("an ended session was re-admitted over the cap")
+	}
+	for id := uint64(2); id <= limit; id += 2 {
+		if _, ok := r.shardFor(id).ids[id]; !ok {
+			t.Fatalf("active session %d was ended", id)
+		}
+	}
 }

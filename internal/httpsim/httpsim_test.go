@@ -14,6 +14,11 @@ import (
 	"github.com/browsermetric/browsermetric/internal/tcpsim"
 )
 
+// sinkFunc adapts a function to tcpsim.DataSink.
+type sinkFunc func([]byte)
+
+func (f sinkFunc) ConnData(_ *tcpsim.Conn, b []byte) { f(b) }
+
 func TestRequestRoundTrip(t *testing.T) {
 	in := &Request{
 		Method:  "POST",
@@ -234,7 +239,7 @@ func TestServerConnectionClose(t *testing.T) {
 	closed := false
 	c, _ := client.Dial(serverIP, 80)
 	cc := NewClientConn(c)
-	c.OnClose = func() { closed = true }
+	c.OnClose = func(error) { closed = true }
 	c.OnEstablished = func() {
 		cc.RoundTrip(&Request{Method: "GET", Target: "/", Headers: Headers{{"Connection", "close"}}}, func(r *Response) {
 			c.Close()
@@ -365,7 +370,7 @@ func TestClientConnHandlesGarbageResponse(t *testing.T) {
 	client, serverStack, serverIP := netPair(t, sim, 0)
 	// A "server" that answers with garbage.
 	serverStack.Listen(80, func(c *tcpsim.Conn) {
-		c.OnData = func([]byte) { c.Send([]byte("NOT HTTP AT ALL\r\n\r\n")) }
+		c.Sink = sinkFunc(func([]byte) { c.Send([]byte("NOT HTTP AT ALL\r\n\r\n")) })
 	})
 	var status int = -1
 	c, _ := client.Dial(serverIP, 80)

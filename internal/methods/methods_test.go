@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/browser"
+	"github.com/browsermetric/browsermetric/internal/httpsim"
 	"github.com/browsermetric/browsermetric/internal/stats"
+	"github.com/browsermetric/browsermetric/internal/tcpsim"
 	"github.com/browsermetric/browsermetric/internal/testbed"
 )
 
@@ -259,22 +261,34 @@ func TestTransportString(t *testing.T) {
 	}
 }
 
-// TestDrainedQueueReportsStalled: with every frame lost, the connection
-// aborts after its retransmission timeouts and the event queue drains
-// long before the 30 s virtual deadline. The run must say it stalled,
-// with the virtual time it got to, not that it timed out; a deadline
-// that passes first is still reported as a timeout.
+// TestDrainedQueueReportsStalled: a measurement that cannot finish says
+// why it ended.
+//   - With every frame lost, the client gives up on its connection after
+//     repeated retransmission timeouts, and the run fails with that
+//     abort instead of waiting for the event queue to drain.
+//   - A server that promises more body than it sends leaves every
+//     segment acknowledged and no timer armed: the queue really drains,
+//     and the run says it stalled, with the virtual time it got to.
+//   - Java UDP under total loss resends every 500 ms, so its queue never
+//     drains and the run's 30 s virtual deadline passes first.
 func TestDrainedQueueReportsStalled(t *testing.T) {
 	prof := browser.Lookup(browser.Chrome, browser.Ubuntu)
 	r := &Runner{TB: testbed.New(testbed.Config{Seed: 1, LossRate: 1.0}), Profile: prof}
-	_, err := r.Run(XHRGet)
-	if err == nil || !strings.Contains(err.Error(), "XHR GET stalled after ") ||
-		!strings.HasSuffix(err.Error(), " (virtual): event queue drained") {
-		t.Fatalf("err = %v, want a stalled error naming the drained event queue", err)
+	if _, err := r.Run(XHRGet); !errors.Is(err, tcpsim.ErrAborted) {
+		t.Fatalf("total loss: err = %v, want %v", err, tcpsim.ErrAborted)
 	}
 
-	r = &Runner{TB: testbed.New(testbed.Config{Seed: 1, LossRate: 1.0}), Profile: prof, Timeout: time.Second}
-	if _, err := r.Run(XHRGet); err == nil || err.Error() != "methods: XHR GET timed out after 1s (virtual)" {
-		t.Fatalf("err = %v, want the 1s virtual timeout", err)
+	r = &Runner{TB: testbed.New(testbed.Config{Seed: 1}), Profile: prof}
+	short := &httpsim.Response{Status: 200, Headers: httpsim.Headers{{Key: "Content-Length", Value: "100"}}, Body: []byte("short")}
+	r.TB.HTTP.Handler = func(*httpsim.Request) *httpsim.Response { return short }
+	_, err := r.Run(XHRGet)
+	if err == nil || !strings.HasPrefix(err.Error(), "methods: XHR GET stalled after ") ||
+		!strings.HasSuffix(err.Error(), " (virtual): event queue drained") {
+		t.Fatalf("short body: err = %v, want a stalled error naming the drained event queue", err)
+	}
+
+	r = &Runner{TB: testbed.New(testbed.Config{Seed: 1, LossRate: 1.0}), Profile: prof}
+	if _, err := r.Run(JavaUDP); err == nil || err.Error() != "methods: Java applet UDP socket timed out after 30s (virtual)" {
+		t.Fatalf("UDP under total loss: err = %v, want the 30s virtual timeout", err)
 	}
 }

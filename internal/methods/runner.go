@@ -33,9 +33,6 @@ const cacheHitCost = 300 * time.Microsecond
 var (
 	probeBody     = []byte("probe-body")
 	policyRequest = []byte("<policy-file-request/>\x00")
-
-	errEchoReset     = fmt.Errorf("methods: echo connection reset")
-	errPolicyRefused = fmt.Errorf("methods: flash policy fetch refused")
 )
 
 // Result holds the browser-level observations of one run.
@@ -75,10 +72,6 @@ type Runner struct {
 	// Timing selects the timestamping API (the paper's default is
 	// Date.getTime; Section 4.2 switches Java methods to System.nanoTime).
 	Timing browser.TimingFunc
-	// Timeout bounds one run, train or transfer in virtual time
-	// (default 30 s for a run, probes·5 s + 30 s for a train, 60 s for
-	// a transfer).
-	Timeout time.Duration
 	// DisableCacheBust removes the cache-busting query parameter from the
 	// DOM method's probe URL, reproducing the Section 5 pitfall: the
 	// second load of an identical <img>/<script> URL is served from the
@@ -102,6 +95,13 @@ type Runner struct {
 	res  Result
 	done bool
 	fail error
+
+	// dialed holds the client connections of the current drive, on
+	// dialedBuf's storage (a drive dials at most three), and onClose is
+	// the close handler each of them gets (see dial).
+	dialed    []*tcpsim.Conn
+	dialedBuf [4]*tcpsim.Conn
+	onClose   func(error)
 
 	hs httpState
 	ss sockState
@@ -185,22 +185,17 @@ func (r *Runner) begin(kind Kind) (Spec, error) {
 }
 
 // drive is the one run loop of runs, trains and transfers. It steps the
-// simulator until the measurement started on r finishes, then closes the
-// socket (see sockConn.close). A measurement that ends early
-// gets an error saying why: the event queue drained with virtual time to
-// spare (it stalled, e.g. its connection aborted after repeated
-// retransmission timeouts), or its virtual deadline (r.Timeout, else
-// timeout) passed.
+// simulator until the measurement started on r finishes, then releases
+// what the measurement opened (see release). A measurement that ends
+// early gets an error saying why: one of its connections was reset or
+// aborted (the tcpsim reason), the event queue drained with virtual time
+// to spare (it stalled), or its virtual deadline passed.
 func (r *Runner) drive(what string, timeout time.Duration) error {
-	if r.Timeout != 0 {
-		timeout = r.Timeout
-	}
 	start := r.TB.Sim.Now()
 	for !r.done && r.TB.Sim.Now() < start+timeout && r.TB.Sim.Pending() > 0 {
 		r.TB.Sim.Step()
 	}
-	r.sc.close()
-	r.dropConns()
+	r.release()
 	switch elapsed := r.TB.Sim.Now() - start; {
 	case r.fail != nil:
 		return r.fail
@@ -213,24 +208,47 @@ func (r *Runner) drive(what string, timeout time.Duration) error {
 	}
 }
 
-// dropConns clears the Runner's pointers to the connections of the drive
-// that just ended. The next BeginRun may recycle those connection
-// records (see tcpsim.Stack.Forget), so no pointer to one may outlive its
-// drive.
-func (r *Runner) dropConns() {
+// release ends the Runner's part in the drive that just ended. Every
+// connection the drive dialed loses its callbacks and its sink, so a
+// late segment, reset or abort on it cannot fail or be credited to a
+// later drive; the Runner drops its pointers to them, since the next
+// BeginRun may recycle their records (see tcpsim.Stack.Forget); and the
+// UDP port a Java UDP socket holds is released.
+func (r *Runner) release() {
+	for i, c := range r.dialed {
+		c.OnEstablished, c.OnClose, c.Sink = nil, nil, nil
+		r.dialed[i] = nil
+	}
+	r.dialed = r.dialed[:0]
 	r.sc.tcp, r.sc.ws = nil, nil
 	r.fp.pc = nil
 	r.hs.container.Conn, r.hs.fresh.Conn = nil, nil
+	if r.sc.udpOpen {
+		r.TB.Client.CloseUDP(r.sc.udpPort)
+		r.sc.udpOpen = false
+	}
 }
 
-// dial opens a client connection to the server's port. A failed dial
-// fails the measurement and returns nil.
+// dial opens a client connection to the server's port and gives it the
+// Runner's one close handler: a connection that ends with a reason (a
+// reset or an abort) fails the measurement with that reason. A failed
+// dial fails the measurement and returns nil.
 func (r *Runner) dial(port uint16) *tcpsim.Conn {
 	tcp, err := r.TB.Client.Dial(r.TB.ServerAddr, port)
 	if err != nil {
 		r.finish(err)
 		return nil
 	}
+	if r.onClose == nil {
+		r.onClose = func(err error) {
+			if err != nil {
+				r.finish(err)
+			}
+		}
+		r.dialed = r.dialedBuf[:0]
+	}
+	tcp.OnClose = r.onClose
+	r.dialed = append(r.dialed, tcp)
 	return tcp
 }
 
@@ -449,15 +467,14 @@ func (s *httpState) endRound() {
 
 // policyState is the Runner's persistent state for the Flash plugin's
 // crossdomain policy exchange on port 843 (preparation phase, outside the
-// timed window). Success invokes next; failure aborts the run.
+// timed window). Success invokes next; a reset or abort of the policy
+// connection before the policy arrives fails the run.
 type policyState struct {
 	r    *Runner
 	pc   *tcpsim.Conn
 	next func()
 
-	onEst   func()
-	onData  func([]byte)
-	onReset func()
+	onEst func()
 }
 
 func (r *Runner) fetchFlashPolicy(next func()) {
@@ -470,20 +487,19 @@ func (r *Runner) fetchFlashPolicy(next func()) {
 				s.r.finish(err)
 			}
 		}
-		// Every policy connection shares these callbacks, so once the
-		// policy is in, the connection drops them: a reset or a stray
-		// segment on it must not reach a later run's fetch.
-		s.onData = func([]byte) {
-			s.pc.OnData, s.pc.OnReset = nil, nil
-			s.next()
-		}
-		s.onReset = func() { s.r.finish(errPolicyRefused) }
 	}
 	if s.pc = r.dial(testbed.FlashPolicyPort); s.pc != nil {
 		s.pc.OnEstablished = s.onEst
-		s.pc.OnData = s.onData
-		s.pc.OnReset = s.onReset
+		s.pc.Sink = s
 	}
+}
+
+// ConnData implements tcpsim.DataSink: the policy is in. The connection
+// stops listening at once, so that the server's close after the policy,
+// or a reset of it, cannot fail this run or reach a later run's fetch.
+func (s *policyState) ConnData(c *tcpsim.Conn, _ []byte) {
+	c.Sink, c.OnClose = nil, nil
+	s.next()
 }
 
 // probeTarget renders "/probe?m=<kind>&r=<round>" with one allocation
@@ -511,7 +527,8 @@ func payloadFor(k Kind, round int) []byte {
 // runs, trains and transfers: the WebSocket dial and upgrade, the TCP
 // echo dial (behind the socket-policy fetch for Flash) and the UDP
 // listen. It calls open once the socket can carry probes and echo with
-// every echo that arrives. Its callbacks are allocated once per Runner.
+// every echo that arrives, and it is the TCP echo connection's sink. Its
+// callbacks are allocated once per Runner.
 type sockConn struct {
 	r    *Runner
 	kind Kind
@@ -524,11 +541,10 @@ type sockConn struct {
 	udpOpen bool
 	wsc     wssim.Client
 
-	dialEcho   func()
-	onWSEst    func()
-	onWSMsg    func(wssim.Opcode, []byte)
-	onTCPReset func()
-	onUDP      func(netip.Addr, uint16, []byte)
+	dialEcho func()
+	onWSEst  func()
+	onWSMsg  func(wssim.Opcode, []byte)
+	onUDP    func(netip.Addr, uint16, []byte)
 }
 
 // connect opens kind's socket and returns the server port it probes.
@@ -571,8 +587,7 @@ func (c *sockConn) initCallbacks() {
 	c.dialEcho = func() {
 		if c.tcp = c.r.dial(testbed.TCPEchoPort); c.tcp != nil {
 			c.tcp.OnEstablished = c.open
-			c.tcp.OnData = c.echo
-			c.tcp.OnReset = c.onTCPReset
+			c.tcp.Sink = c
 		}
 	}
 	c.onWSEst = func() {
@@ -586,7 +601,6 @@ func (c *sockConn) initCallbacks() {
 		ws.OnOpen = c.open
 	}
 	c.onWSMsg = func(_ wssim.Opcode, p []byte) { c.echo(p) }
-	c.onTCPReset = func() { c.r.finish(errEchoReset) }
 	c.onUDP = func(_ netip.Addr, _ uint16, p []byte) { c.echo(p) }
 }
 
@@ -607,23 +621,8 @@ func (c *sockConn) send(p []byte) {
 	}
 }
 
-// close ends the socket's part in a drive: it detaches the Runner's
-// shared callbacks from the echo or WebSocket connection, as a policy
-// connection does once its policy is in, so that a reset or a late echo
-// on it cannot fail or be credited to a later run, and it releases the
-// UDP port a Java UDP socket holds.
-func (c *sockConn) close() {
-	if c.tcp != nil {
-		c.tcp.OnEstablished, c.tcp.OnData, c.tcp.OnReset = nil, nil, nil
-	}
-	if c.ws != nil {
-		c.ws.OnOpen, c.ws.OnMessage = nil, nil
-	}
-	if c.udpOpen {
-		c.r.TB.Client.CloseUDP(c.udpPort)
-		c.udpOpen = false
-	}
-}
+// ConnData implements tcpsim.DataSink for the TCP echo connection.
+func (c *sockConn) ConnData(_ *tcpsim.Conn, b []byte) { c.echo(b) }
 
 // sockState is the Runner's persistent state for the socket-based methods:
 // WebSocket, Flash TCP, Java TCP and Java UDP. Socket methods connect

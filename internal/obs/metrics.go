@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -370,35 +369,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m.snapshot())
-}
-
-// WriteText writes a human-readable snapshot: counters, gauges, then
-// sketches, each section sorted by name.
-func (m *Metrics) WriteText(w io.Writer) error {
-	snap := m.snapshot()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# counters\n")
-	for _, k := range sortedKeys(snap.Counters) {
-		p("%s %d\n", k, snap.Counters[k])
-	}
-	p("# gauges\n")
-	for _, k := range sortedKeys(snap.Gauges) {
-		p("%s %g\n", k, snap.Gauges[k])
-	}
-	p("# sketches (ms)\n")
-	for _, k := range sortedKeys(snap.Sketches) {
-		s := snap.Sketches[k]
-		p("%s count=%d sum=%.4f min=%.4f max=%.4f\n", k, s.Count, s.Sum, s.Min, s.Max)
-		for _, qv := range s.Quantiles {
-			p("  q%g %.4f\n", qv.Q, qv.V)
-		}
-	}
-	return err
 }
 
 func sortedKeys[V any](m map[string]V) []string {

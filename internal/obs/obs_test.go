@@ -192,7 +192,7 @@ func TestMetricsNilSafe(t *testing.T) {
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteText(&buf); err != nil {
+	if err := m.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,11 +203,12 @@ func TestMetricsWriteTextAndJSON(t *testing.T) {
 	m.Set("workers", 4)
 	m.Observe("stage_send_path_ms", 0.08)
 
+	// The text format is the Prometheus exposition.
 	var txt bytes.Buffer
-	if err := m.WriteText(&txt); err != nil {
+	if err := m.WritePrometheus(&txt); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"tcp_segments_sent 42", "workers 4", "stage_send_path_ms count=1"} {
+	for _, want := range []string{"tcp_segments_sent 42\n", "workers 4\n", "stage_send_path_ms_count 1\n"} {
 		if !strings.Contains(txt.String(), want) {
 			t.Fatalf("text snapshot missing %q:\n%s", want, txt.String())
 		}

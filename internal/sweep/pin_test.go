@@ -16,14 +16,14 @@ import (
 // text. TestGoldenArtifacts covers only clean cells at 50 runs; these
 // cover the impaired link, where retransmissions straddle run
 // boundaries and connections live on past their run. The burstywifi
-// O (U) Java TCP cell fails: run 164 stalls once a connection aborts
-// after repeated retransmission timeouts. A change meant to move a
-// digest or an error must say which and why.
+// O (U) Java TCP cell fails: in run 164 the echo connection aborts after
+// repeated retransmission timeouts, and the run fails with that abort.
+// A change meant to move a digest or an error must say which and why.
 var pinnedFaultCells = map[string]string{
 	"lossy1pct/O (W)/Flash POST":              "130db52e35a8dfce",
 	"lossy1pct/C (U)/WebSocket":               "7c957e3bef42bfe2",
 	"burstywifi/C (U)/XHR GET":                "8a9afc62bfe3e693",
-	"burstywifi/O (U)/Java applet TCP socket": "error: core: run 164: methods: Java applet TCP socket stalled after 12.600562751s (virtual): event queue drained",
+	"burstywifi/O (U)/Java applet TCP socket": "error: core: run 164: tcpsim: connection aborted",
 	"congested/O (W)/Java applet TCP socket":  "0887a5591aae8220",
 	"congested/C (U)/Flash GET":               "d2aa115e2f84e3f0",
 }

@@ -13,7 +13,7 @@ func TestSlowStartGrowsWindow(t *testing.T) {
 	client, server := pair(t, sim, 5*time.Millisecond) // RTT ~ 20ms
 	var got []byte
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) { got = append(got, b...) }
+		c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 	})
 	payload := make([]byte, 64*MSS)
 	c, _ := client.Dial(ipB, 80)
@@ -23,8 +23,8 @@ func TestSlowStartGrowsWindow(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("delivered %d of %d bytes", len(got), len(payload))
 	}
-	if c.Cwnd() <= initialCwnd {
-		t.Fatalf("cwnd = %d never grew beyond initial %d", c.Cwnd(), initialCwnd)
+	if c.cwnd <= initialCwnd {
+		t.Fatalf("cwnd = %d never grew beyond initial %d", c.cwnd, initialCwnd)
 	}
 }
 
@@ -38,12 +38,12 @@ func TestSlowStartPacesTransfer(t *testing.T) {
 	want := 64 * MSS
 	got := 0
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) {
+		c.Sink = sinkFunc(func(b []byte) {
 			got += len(b)
 			if got >= want {
 				doneAt = sim.Now()
 			}
-		}
+		})
 	})
 	c, _ := client.Dial(ipB, 80)
 	var start time.Duration
@@ -69,7 +69,7 @@ func TestRTOShrinksWindow(t *testing.T) {
 	sim := eventsim.New(23)
 	client, server := pair(t, sim, time.Millisecond)
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func([]byte) {}
+		c.Sink = sinkFunc(func([]byte) {})
 	})
 	// Drop a mid-transfer data segment to force an RTO.
 	sent := 0
@@ -87,8 +87,8 @@ func TestRTOShrinksWindow(t *testing.T) {
 	}
 	// After multiplicative decrease the window restarts low and regrows;
 	// it must never end below MSS.
-	if c.Cwnd() < MSS {
-		t.Fatalf("cwnd = %d below one MSS", c.Cwnd())
+	if c.cwnd < MSS {
+		t.Fatalf("cwnd = %d below one MSS", c.cwnd)
 	}
 }
 
@@ -102,13 +102,13 @@ func TestFinWaitsForQueuedData(t *testing.T) {
 	serverClosed := false
 	want := 32 * MSS
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) {
+		c.Sink = sinkFunc(func(b []byte) {
 			got = append(got, b...)
 			if len(got) >= want {
 				c.Close() // app closes its half once everything arrived
 			}
-		}
-		c.OnClose = func() { serverClosed = true }
+		})
+		c.OnClose = func(error) { serverClosed = true }
 	})
 	payload := make([]byte, 32*MSS)
 	for i := range payload {
@@ -116,7 +116,7 @@ func TestFinWaitsForQueuedData(t *testing.T) {
 	}
 	c, _ := client.Dial(ipB, 80)
 	clientClosed := false
-	c.OnClose = func() { clientClosed = true }
+	c.OnClose = func(error) { clientClosed = true }
 	c.OnEstablished = func() {
 		c.Send(payload)
 		c.Close() // FIN queued behind 32 segments
@@ -152,7 +152,7 @@ func TestFastRetransmitOnDupAcks(t *testing.T) {
 	client, server := pair(t, sim, time.Millisecond) // RTT ~4ms
 	var got int
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) { got += len(b) }
+		c.Sink = sinkFunc(func(b []byte) { got += len(b) })
 	})
 	sent := 0
 	client.DropTx = func() bool {
@@ -185,7 +185,7 @@ func TestNoSpuriousFastRetransmit(t *testing.T) {
 	// A clean transfer must not trigger fast retransmits.
 	sim := eventsim.New(27)
 	client, server := pair(t, sim, time.Millisecond)
-	server.Listen(80, func(c *Conn) { c.OnData = func([]byte) {} })
+	server.Listen(80, func(c *Conn) { c.Sink = sinkFunc(func([]byte) {}) })
 	c, _ := client.Dial(ipB, 80)
 	c.OnEstablished = func() { c.Send(make([]byte, 16*MSS)) }
 	sim.RunUntil(30 * time.Second)

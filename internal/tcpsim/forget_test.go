@@ -16,7 +16,7 @@ func echoExchange(t *testing.T, sim *eventsim.Simulator, client, server *Stack) 
 	t.Helper()
 	if _, err := server.Listen(7, func(c *Conn) {
 		sc = c
-		c.OnData = func(b []byte) { _ = c.Send(b) }
+		c.Sink = sinkFunc(func(b []byte) { _ = c.Send(b) })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func echoExchange(t *testing.T, sim *eventsim.Simulator, client, server *Stack) 
 	}
 	got := 0
 	cc.OnEstablished = func() { _ = cc.Send([]byte("probe")) }
-	cc.OnData = func(b []byte) { got += len(b) }
+	cc.Sink = sinkFunc(func(b []byte) { got += len(b) })
 	sim.Run()
 	if got != len("probe") || sc == nil {
 		t.Fatalf("echo exchange: got %d bytes back, server conn %v", got, sc)
@@ -40,9 +40,8 @@ func echoExchange(t *testing.T, sim *eventsim.Simulator, client, server *Stack) 
 // failOnCallback installs callbacks that fail the test if they fire.
 func failOnCallback(t *testing.T, c *Conn, who string) {
 	c.OnEstablished = func() { t.Errorf("%s: OnEstablished fired", who) }
-	c.OnData = func([]byte) { t.Errorf("%s: OnData fired", who) }
-	c.OnClose = func() { t.Errorf("%s: OnClose fired", who) }
-	c.OnReset = func() { t.Errorf("%s: OnReset fired", who) }
+	c.Sink = sinkFunc(func([]byte) { t.Errorf("%s: Sink fired", who) })
+	c.OnClose = func(err error) { t.Errorf("%s: OnClose(%v) fired", who, err) }
 }
 
 // sentFrames records every frame nic sends, with its send time.
@@ -169,7 +168,7 @@ func TestForgetRecyclesRecords(t *testing.T) {
 	var first [2]*Conn
 	for i := 0; i < 100; i++ {
 		if i > 0 {
-			server.CloseListener(7)
+			delete(server.listeners, 7)
 		}
 		cc, sc := echoExchange(t, sim, client, server)
 		if i == 0 {
@@ -227,7 +226,7 @@ func TestResetRewindsStack(t *testing.T) {
 			sim.Reset(8)
 			client.Reset()
 			server.Reset()
-			server.CloseListener(7)
+			delete(server.listeners, 7)
 		}
 		var sent sentFrames
 		sent.tap(client.nic)

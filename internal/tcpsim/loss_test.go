@@ -40,7 +40,7 @@ func TestReliableTransferUnderLoss(t *testing.T) {
 		}
 		var got []byte
 		server.Listen(80, func(c *Conn) {
-			c.OnData = func(b []byte) { got = append(got, b...) }
+			c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 		})
 		c, _ := client.Dial(ipB, 80)
 		c.OnEstablished = func() { c.Send(payload) }
@@ -93,7 +93,7 @@ func TestExtremeLossEventuallyAborts(t *testing.T) {
 	client, _, _ := lossyPair(t, sim, 1.0)
 	closed := false
 	c, _ := client.Dial(ipB, 80)
-	c.OnClose = func() { closed = true }
+	c.OnClose = func(error) { closed = true }
 	sim.RunUntil(5 * time.Minute)
 	if !closed {
 		t.Fatalf("connection still alive on a dead wire (state %v)", c.State())
@@ -105,7 +105,7 @@ func TestLossDeterministicPerSeed(t *testing.T) {
 		sim := eventsim.New(seed)
 		client, server, link := lossyPair(t, sim, 0.2)
 		server.Listen(80, func(c *Conn) {
-			c.OnData = func(b []byte) { c.Send(b) }
+			c.Sink = sinkFunc(func(b []byte) { c.Send(b) })
 		})
 		c, _ := client.Dial(ipB, 80)
 		c.OnEstablished = func() { c.Send(make([]byte, 4*MSS)) }

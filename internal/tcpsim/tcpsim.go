@@ -168,9 +168,6 @@ func (s *Stack) Listen(port uint16, accept func(*Conn)) (*Listener, error) {
 	return l, nil
 }
 
-// CloseListener stops accepting on port.
-func (s *Stack) CloseListener(port uint16) { delete(s.listeners, port) }
-
 // Conn is one TCP connection endpoint.
 type Conn struct {
 	stack *Stack
@@ -205,17 +202,20 @@ type Conn struct {
 
 	acceptCb func(*Conn) // listener accept callback, fired once
 
-	// Callbacks. All optional.
+	// OnEstablished, when non-nil, fires when the handshake completes.
 	OnEstablished func()
-	OnData        func([]byte)
-	OnClose       func() // fires once when the connection fully closes
-	OnReset       func() // peer sent RST
+	// OnClose, when non-nil, fires exactly once when the connection
+	// ends, with the reason: nil after an orderly close, ErrReset after
+	// a peer's RST, ErrAborted when this end aborted (Abort, a Close
+	// mid-handshake, or the give-up after repeated retransmission
+	// timeouts). Forget ends connections without firing it.
+	OnClose func(error)
 
-	// Sink, when non-nil, receives inbound data instead of OnData. One
-	// long-lived sink shared by every connection of a service replaces a
-	// per-conn OnData closure, which is what keeps accepting a connection
-	// allocation-free. Upper is sink-owned per-conn state (e.g. the
-	// httpsim server conn wrapping this transport conn).
+	// Sink, when non-nil, receives the inbound in-order data. One
+	// long-lived sink shared by every connection of a service keeps
+	// accepting a connection allocation-free. Upper is sink-owned
+	// per-conn state (e.g. the httpsim server conn wrapping this
+	// transport conn).
 	Sink  DataSink
 	Upper any
 
@@ -236,22 +236,26 @@ func (c *Conn) live() {
 	}
 }
 
-// DataSink receives a connection's inbound in-order data. It is the
-// closure-free alternative to Conn.OnData: a service installs one sink for
-// all its connections and keys per-conn state off the *Conn (usually via
-// Conn.Upper).
+// DataSink receives a connection's inbound in-order data. A service
+// installs one sink for all its connections and keys per-conn state off
+// the *Conn (usually via Conn.Upper).
 type DataSink interface {
 	ConnData(c *Conn, b []byte)
 }
 
-// deliver hands in-order payload to the connection's consumer.
+// The reasons OnClose reports for a connection that did not close in
+// order.
+var (
+	// ErrReset ends a connection the peer reset.
+	ErrReset = errors.New("tcpsim: connection reset by peer")
+	// ErrAborted ends a connection this end aborted.
+	ErrAborted = errors.New("tcpsim: connection aborted")
+)
+
+// deliver hands in-order payload to the connection's sink.
 func (c *Conn) deliver(b []byte) {
 	if c.Sink != nil {
 		c.Sink.ConnData(c, b)
-		return
-	}
-	if c.OnData != nil {
-		c.OnData(b)
 	}
 }
 
@@ -259,24 +263,6 @@ func (c *Conn) deliver(b []byte) {
 func (c *Conn) State() State {
 	c.live()
 	return c.state
-}
-
-// LocalPort returns the connection's local port.
-func (c *Conn) LocalPort() uint16 {
-	c.live()
-	return c.tuple.localPort
-}
-
-// RemotePort returns the connection's remote port.
-func (c *Conn) RemotePort() uint16 {
-	c.live()
-	return c.tuple.remotePort
-}
-
-// Remote returns the peer address.
-func (c *Conn) Remote() netip.Addr {
-	c.live()
-	return netip.AddrFrom4(c.tuple.remote)
 }
 
 type segment struct {
@@ -489,7 +475,7 @@ func (c *Conn) Close() {
 		// already closed
 	default:
 		// Closing mid-handshake: just abort.
-		c.abort()
+		c.teardown(ErrAborted)
 	}
 }
 
@@ -497,14 +483,11 @@ func (c *Conn) Close() {
 func (c *Conn) Abort() {
 	c.live()
 	c.rawSend(netsim.FlagRST|netsim.FlagACK, c.sndNxt, c.rcvNxt, nil)
-	c.abort()
+	c.teardown(ErrAborted)
 }
 
-func (c *Conn) abort() {
-	c.teardown()
-}
-
-func (c *Conn) teardown() {
+// teardown ends the connection once and reports why through OnClose.
+func (c *Conn) teardown(reason error) {
 	if c.closed {
 		return
 	}
@@ -514,7 +497,7 @@ func (c *Conn) teardown() {
 	c.rtoTimer = eventsim.Event{}
 	delete(c.stack.conns, c.tuple)
 	if c.OnClose != nil {
-		c.OnClose()
+		c.OnClose(reason)
 	}
 }
 
@@ -622,13 +605,6 @@ func (c *Conn) armRTO() {
 		return
 	}
 	c.rtoTimer = c.stack.sim.ScheduleAny(c.rto, onRTOAny, c)
-}
-
-// Cwnd exposes the current congestion window (bytes) for tests and
-// diagnostics.
-func (c *Conn) Cwnd() int {
-	c.live()
-	return c.cwnd
 }
 
 // onRTOAny adapts onRTO for eventsim.ScheduleAny: one shared func(any)
@@ -755,10 +731,7 @@ func (c *Conn) handle(p *netsim.Packet) {
 	c.live()
 	t := p.TCP
 	if t.Flags&netsim.FlagRST != 0 {
-		if c.OnReset != nil {
-			c.OnReset()
-		}
-		c.teardown()
+		c.teardown(ErrReset)
 		return
 	}
 
@@ -854,17 +827,17 @@ func (c *Conn) processAck(ack uint32) {
 			// Our FIN is acked. If the peer's FIN was already consumed we
 			// are fully closed; otherwise wait for it.
 			if c.peerFinConsumed() {
-				c.teardown()
+				c.teardown(nil)
 			}
 		case StateLastAck:
-			c.teardown()
+			c.teardown(nil)
 		}
 	}
 }
 
 // ingestData accepts one data segment and reports whether rcvNxt advanced.
 // In-order data — the overwhelmingly common case on the simulator's
-// loss-free paths — is handed to OnData directly: frames are immutable
+// loss-free paths — is handed to the Sink directly: frames are immutable
 // once transmitted (see netsim.NIC.Send), so no defensive copy is needed
 // and the reassembly map is never touched. Only reordered segments are
 // copied and staged for drainInOrder.
@@ -916,7 +889,7 @@ func (c *Conn) drainInOrder(advanced bool) {
 		case StateFinWait:
 			if len(c.retxQ) == 0 {
 				c.sendAck()
-				c.teardown()
+				c.teardown(nil)
 				return
 			}
 		}

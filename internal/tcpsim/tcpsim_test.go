@@ -65,11 +65,11 @@ func TestHandshake(t *testing.T) {
 	if c.State() != StateEstablished {
 		t.Fatalf("client state = %v", c.State())
 	}
-	if c.RemotePort() != 80 || serverConn.RemotePort() != c.LocalPort() {
-		t.Fatalf("port mismatch: client %d->%d server sees %d", c.LocalPort(), c.RemotePort(), serverConn.RemotePort())
+	if c.tuple.remotePort != 80 || serverConn.tuple.remotePort != c.tuple.localPort {
+		t.Fatalf("port mismatch: client %d->%d server sees %d", c.tuple.localPort, c.tuple.remotePort, serverConn.tuple.remotePort)
 	}
-	if serverConn.Remote() != ipA {
-		t.Fatalf("server remote = %v", serverConn.Remote())
+	if serverConn.tuple.remote != ipA.As4() {
+		t.Fatalf("server remote = %v", netip.AddrFrom4(serverConn.tuple.remote))
 	}
 }
 
@@ -78,12 +78,12 @@ func TestEchoData(t *testing.T) {
 	client, server := pair(t, sim, 50*time.Microsecond)
 
 	server.Listen(7, func(c *Conn) {
-		c.OnData = func(b []byte) { c.Send(b) } // echo
+		c.Sink = sinkFunc(func(b []byte) { c.Send(b) }) // echo
 	})
 	var got []byte
 	c, _ := client.Dial(ipB, 7)
 	c.OnEstablished = func() { c.Send([]byte("hello, tcp")) }
-	c.OnData = func(b []byte) { got = append(got, b...) }
+	c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 	sim.Run()
 
 	if string(got) != "hello, tcp" {
@@ -101,7 +101,7 @@ func TestLargeTransferSegmented(t *testing.T) {
 	}
 	var got []byte
 	server.Listen(9, func(c *Conn) {
-		c.OnData = func(b []byte) { got = append(got, b...) }
+		c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 	})
 	c, _ := client.Dial(ipB, 9)
 	c.OnEstablished = func() { c.Send(payload) }
@@ -137,16 +137,16 @@ func TestGracefulClose(t *testing.T) {
 
 	var serverClosed, clientClosed bool
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) {
+		c.Sink = sinkFunc(func(b []byte) {
 			c.Send([]byte("bye"))
 			c.Close()
-		}
-		c.OnClose = func() { serverClosed = true }
+		})
+		c.OnClose = func(error) { serverClosed = true }
 	})
 	c, _ := client.Dial(ipB, 80)
 	c.OnEstablished = func() { c.Send([]byte("hi")) }
-	c.OnData = func(b []byte) { c.Close() }
-	c.OnClose = func() { clientClosed = true }
+	c.Sink = sinkFunc(func(b []byte) { c.Close() })
+	c.OnClose = func(error) { clientClosed = true }
 	sim.RunUntil(10 * time.Second)
 
 	if !serverClosed || !clientClosed {
@@ -174,7 +174,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	}
 	var got []byte
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) { got = append(got, b...) }
+		c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 	})
 	c, _ := client.Dial(ipB, 80)
 	c.OnEstablished = func() { c.Send([]byte("retransmit me")) }
@@ -197,7 +197,7 @@ func TestOutOfOrderReassembly(t *testing.T) {
 	client, server := pair(t, sim, 0)
 	var got []byte
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) { got = append(got, b...) }
+		c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 	})
 	c, _ := client.Dial(ipB, 80)
 	c.OnEstablished = func() {}
@@ -229,7 +229,7 @@ func TestDuplicateDataIgnored(t *testing.T) {
 	client, server := pair(t, sim, 0)
 	var got []byte
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) { got = append(got, b...) }
+		c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 	})
 	c, _ := client.Dial(ipB, 80)
 	sim.Run()
@@ -253,7 +253,7 @@ func TestConnectionRefusedRST(t *testing.T) {
 	client, _ := pair(t, sim, 10*time.Microsecond)
 	reset := false
 	c, _ := client.Dial(ipB, 4444) // nobody listens
-	c.OnReset = func() { reset = true }
+	c.OnClose = func(err error) { reset = errors.Is(err, ErrReset) }
 	sim.Run()
 	if !reset {
 		t.Fatal("expected RST for refused connection")
@@ -272,7 +272,7 @@ func TestListenPortConflict(t *testing.T) {
 	if _, err := server.Listen(80, func(*Conn) {}); err == nil {
 		t.Fatal("expected error for duplicate listen")
 	}
-	server.CloseListener(80)
+	delete(server.listeners, 80)
 	if _, err := server.Listen(80, func(*Conn) {}); err != nil {
 		t.Fatalf("listen after close: %v", err)
 	}
@@ -359,7 +359,7 @@ func TestDialRejectsNonIPv4(t *testing.T) {
 	if n := client.LiveConns(); n != 0 {
 		t.Fatalf("LiveConns = %d after refused dials, want 0", n)
 	}
-	if c, err := client.Dial(ipB, 80); err != nil || c.Remote() != ipB {
+	if c, err := client.Dial(ipB, 80); err != nil || c.tuple.remote != ipB.As4() {
 		t.Fatalf("Dial(%v) = %v, %v", ipB, c, err)
 	}
 }
@@ -381,13 +381,13 @@ func TestTwoSequentialConnections(t *testing.T) {
 	accepted := 0
 	server.Listen(80, func(c *Conn) {
 		accepted++
-		c.OnData = func(b []byte) { c.Send(b) }
+		c.Sink = sinkFunc(func(b []byte) { c.Send(b) })
 	})
 	for i := 0; i < 2; i++ {
 		done := false
 		c, _ := client.Dial(ipB, 80)
 		c.OnEstablished = func() { c.Send([]byte("x")) }
-		c.OnData = func([]byte) { done = true; c.Close() }
+		c.Sink = sinkFunc(func([]byte) { done = true; c.Close() })
 		sim.RunUntil(sim.Now() + 5*time.Second)
 		if !done {
 			t.Fatalf("connection %d did not complete", i)
@@ -403,7 +403,7 @@ func TestAbortSendsRST(t *testing.T) {
 	client, server := pair(t, sim, 10*time.Microsecond)
 	var serverReset bool
 	server.Listen(80, func(c *Conn) {
-		c.OnReset = func() { serverReset = true }
+		c.OnClose = func(err error) { serverReset = errors.Is(err, ErrReset) }
 	})
 	c, _ := client.Dial(ipB, 80)
 	c.OnEstablished = func() { c.Abort() }
@@ -462,7 +462,7 @@ func TestQuickTransferIntegrity(t *testing.T) {
 		client, server := pair(t, sim, 10*time.Microsecond)
 		var got []byte
 		server.Listen(80, func(c *Conn) {
-			c.OnData = func(b []byte) { got = append(got, b...) }
+			c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 		})
 		c, _ := client.Dial(ipB, 80)
 		payload := raw
@@ -506,16 +506,16 @@ func TestHalfCloseDataStillFlows(t *testing.T) {
 	client, server := pair(t, sim, time.Millisecond)
 	var got []byte
 	server.Listen(80, func(c *Conn) {
-		c.OnData = func(b []byte) {
+		c.Sink = sinkFunc(func(b []byte) {
 			// Receive request, respond AFTER the client's FIN arrives.
 			sim.Schedule(20*time.Millisecond, func() {
 				c.Send([]byte("late response"))
 				c.Close()
 			})
-		}
+		})
 	})
 	c, _ := client.Dial(ipB, 80)
-	c.OnData = func(b []byte) { got = append(got, b...) }
+	c.Sink = sinkFunc(func(b []byte) { got = append(got, b...) })
 	c.OnEstablished = func() {
 		c.Send([]byte("request"))
 		c.Close() // half-close immediately after sending

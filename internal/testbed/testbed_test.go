@@ -9,8 +9,14 @@ import (
 
 	"github.com/browsermetric/browsermetric/internal/faults"
 	"github.com/browsermetric/browsermetric/internal/httpsim"
+	"github.com/browsermetric/browsermetric/internal/tcpsim"
 	"github.com/browsermetric/browsermetric/internal/wssim"
 )
+
+// sinkFunc adapts a function to tcpsim.DataSink.
+type sinkFunc func([]byte)
+
+func (f sinkFunc) ConnData(_ *tcpsim.Conn, b []byte) { f(b) }
 
 func TestContainerPageServed(t *testing.T) {
 	tb := New(Config{Seed: 1})
@@ -58,7 +64,7 @@ func TestServerDelayDominatesRTT(t *testing.T) {
 		sent = tb.Sim.Now()
 		c.Send([]byte("ping"))
 	}
-	c.OnData = func([]byte) { got = tb.Sim.Now() }
+	c.Sink = sinkFunc(func([]byte) { got = tb.Sim.Now() })
 	tb.Sim.RunUntil(5 * time.Second)
 	rtt := got - sent
 	if rtt < 50*time.Millisecond || rtt > 51*time.Millisecond {
@@ -130,7 +136,7 @@ func TestConfigOverrides(t *testing.T) {
 	var sent, got time.Duration
 	c, _ := tb.Client.Dial(tb.ServerAddr, TCPEchoPort)
 	c.OnEstablished = func() { sent = tb.Sim.Now(); c.Send([]byte("p")) }
-	c.OnData = func([]byte) { got = tb.Sim.Now() }
+	c.Sink = sinkFunc(func([]byte) { got = tb.Sim.Now() })
 	tb.Sim.RunUntil(5 * time.Second)
 	if rtt := got - sent; rtt < 10*time.Millisecond || rtt > 11*time.Millisecond {
 		t.Fatalf("RTT = %v with 10ms server delay", rtt)

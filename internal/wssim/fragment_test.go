@@ -2,11 +2,13 @@ package wssim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/eventsim"
+	"github.com/browsermetric/browsermetric/internal/tcpsim"
 )
 
 // SendFragmented transmits one message split into chunkSize-byte frames:
@@ -131,7 +133,7 @@ func TestStrayContinuationAborts(t *testing.T) {
 	client, server, serverIP := wsPair(t, sim, 0)
 	closed := false
 	Serve(server, 8080, func(c *Conn) {
-		c.OnClose = func() { closed = true }
+		c.TCP.OnClose = func(err error) { closed = errors.Is(err, tcpsim.ErrAborted) }
 		c.OnMessage = func(_ Opcode, _ []byte) {}
 	})
 	tc, _ := client.Dial(serverIP, 8080)

@@ -194,7 +194,10 @@ func AcceptKey(clientKey string) string {
 }
 
 // Conn is a WebSocket connection over a tcpsim connection. Messages are
-// delivered via OnMessage once the handshake completes.
+// delivered via OnMessage once the handshake completes. The conn has no
+// close callback of its own: a Close frame closes the TCP conn and a
+// protocol error aborts it, so the TCP conn's OnClose reports the
+// ending.
 //
 // The conn is a tcpsim.DataSink: handshake parsing and the frame receive
 // loop run without per-connection closures, and a received message's
@@ -214,8 +217,6 @@ type Conn struct {
 	// non-FIN data frame followed by continuation frames) are reassembled
 	// and delivered once, with the initial frame's opcode.
 	OnMessage func(op Opcode, payload []byte)
-	// OnClose fires when a Close frame arrives or the TCP conn dies.
-	OnClose func()
 
 	// Fragment reassembly state. fragBuf keeps its capacity across
 	// messages; a delivered reassembled payload is valid until the next
@@ -281,9 +282,6 @@ func (c *Conn) drain() {
 		}
 		if err != nil {
 			c.TCP.Abort()
-			if c.OnClose != nil {
-				c.OnClose()
-			}
 			return
 		}
 		c.off += n
@@ -298,9 +296,6 @@ func (c *Conn) drain() {
 		f := &c.rframe
 		switch f.Opcode {
 		case OpClose:
-			if c.OnClose != nil {
-				c.OnClose()
-			}
 			c.TCP.Close()
 			return
 		case OpPing:
@@ -310,9 +305,6 @@ func (c *Conn) drain() {
 			if !c.inFrag {
 				// Continuation without an open message: protocol error.
 				c.TCP.Abort()
-				if c.OnClose != nil {
-					c.OnClose()
-				}
 				return
 			}
 			c.fragBuf = append(c.fragBuf, f.Payload...)
@@ -356,9 +348,6 @@ func (c *Conn) clientHandshake() {
 	}
 	if err != nil || resp.Status != 101 || resp.Headers.Get("Sec-WebSocket-Accept") != clientAcceptKey {
 		c.TCP.Abort()
-		if c.OnClose != nil {
-			c.OnClose()
-		}
 		return
 	}
 	c.finishHandshake(n)

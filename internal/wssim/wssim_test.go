@@ -13,6 +13,11 @@ import (
 	"github.com/browsermetric/browsermetric/internal/tcpsim"
 )
 
+// sinkFunc adapts a function to tcpsim.DataSink.
+type sinkFunc func([]byte)
+
+func (f sinkFunc) ConnData(_ *tcpsim.Conn, b []byte) { f(b) }
+
 func TestFrameRoundTripUnmasked(t *testing.T) {
 	in := &Frame{Fin: true, Opcode: OpBinary, Payload: []byte("probe")}
 	b := in.Marshal()
@@ -170,7 +175,7 @@ func TestServerRejectsNonWebSocket(t *testing.T) {
 	var raw []byte
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
-		tc.OnData = func(b []byte) { raw = append(raw, b...) }
+		tc.Sink = sinkFunc(func(b []byte) { raw = append(raw, b...) })
 		tc.Send([]byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"))
 	}
 	sim.RunUntil(10 * time.Second)
@@ -212,7 +217,7 @@ func TestCloseHandshake(t *testing.T) {
 	client, server, serverIP := wsPair(t, sim, 0)
 	serverClosed := false
 	Serve(server, 8080, func(c *Conn) {
-		c.OnClose = func() { serverClosed = true }
+		c.TCP.OnClose = func(err error) { serverClosed = err == nil }
 	})
 	tc, _ := client.Dial(serverIP, 8080)
 	tc.OnEstablished = func() {
@@ -225,7 +230,7 @@ func TestCloseHandshake(t *testing.T) {
 	}
 	sim.RunUntil(10 * time.Second)
 	if !serverClosed {
-		t.Fatal("server OnClose never fired")
+		t.Fatal("the server's TCP conn never closed in order")
 	}
 }
 
