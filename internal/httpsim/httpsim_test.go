@@ -409,3 +409,63 @@ func ParseResponse(b []byte) (*Response, int, error) {
 	}
 	return resp, n, nil
 }
+
+// TestParseIncompleteReportsDeclaredLength: with ErrIncomplete, the parse
+// count is the whole message's length once the head and its
+// Content-Length are in, and 0 before.
+func TestParseIncompleteReportsDeclaredLength(t *testing.T) {
+	full := (&Response{Status: 200, Body: []byte("0123456789")}).Marshal()
+	head := bytes.Index(full, []byte("\r\n\r\n")) + 4
+	for cut := 0; cut < len(full); cut++ {
+		n, err := ParseResponseInto(&Response{}, full[:cut], nil, nil)
+		want := 0
+		if cut >= head {
+			want = len(full)
+		}
+		if !errors.Is(err, ErrIncomplete) || n != want {
+			t.Fatalf("cut=%d: n, err = %d, %v; want %d, ErrIncomplete", cut, n, err, want)
+		}
+	}
+}
+
+// TestClientConnReservesDeclaredBody: once a response head is in, the
+// receive buffer grows once to the head plus Content-Length instead of
+// doubling as the body's segments arrive, and a declared length the
+// bytes never fill reserves at most maxReserve past them.
+func TestClientConnReservesDeclaredBody(t *testing.T) {
+	sim := eventsim.New(1)
+	client, _, serverIP := netPair(t, sim, time.Microsecond)
+	c, _ := client.Dial(serverIP, 80)
+	cc := NewClientConn(c)
+
+	body := bytes.Repeat([]byte("x"), 256<<10)
+	msg := (&Response{Status: 200, Body: body}).Marshal()
+	var got *Response
+	cc.pend = append(cc.pend, func(r *Response) { got = r })
+	growths := 0
+	for rest := msg; len(rest) > 0; {
+		n := min(1460, len(rest))
+		before := cap(cc.buf)
+		cc.ConnData(c, rest[:n])
+		rest = rest[n:]
+		if cap(cc.buf) != before {
+			growths++
+		}
+	}
+	if got == nil || !bytes.Equal(got.Body, body) {
+		t.Fatalf("response not delivered intact")
+	}
+	// The first segment holds the head, so it both starts the buffer and
+	// reserves the rest of the message.
+	if growths != 1 || cap(cc.buf) < len(msg) {
+		t.Errorf("buffer grew on %d deliveries to cap %d, want 1 delivery to at least %d", growths, cap(cc.buf), len(msg))
+	}
+
+	cc.Attach(c)
+	cc.buf = nil
+	cc.pend = append(cc.pend, func(*Response) {})
+	cc.ConnData(c, []byte("HTTP/1.1 200 OK\r\nContent-Length: 1073741824\r\n\r\n"))
+	if cap(cc.buf) > 2*maxReserve {
+		t.Errorf("a 1 GiB Content-Length reserved cap %d, want at most about %d", cap(cc.buf), maxReserve)
+	}
+}

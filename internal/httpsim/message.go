@@ -199,6 +199,8 @@ func StatusText(code int) string {
 // same req or the arena's next Reset, whichever comes first. Returns the
 // number of bytes consumed, or ErrIncomplete when b does not yet hold a
 // full message (req is then partially overwritten and must not be read).
+// With ErrIncomplete, the count is the whole message's length once the
+// head is in and declares a Content-Length, and 0 otherwise.
 func ParseRequestInto(req *Request, b []byte, in *Interner, a *arena.Arena) (int, error) {
 	head, bodyStart, err := splitHead(b)
 	if err != nil {
@@ -219,7 +221,7 @@ func ParseRequestInto(req *Request, b []byte, in *Interner, a *arena.Arena) (int
 	}
 	body, consumed, err := readBody(b, bodyStart, req.Headers, a)
 	if err != nil {
-		return 0, err
+		return consumed, err
 	}
 	req.Body = body
 	return consumed, nil
@@ -256,7 +258,7 @@ func ParseResponseInto(resp *Response, b []byte, in *Interner, a *arena.Arena) (
 	}
 	body, consumed, err := readBody(b, bodyStart, resp.Headers, a)
 	if err != nil {
-		return 0, err
+		return consumed, err
 	}
 	resp.Body = body
 	return consumed, nil
@@ -335,6 +337,9 @@ func parseHeaders(block []byte, out *Headers, in *Interner) error {
 	return nil
 }
 
+// readBody reads the body that starts at bodyStart and returns it with
+// the message's length. A Content-Length body that is not all in yet is
+// ErrIncomplete with the length it declares.
 func readBody(b []byte, bodyStart int, hs Headers, a *arena.Arena) ([]byte, int, error) {
 	if strings.EqualFold(hs.Get("Transfer-Encoding"), "chunked") {
 		return readChunked(b, bodyStart)
@@ -348,7 +353,7 @@ func readBody(b []byte, bodyStart int, hs Headers, a *arena.Arena) ([]byte, int,
 		return nil, 0, fmt.Errorf("%w: bad Content-Length %q", ErrMalformed, cl)
 	}
 	if len(b) < bodyStart+n {
-		return nil, 0, ErrIncomplete
+		return nil, bodyStart + n, ErrIncomplete
 	}
 	body := a.Bytes(n)
 	copy(body, b[bodyStart:bodyStart+n])

@@ -1,6 +1,7 @@
 package httpsim
 
 import (
+	"slices"
 	"time"
 
 	"github.com/browsermetric/browsermetric/internal/eventsim"
@@ -266,6 +267,9 @@ func (cc *ClientConn) ConnData(_ *tcpsim.Conn, b []byte) {
 	for cc.ph < len(cc.pend) {
 		n, err := ParseResponseInto(&cc.resp, cc.buf[cc.off:], cc.In, cc.Conn.Arena())
 		if err == ErrIncomplete {
+			// Once the head is in, hold the whole body in one growth
+			// rather than doubling as its segments arrive.
+			cc.buf = reserve(cc.buf, cc.off+n)
 			return
 		}
 		done := cc.pend[cc.ph]
@@ -290,4 +294,19 @@ func (cc *ClientConn) ConnData(_ *tcpsim.Conn, b []byte) {
 		}
 		done(&cc.resp)
 	}
+}
+
+// maxReserve bounds how far past the bytes already received reserve
+// grows a buffer, so a declared length the bytes never fill cannot claim
+// more memory than this.
+const maxReserve = 1 << 20
+
+// reserve returns b with capacity for need bytes, or for len(b) +
+// maxReserve when need is larger, growing it at most once.
+func reserve(b []byte, need int) []byte {
+	need = min(need, len(b)+maxReserve)
+	if need <= cap(b) {
+		return b
+	}
+	return slices.Grow(b, need-len(b))
 }

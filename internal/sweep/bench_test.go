@@ -58,3 +58,17 @@ func BenchmarkSweepWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheLoad measures the load layer on its own: one Cache.Load
+// hit of a stored 50-run cell per iteration (key hash, file read,
+// decode and checks).
+func BenchmarkCacheLoad(b *testing.B) {
+	c, cfg := storedCell(b, 50, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.Load(cfg); !ok {
+			b.Fatal("Load of a stored cell missed")
+		}
+	}
+}

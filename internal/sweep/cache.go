@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"github.com/browsermetric/browsermetric/internal/core"
@@ -19,8 +21,11 @@ import (
 // cells touch distinct files, and identical cells write identical bytes
 // (last rename wins harmlessly).
 type Cache struct {
-	dir     string
-	salt    string
+	dir  string
+	salt string
+	// cells is the cell path prefix, <dir>/cells/: a cell's path is the
+	// prefix, its key hash and ".cell".
+	cells   string
 	logf    func(format string, args ...any)
 	metrics *obs.Metrics
 
@@ -55,7 +60,8 @@ func OpenCache(dir, salt string) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "cells"), 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: open cache: %w", err)
 	}
-	return &Cache{dir: dir, salt: salt, logf: func(string, ...any) {}}, nil
+	cells := filepath.Join(dir, "cells") + string(filepath.Separator)
+	return &Cache{dir: dir, salt: salt, cells: cells, logf: func(string, ...any) {}}, nil
 }
 
 // SetLog installs a printf-style logger for corruption and recompute
@@ -98,26 +104,48 @@ func (c *Cache) Stats() CacheStats {
 }
 
 func (c *Cache) cellPath(hash string) string {
-	return filepath.Join(c.dir, "cells", hash+".cell")
+	return c.cells + hash + ".cell"
 }
+
+// readBufs holds the buffers Load reads cell files into. A decoded cell
+// copies everything it keeps out of the buffer, so a buffer is free again
+// as soon as decodeCell returns. A buffer starts at 4 KiB, which holds a
+// 50-run cell, and keeps whatever a larger cell grew it to.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
 
 // Load implements core.CellCache: it returns the cached experiment for
 // cfg, or ok=false on a miss. A corrupt entry (flipped byte, truncation,
 // key mismatch) is detected by the file's checksum, strict decode or key
 // check, logged, deleted, and reported as a miss so the scheduler recomputes — it can never surface
 // as data.
+//
+// A hit serializes the key once, into stack scratch, and builds the path
+// and the address as one string; the file is read into a pooled buffer.
 func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
 	key := c.Key(cfg)
-	hash := key.Hash()
-	data, err := os.ReadFile(c.cellPath(hash))
+	var scratch [256]byte
+	path := string(append(key.appendHash(append(scratch[:0], c.cells...)), ".cell"...))
+	hash := path[len(c.cells) : len(path)-len(".cell")]
+	buf := readBufs.Get().(*[]byte)
+	data, err := readCell(path, (*buf)[:0])
+	var storedKey string
+	var samples []core.Sample
+	var derr error
+	if err == nil {
+		storedKey, samples, derr = decodeCell(data)
+	}
+	*buf = data
+	readBufs.Put(buf)
 	if err != nil {
 		c.misses.Add(1)
 		c.metrics.Add("sweep_cache_misses_total", 1)
 		return nil, false
 	}
-	storedKey, samples, derr := decodeCell(data)
 	if derr == nil && storedKey != hash {
-		derr = fmt.Errorf("sweep: cell file: stored key %s != expected %s", storedKey[:8], hash[:8])
+		derr = fmt.Errorf("sweep: cell file: stored key %.8s != expected %.8s", storedKey, hash)
 	}
 	if derr != nil {
 		c.corrupt.Add(1)
@@ -125,7 +153,7 @@ func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
 		c.metrics.Add("sweep_cache_corrupt_total", 1)
 		c.metrics.Add("sweep_cache_misses_total", 1)
 		c.logf("sweep: corrupt cache entry for %s: %v; recomputing", key, derr)
-		os.Remove(c.cellPath(hash))
+		os.Remove(path)
 		return nil, false
 	}
 	c.hits.Add(1)
@@ -136,6 +164,29 @@ func (c *Cache) Load(cfg core.Config) (*core.Experiment, bool) {
 	// bit-identical to recomputation.
 	cfg.Normalize()
 	return &core.Experiment{Config: cfg, Samples: samples}, true
+}
+
+// readCell reads the file at path to EOF, appending to b, which it grows
+// only when the file outgrows it.
+func readCell(path string, b []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return b, err
+	}
+	defer f.Close()
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
 }
 
 // Store implements core.CellCache: it persists a completed cell

@@ -411,3 +411,137 @@ func TestSweepRunExportsCacheMetrics(t *testing.T) {
 		t.Fatalf("misses = %d, want 1 (cold lookup only)", got)
 	}
 }
+
+// storedCell opens a cache in a fresh directory and stores one computed
+// XHR GET cell of the given runs and seed in it.
+func storedCell(tb testing.TB, runs int, seed int64) (*Cache, core.Config) {
+	tb.Helper()
+	c, err := OpenCache(tb.TempDir(), "")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := cellConfig(seed)
+	cfg.Runs = runs
+	exp, err := core.RunContext(context.Background(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Store(cfg, exp); err != nil {
+		tb.Fatal(err)
+	}
+	return c, cfg
+}
+
+// TestCacheLoadHitAllocs guards the warm hit path: one path string, the
+// open file, the decoded key and samples, and the experiment. The file
+// is read into a pooled buffer, so its size does not add an object
+// (measured 7, with 1 of slack, as warm_alloc_test.go sets its
+// ceilings).
+func TestCacheLoadHitAllocs(t *testing.T) {
+	c, cfg := storedCell(t, 50, 42)
+	load := func() {
+		if _, ok := c.Load(cfg); !ok {
+			t.Fatal("Load of a stored cell missed")
+		}
+	}
+	for i := 0; i < 5; i++ {
+		load()
+	}
+	if allocs := testing.AllocsPerRun(100, load); allocs > 8 {
+		t.Errorf("a warm Load hit allocated %.0f objects, ceiling 8", allocs)
+	}
+}
+
+// TestCacheLoadSamplesNotAliased: the samples a hit returns belong to the
+// caller. Loading other cells afterwards, one after another and from
+// concurrent goroutines, reuses the read buffers, and must leave every
+// earlier result equal to a private decode of its file.
+func TestCacheLoadSamplesNotAliased(t *testing.T) {
+	c, err := OpenCache(t.TempDir(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cells of different seeds, largest first, so each later read would
+	// overwrite any storage the first result shared with it.
+	var cfgs []core.Config
+	var want [][]core.Sample
+	for i := 0; i < 4; i++ {
+		cfg := cellConfig(int64(10 + i))
+		cfg.Runs = 11 - 3*i
+		exp, err := core.RunContext(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Store(cfg, exp); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(c.cellPath(c.Key(cfg).Hash()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, samples, err := decodeCell(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+		want = append(want, append([]core.Sample(nil), samples...))
+	}
+	load := func(i int) *core.Experiment {
+		exp, ok := c.Load(cfgs[i])
+		if !ok {
+			t.Errorf("Load of stored cell %d missed", i)
+		}
+		return exp
+	}
+
+	a := load(0)
+	for i := 1; i < len(cfgs); i++ {
+		load(i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 25; n++ {
+				i := (w + n) % len(cfgs)
+				if exp := load(i); exp != nil && !reflect.DeepEqual(exp.Samples, want[i]) {
+					t.Errorf("concurrent Load of cell %d returned samples that differ from its file", i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if a == nil || !reflect.DeepEqual(a.Samples, want[0]) {
+		t.Fatal("the first cell's samples changed after later Loads")
+	}
+}
+
+// TestCacheShortStoredKeyRejected: a well-formed cell file whose stored
+// key is shorter than an address (any key up to 64 bytes decodes) is a
+// key mismatch like any other: counted, removed, never a panic.
+func TestCacheShortStoredKeyRejected(t *testing.T) {
+	c, err := OpenCache(t.TempDir(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cellConfig(1)
+	data, err := encodeCell("abc", []core.Sample{{Run: 0, Round: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := c.cellPath(c.Key(cfg).Hash())
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Load(cfg); ok {
+		t.Fatal("Load served an entry stored under another key")
+	}
+	if s := c.Stats(); s.Corrupt != 1 {
+		t.Errorf("stats = %+v, want corrupt=1", s)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("mismatched entry was not removed (stat err = %v)", err)
+	}
+}

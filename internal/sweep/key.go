@@ -11,7 +11,6 @@
 package sweep
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -99,39 +98,61 @@ func KeyFromConfig(cfg core.Config, salt string) Key {
 // header and one name=value line per field, in declaration order. Floats
 // are hex-formatted ('x'), which round-trips every bit of the float64 —
 // two keys serialize identically iff they are equal.
-func (k Key) Canonical() []byte {
-	var b bytes.Buffer
-	b.WriteString("browsermetric cell key v1\n")
-	w := func(name, val string) {
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(val)
-		b.WriteByte('\n')
-	}
-	w("salt", k.Salt)
-	w("method", k.Method)
-	w("browser", k.Browser)
-	w("os", k.OS)
-	w("load", strconv.FormatFloat(k.Load, 'x', -1, 64))
-	w("timing", k.Timing)
-	w("runs", strconv.Itoa(k.Runs))
-	w("gap_ns", strconv.FormatInt(k.GapNs, 10))
-	w("warp_ns", strconv.FormatInt(k.WarpNs, 10))
-	w("seed", strconv.FormatInt(k.Seed, 10))
-	w("server_delay_ns", strconv.FormatInt(k.ServerDelayNs, 10))
-	w("link_rate_bps", strconv.FormatInt(k.LinkRateBps, 10))
-	w("propagation_ns", strconv.FormatInt(k.PropagationNs, 10))
-	w("loss_rate", strconv.FormatFloat(k.LossRate, 'x', -1, 64))
-	w("server_parse_cost_ns", strconv.FormatInt(k.ServerParseCostNs, 10))
-	w("faults", k.Faults)
-	return b.Bytes()
+//
+// The 512 bytes of capacity hold any key of the study's own names, and
+// Canonical is small enough to inline, so a caller that does not keep
+// the bytes (Hash) serializes into stack scratch.
+func (k Key) Canonical() []byte { return k.appendCanonical(make([]byte, 0, 512)) }
+
+// appendCanonical appends the canonical serialization to b.
+func (k *Key) appendCanonical(b []byte) []byte {
+	b = append(b, "browsermetric cell key v1\n"...)
+	b = appendField(b, "salt=", k.Salt)
+	b = appendField(b, "method=", k.Method)
+	b = appendField(b, "browser=", k.Browser)
+	b = appendField(b, "os=", k.OS)
+	b = appendFloat(b, "load=", k.Load)
+	b = appendField(b, "timing=", k.Timing)
+	b = appendInt(b, "runs=", int64(k.Runs))
+	b = appendInt(b, "gap_ns=", k.GapNs)
+	b = appendInt(b, "warp_ns=", k.WarpNs)
+	b = appendInt(b, "seed=", k.Seed)
+	b = appendInt(b, "server_delay_ns=", k.ServerDelayNs)
+	b = appendInt(b, "link_rate_bps=", k.LinkRateBps)
+	b = appendInt(b, "propagation_ns=", k.PropagationNs)
+	b = appendFloat(b, "loss_rate=", k.LossRate)
+	b = appendInt(b, "server_parse_cost_ns=", k.ServerParseCostNs)
+	b = appendField(b, "faults=", k.Faults)
+	return b
+}
+
+func appendField(b []byte, name, val string) []byte {
+	return append(append(append(b, name...), val...), '\n')
+}
+
+func appendInt(b []byte, name string, v int64) []byte {
+	return append(strconv.AppendInt(append(b, name...), v, 10), '\n')
+}
+
+func appendFloat(b []byte, name string, v float64) []byte {
+	return append(strconv.AppendFloat(append(b, name...), v, 'x', -1, 64), '\n')
 }
 
 // Hash returns the cell's content address: the lowercase hex SHA-256 of
 // the canonical serialization.
 func (k Key) Hash() string {
+	var scratch [2 * sha256.Size]byte
+	return string(k.appendHash(scratch[:0]))
+}
+
+// appendHash appends the content address to b, allocating nothing
+// beyond what b needs.
+func (k *Key) appendHash(b []byte) []byte {
 	sum := sha256.Sum256(k.Canonical())
-	return hex.EncodeToString(sum[:])
+	n := len(b)
+	b = append(b, make([]byte, hex.EncodedLen(len(sum)))...)
+	hex.Encode(b[n:], sum[:])
+	return b
 }
 
 // String identifies the cell for logs: "<method>/<browser> (<os>)/<faults>@<hash8>".

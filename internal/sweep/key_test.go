@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -219,5 +220,62 @@ func TestKeyStringStable(t *testing.T) {
 	s := k.String()
 	if len(s) == 0 || s[len(s)-9] != '@' {
 		t.Fatalf("Key.String() = %q, want ...@<8 hex>", s)
+	}
+}
+
+// TestKeyGolden pins the content address itself: the canonical bytes and
+// hash of one fixed Key, and the hash of one fixed config. Every cache
+// on disk is addressed by these bytes, so a serializer change that
+// shifts a single byte would turn every stored cell into a miss; it must
+// fail here instead. Only a deliberate DefaultSalt bump may move the
+// config's pin.
+func TestKeyGolden(t *testing.T) {
+	k := Key{
+		Salt: "s", Method: "m", Browser: "b", OS: "o", Load: 0.5,
+		Timing: "t", Runs: 3, GapNs: 5, WarpNs: 7, Seed: 11,
+		ServerDelayNs: 13, LinkRateBps: 17, PropagationNs: 19,
+		LossRate: 0.25, ServerParseCostNs: 23, Faults: "f",
+	}
+	const wantCanonical = "browsermetric cell key v1\nsalt=s\nmethod=m\nbrowser=b\nos=o\nload=0x1p-01\ntiming=t\nruns=3\ngap_ns=5\nwarp_ns=7\nseed=11\nserver_delay_ns=13\nlink_rate_bps=17\npropagation_ns=19\nloss_rate=0x1p-02\nserver_parse_cost_ns=23\nfaults=f\n"
+	if got := string(k.Canonical()); got != wantCanonical {
+		t.Errorf("Canonical() = %q, want %q", got, wantCanonical)
+	}
+	if got, want := k.Hash(), "c02666bc93bf3a0a9ee208c03008451f4a7589afbf5d8d3b80195e5adc3f65b1"; got != want {
+		t.Errorf("Hash() = %s, want %s", got, want)
+	}
+
+	// Extreme values: negative and minimum integers, a subnormal-adjacent
+	// float and empty strings.
+	k = Key{Salt: "bmsweep-v2", Load: -1.0 / 3, LossRate: 1e-300, Runs: -4, GapNs: math.MinInt64, Seed: math.MaxInt64}
+	if got, want := k.Hash(), "106948dfd355e84506ee2b0ab448b444559c690710904022a81a165edf2e2ea9"; got != want {
+		t.Errorf("extreme Key: Hash() = %s, want %s (canonical %q)", got, want, k.Canonical())
+	}
+
+	cfg := core.Config{
+		Method:  methods.WebSocket,
+		Profile: browser.Lookup(browser.Firefox, browser.Ubuntu).WithLoad(0.3),
+		Timing:  browser.NanoTime,
+		Runs:    1000,
+		Gap:     2 * time.Second,
+		Testbed: testbed.Config{LossRate: 0.01, Faults: faults.BurstyWiFi, Seed: 1234},
+	}
+	k = KeyFromConfig(cfg, "")
+	const wantCfg = "browsermetric cell key v1\nsalt=bmsweep-v2\nmethod=WebSocket\nbrowser=Firefox\nos=Ubuntu\nload=0x1.3333333333333p-02\ntiming=System.nanoTime\nruns=1000\ngap_ns=2000000000\nwarp_ns=0\nseed=1234\nserver_delay_ns=50000000\nlink_rate_bps=100000000\npropagation_ns=5000\nloss_rate=0x1.47ae147ae147bp-07\nserver_parse_cost_ns=0\nfaults=burstywifi\n"
+	if got := string(k.Canonical()); got != wantCfg {
+		t.Errorf("KeyFromConfig canonical = %q, want %q", got, wantCfg)
+	}
+	if got, want := k.Hash(), "1dcb79df6a4e207446b55df505b1b4306b402e765ac806cbb2dd0329e5d9aab0"; got != want {
+		t.Errorf("KeyFromConfig hash = %s, want %s", got, want)
+	}
+}
+
+// TestKeyHashAllocs guards the hash every cache lookup computes: the
+// canonical bytes are rendered into stack scratch, so the returned
+// string is the one heap object (measured 1 with 1 of slack, as
+// warm_alloc_test.go sets its ceilings).
+func TestKeyHashAllocs(t *testing.T) {
+	k := KeyFromConfig(baseKeyConfig(), "")
+	if allocs := testing.AllocsPerRun(100, func() { _ = k.Hash() }); allocs > 2 {
+		t.Errorf("Key.Hash allocated %.0f objects, ceiling 2", allocs)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/browsermetric/browsermetric/internal/arena"
 	"github.com/browsermetric/browsermetric/internal/httpsim"
@@ -104,7 +105,8 @@ func (f *Frame) MarshalArena(a *arena.Arena) []byte {
 
 // parseHeader decodes a frame header from the front of b, returning the
 // header length and payload length. The MaskKey (when present) lands in
-// *key.
+// *key. When the header is in but the payload is not, both lengths come
+// back with ErrIncomplete.
 func parseHeader(b []byte, key *[4]byte) (fin bool, op Opcode, masked bool, off, plen int, err error) {
 	if len(b) < 2 {
 		return false, 0, false, 0, 0, ErrIncomplete
@@ -142,7 +144,7 @@ func parseHeader(b []byte, key *[4]byte) (fin bool, op Opcode, masked bool, off,
 		off += 4
 	}
 	if uint64(len(b)) < uint64(off)+plen64 {
-		return false, 0, false, 0, 0, ErrIncomplete
+		return false, 0, false, off, int(plen64), ErrIncomplete
 	}
 	return fin, op, masked, off, int(plen64), nil
 }
@@ -170,11 +172,16 @@ func ParseFrame(b []byte) (*Frame, int, error) {
 
 // parseFrameInto is the allocation-free variant the conn's receive loop
 // uses: the payload aliases b and masked payloads are unmasked in place,
-// so the result is only valid until b's backing buffer is recycled.
+// so the result is only valid until b's backing buffer is recycled. With
+// ErrIncomplete, the count is the whole frame's length once its header
+// is in, and 0 before.
 func parseFrameInto(f *Frame, b []byte) (int, error) {
 	var err error
 	var off, plen int
 	f.Fin, f.Opcode, f.Masked, off, plen, err = parseHeader(b, &f.MaskKey)
+	if err == ErrIncomplete {
+		return off + plen, err
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -273,11 +280,29 @@ func (c *Conn) ConnData(_ *tcpsim.Conn, b []byte) {
 	c.drain()
 }
 
+// maxReserve bounds how far past the bytes already received reserve
+// grows the receive buffer, so a declared frame length the bytes never
+// fill cannot claim more memory than this.
+const maxReserve = 1 << 20
+
+// reserve returns b with capacity for need bytes, or for len(b) +
+// maxReserve when need is larger, growing it at most once.
+func reserve(b []byte, need int) []byte {
+	need = min(need, len(b)+maxReserve)
+	if need <= cap(b) {
+		return b
+	}
+	return slices.Grow(b, need-len(b))
+}
+
 // drain parses and dispatches complete frames from the receive buffer.
 func (c *Conn) drain() {
 	for {
 		n, err := parseFrameInto(&c.rframe, c.buf[c.off:])
 		if err == ErrIncomplete {
+			// Once the header is in, hold the whole frame in one growth
+			// rather than doubling as its segments arrive.
+			c.buf = reserve(c.buf, c.off+n)
 			return
 		}
 		if err != nil {

@@ -285,3 +285,39 @@ func TestQuickMaskingInvolution(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConnReservesDeclaredFrame: once a frame header is in, the receive
+// buffer grows once to the frame's declared length instead of doubling
+// as the payload's segments arrive, and a declared length the bytes
+// never fill reserves at most maxReserve past them.
+func TestConnReservesDeclaredFrame(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 256<<10)
+	msg := (&Frame{Fin: true, Opcode: OpBinary, Payload: payload}).Marshal()
+	var got []byte
+	c := &Conn{upgraded: true, OnMessage: func(_ Opcode, p []byte) { got = append([]byte(nil), p...) }}
+	growths := 0
+	for rest := msg; len(rest) > 0; {
+		n := min(1460, len(rest))
+		before := cap(c.buf)
+		c.ConnData(nil, rest[:n])
+		rest = rest[n:]
+		if cap(c.buf) != before {
+			growths++
+		}
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatalf("message not delivered intact")
+	}
+	// The first segment holds the header, so it both starts the buffer
+	// and reserves the rest of the frame.
+	if growths != 1 || cap(c.buf) < len(msg) {
+		t.Errorf("buffer grew on %d deliveries to cap %d, want 1 delivery to at least %d", growths, cap(c.buf), len(msg))
+	}
+
+	c = &Conn{upgraded: true}
+	hdr := []byte{0x82, 127, 0, 0, 0, 0, 0x40, 0, 0, 0} // binary, 1 GiB
+	c.ConnData(nil, hdr)
+	if cap(c.buf) > 2*maxReserve {
+		t.Errorf("a 1 GiB frame header reserved cap %d, want at most about %d", cap(c.buf), maxReserve)
+	}
+}
