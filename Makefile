@@ -19,10 +19,11 @@
 #                       mid-run, every survivor's export must be
 #                       byte-identical to the single-process sweep
 #   make artifacts   regenerate the committed outputs in artifacts/
+#   make loc         count the Go lines of code outside perfbench/
 
 GO ?= go
 
-.PHONY: all build vet test lint race race-core race-reuse race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-cluster artifacts
+.PHONY: all build vet test lint race race-core race-reuse race-live tier1 ci bench profile bench-json bench-diff fuzz-smoke cover sweep-smoke fleet-load fleet-cluster sweep-cluster artifacts loc
 
 all: tier1
 
@@ -329,3 +330,16 @@ artifacts:
 	$(GO) run ./cmd/appraise -markdown artifacts/report.md > /dev/null
 	$(GO) run ./cmd/appraise -csv artifacts/study.csv > /dev/null
 	$(GO) run ./cmd/pcaptool -gen artifacts/websocket_run.pcap -method 3 -browser C -os W
+
+# loc prints the Go lines of code of the git-tracked files outside the
+# benchmark module perfbench/, split into non-test and _test.go files. A
+# line counts unless it is blank or holds only a // comment. This is the
+# count that ROADMAP.md and CHANGES.md quote.
+loc:
+	@git ls-files -- '*.go' ':(exclude)perfbench' | awk '\
+		{ f = $$0; test = f ~ /_test[.]go$$/; \
+		  while ((getline line < f) > 0) { \
+			if (line ~ /^[ \t]*$$/ || line ~ /^[ \t]*\/\//) continue; \
+			if (test) t++; else n++ } \
+		  close(f) } \
+		END { printf "non-test %d\ntest     %d\n", n, t }'

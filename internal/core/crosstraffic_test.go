@@ -24,7 +24,7 @@ func TestCrossTrafficCreatesWireJitter(t *testing.T) {
 		}
 		r := &methods.Runner{TB: tb, Profile: browser.Lookup(browser.Chrome, browser.Ubuntu), Timing: browser.NanoTime}
 		tb.Cap.Reset()
-		train, err := r.RunTrain(methods.JavaTCP, 20)
+		train, err := r.Drive(methods.JavaTCP, methods.Train(20))
 		if err != nil {
 			t.Fatal(err)
 		}

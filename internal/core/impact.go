@@ -72,39 +72,47 @@ func (j JitterImpact) Inflation() float64 { return j.BrowserJitter - j.WireJitte
 
 // MeasureJitter runs a probe train and computes both jitters.
 func MeasureJitter(cfg Config, probes int) (JitterImpact, error) {
-	ji, _, err := measureJitter(nil, cfg, probes)
-	return ji, err
+	res, tb, err := measure(nil, cfg, methods.Train(probes))
+	if err != nil {
+		return JitterImpact{}, err
+	}
+	return jitterOf(res, tb), nil
 }
 
-// measureJitter is MeasureJitter on tb reset to cfg's testbed config, or
-// on a new testbed when tb is nil. It returns the testbed for the
-// caller's next measurement; so do measureThroughput and measureLoss.
-func measureJitter(tb *testbed.Testbed, cfg Config, probes int) (JitterImpact, *testbed.Testbed, error) {
+// measure is the one driver of the impact measurements: it drives shape
+// sh of cfg.Method on tb reset to cfg's testbed config, or on a new
+// testbed when tb is nil, with the capture cleared first. It returns the
+// result, valid until the Runner's next drive, and the testbed, for the
+// caller's next measurement.
+func measure(tb *testbed.Testbed, cfg Config, sh methods.Shape) (*methods.Result, *testbed.Testbed, error) {
 	r, err := newRunner(&cfg, tb)
 	if err != nil {
-		return JitterImpact{}, tb, err
+		return nil, tb, err
 	}
 	r.TB.Cap.Reset()
-	train, err := r.RunTrain(cfg.Method, probes)
-	if err != nil {
-		return JitterImpact{}, r.TB, err
+	res, err := r.Drive(cfg.Method, sh)
+	return res, r.TB, err
+}
+
+// jitterOf compares a train's browser jitter with the jitter of the
+// wire RTTs tb's capture saw.
+func jitterOf(res *methods.Result, tb *testbed.Testbed) JitterImpact {
+	browserRTTs := stats.DurationsToMs(res.BrowserRTTs())
+	pairs := tb.Cap.MatchRTT(res.ServerPort)
+	// The probes are the last exchanges; earlier ones belong to the
+	// preparation phase (container page or WebSocket upgrade).
+	if len(pairs) > len(browserRTTs) {
+		pairs = pairs[len(pairs)-len(browserRTTs):]
 	}
-	browserRTTs := stats.DurationsToMs(train.BrowserRTTs())
-	pairs := r.TB.Cap.MatchRTT(train.ServerPort)
-	wireRTTs := make([]float64, 0, len(pairs))
-	for _, p := range pairs {
-		wireRTTs = append(wireRTTs, stats.Ms(p.RTT()))
-	}
-	// Drop the preparation exchange if present (HTTP/WS trains have none
-	// on the probe port beyond the upgrade; align from the tail).
-	if len(wireRTTs) > len(browserRTTs) {
-		wireRTTs = wireRTTs[len(wireRTTs)-len(browserRTTs):]
+	wireRTTs := make([]float64, len(pairs))
+	for i, p := range pairs {
+		wireRTTs[i] = stats.Ms(p.RTT())
 	}
 	return JitterImpact{
-		Probes:        probes,
+		Probes:        len(res.TBs),
 		BrowserJitter: ipdv(browserRTTs),
 		WireJitter:    ipdv(wireRTTs),
-	}, r.TB, nil
+	}
 }
 
 // ipdv returns the mean absolute consecutive difference.
@@ -143,31 +151,27 @@ func (t ThroughputImpact) Bias() float64 {
 
 // MeasureThroughput runs one bulk transfer and compares both estimates.
 func MeasureThroughput(cfg Config, size int) (ThroughputImpact, error) {
-	ti, _, err := measureThroughput(nil, cfg, size)
-	return ti, err
+	res, tb, err := measure(nil, cfg, methods.Transfer(size))
+	if err != nil {
+		return ThroughputImpact{}, err
+	}
+	return throughputOf(res, tb)
 }
 
-func measureThroughput(tb *testbed.Testbed, cfg Config, size int) (ThroughputImpact, *testbed.Testbed, error) {
-	r, err := newRunner(&cfg, tb)
-	if err != nil {
-		return ThroughputImpact{}, tb, err
-	}
-	r.TB.Cap.Reset()
-	res, err := r.RunThroughput(cfg.Method, size)
-	if err != nil {
-		return ThroughputImpact{}, r.TB, err
-	}
-	tr, ok := r.TB.Cap.MatchTransfer(res.ServerPort)
+// throughputOf compares a transfer's browser throughput with the one
+// tb's capture saw in the transfer's wire window.
+func throughputOf(res *methods.Result, tb *testbed.Testbed) (ThroughputImpact, error) {
+	tr, ok := tb.Cap.MatchTransfer(res.ServerPort)
 	if !ok {
-		return ThroughputImpact{}, r.TB, fmt.Errorf("core: capture saw no transfer")
+		return ThroughputImpact{}, fmt.Errorf("core: capture saw no transfer")
 	}
 	return ThroughputImpact{
 		Bytes:        res.Bytes,
 		BrowserMbps:  res.BrowserThroughput() / 1e6,
 		WireMbps:     tr.BitsPerSecond() / 1e6,
-		BrowserRTTms: stats.Ms(res.TBr - res.TBs),
+		BrowserRTTms: stats.Ms(res.BrowserRTT(1)),
 		WireRTTms:    stats.Ms(tr.Duration()),
-	}, r.TB, nil
+	}, nil
 }
 
 // LossImpact compares tool-reported and capture-observed loss over a UDP
@@ -181,33 +185,29 @@ type LossImpact struct {
 
 // MeasureLoss runs a UDP train under the configured link loss rate.
 func MeasureLoss(cfg Config, probes int) (LossImpact, error) {
-	li, _, err := measureLoss(nil, cfg, probes)
-	return li, err
+	if cfg.Method != methods.JavaUDP {
+		return LossImpact{}, fmt.Errorf("core: loss measurement needs the Java UDP method")
+	}
+	res, tb, err := measure(nil, cfg, methods.Train(probes))
+	if err != nil {
+		return LossImpact{}, err
+	}
+	return lossOf(res, tb), nil
 }
 
-func measureLoss(tb *testbed.Testbed, cfg Config, probes int) (LossImpact, *testbed.Testbed, error) {
-	if cfg.Method != methods.JavaUDP {
-		return LossImpact{}, tb, fmt.Errorf("core: loss measurement needs the Java UDP method")
-	}
-	r, err := newRunner(&cfg, tb)
-	if err != nil {
-		return LossImpact{}, tb, err
-	}
-	r.TB.Cap.Reset()
-	train, err := r.RunTrain(methods.JavaUDP, probes)
-	if err != nil {
-		return LossImpact{}, r.TB, err
-	}
-	sent, lost := r.TB.Cap.CountUnanswered(train.ServerPort)
+// lossOf compares a UDP train's tool-reported loss with the loss tb's
+// capture observed.
+func lossOf(res *methods.Result, tb *testbed.Testbed) LossImpact {
+	sent, lost := tb.Cap.CountUnanswered(res.ServerPort)
 	li := LossImpact{
-		Probes:      probes,
-		BrowserLoss: train.LossRate(),
-		LinkDropped: r.TB.ServerLink.Dropped,
+		Probes:      len(res.TBs),
+		BrowserLoss: res.LossRate(),
+		LinkDropped: tb.ServerLink.Dropped,
 	}
 	if sent > 0 {
 		li.WireLoss = float64(lost) / float64(sent)
 	}
-	return li, r.TB, nil
+	return li
 }
 
 // AttributionReport renders mean attribution per round for an experiment

@@ -292,7 +292,7 @@ func TestMeasureLossRejectsNonUDP(t *testing.T) {
 func TestTrainRTTsReasonable(t *testing.T) {
 	tb := testbed.New(testbed.Config{Seed: 9})
 	r := &methods.Runner{TB: tb, Profile: browser.Lookup(browser.Chrome, browser.Ubuntu), Timing: browser.NanoTime}
-	train, err := r.RunTrain(methods.WebSocket, 15)
+	train, err := r.Drive(methods.WebSocket, methods.Train(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestTrainRTTsReasonable(t *testing.T) {
 func TestTrainHTTPSequential(t *testing.T) {
 	tb := testbed.New(testbed.Config{Seed: 10})
 	r := &methods.Runner{TB: tb, Profile: browser.Lookup(browser.Firefox, browser.Ubuntu), Timing: browser.NanoTime}
-	train, err := r.RunTrain(methods.XHRGet, 8)
+	train, err := r.Drive(methods.XHRGet, methods.Train(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,25 +410,35 @@ func TestImpactMeasurementsOnReusedTestbed(t *testing.T) {
 	cfg := func(kind methods.Kind) Config {
 		return Config{Method: kind, Profile: prof, Timing: browser.NanoTime}
 	}
-	type measure func(tb *testbed.Testbed) (any, *testbed.Testbed, error)
-	var measures []measure
+	type measureFn func(tb *testbed.Testbed) (any, *testbed.Testbed, error)
+	var measures []measureFn
 	for _, kind := range []methods.Kind{methods.XHRGet, methods.FlashGet, methods.WebSocket, methods.JavaTCP} {
 		measures = append(measures, func(tb *testbed.Testbed) (any, *testbed.Testbed, error) {
-			ji, tb, err := measureJitter(tb, cfg(kind), 20)
-			return ji, tb, err
+			res, tb, err := measure(tb, cfg(kind), methods.Train(20))
+			if err != nil {
+				return nil, tb, err
+			}
+			return jitterOf(res, tb), tb, nil
 		})
 	}
 	for _, kind := range []methods.Kind{methods.XHRGet, methods.WebSocket, methods.JavaTCP} {
 		measures = append(measures, func(tb *testbed.Testbed) (any, *testbed.Testbed, error) {
-			ti, tb, err := measureThroughput(tb, cfg(kind), 256<<10)
+			res, tb, err := measure(tb, cfg(kind), methods.Transfer(256<<10))
+			if err != nil {
+				return nil, tb, err
+			}
+			ti, err := throughputOf(res, tb)
 			return ti, tb, err
 		})
 	}
 	measures = append(measures, func(tb *testbed.Testbed) (any, *testbed.Testbed, error) {
 		loss := cfg(methods.JavaUDP)
 		loss.Testbed = testbed.Config{Seed: 4242, LossRate: 0.10}
-		li, tb, err := measureLoss(tb, loss, 100)
-		return li, tb, err
+		res, tb, err := measure(tb, loss, methods.Train(100))
+		if err != nil {
+			return nil, tb, err
+		}
+		return lossOf(res, tb), tb, nil
 	})
 	wire := func(tb *testbed.Testbed) []byte {
 		var w []byte

@@ -105,19 +105,20 @@ func ImpactReport(prof *browser.Profile, timing browser.TimingFunc) (string, err
 	// One testbed serves every measurement, reset to each one's config.
 	var (
 		tb  *testbed.Testbed
+		res *methods.Result
 		err error
 	)
+	cfg := func(kind methods.Kind) Config { return Config{Method: kind, Profile: prof, Timing: timing} }
 
 	fmt.Fprintf(&b, "\nJitter inflation (20-probe trains; wire jitter ~0 on the clean testbed):\n")
 	for _, kind := range []methods.Kind{methods.XHRGet, methods.FlashGet, methods.WebSocket, methods.JavaTCP} {
 		if !prof.Supports(methods.Get(kind).API) {
 			continue
 		}
-		var ji JitterImpact
-		ji, tb, err = measureJitter(tb, Config{Method: kind, Profile: prof, Timing: timing}, 20)
-		if err != nil {
+		if res, tb, err = measure(tb, cfg(kind), methods.Train(20)); err != nil {
 			return "", err
 		}
+		ji := jitterOf(res, tb)
 		fmt.Fprintf(&b, "  %-26s browser %6.2f ms  wire %5.2f ms  inflation %6.2f ms\n",
 			methods.Get(kind).Name, ji.BrowserJitter, ji.WireJitter, ji.Inflation())
 	}
@@ -127,8 +128,10 @@ func ImpactReport(prof *browser.Profile, timing browser.TimingFunc) (string, err
 		if !prof.Supports(methods.Get(kind).API) {
 			continue
 		}
-		var ti ThroughputImpact
-		ti, tb, err = measureThroughput(tb, Config{Method: kind, Profile: prof, Timing: timing}, 256<<10)
+		if res, tb, err = measure(tb, cfg(kind), methods.Transfer(256<<10)); err != nil {
+			return "", err
+		}
+		ti, err := throughputOf(res, tb)
 		if err != nil {
 			return "", err
 		}
@@ -137,13 +140,12 @@ func ImpactReport(prof *browser.Profile, timing browser.TimingFunc) (string, err
 	}
 
 	fmt.Fprintf(&b, "\nLoss agreement (Java UDP, 100 probes, 10%% injected frame loss):\n")
-	li, _, err := measureLoss(tb, Config{
-		Method: methods.JavaUDP, Profile: prof, Timing: timing,
-		Testbed: testbed.Config{Seed: 4242, LossRate: 0.10},
-	}, 100)
-	if err != nil {
+	loss := cfg(methods.JavaUDP)
+	loss.Testbed = testbed.Config{Seed: 4242, LossRate: 0.10}
+	if res, tb, err = measure(tb, loss, methods.Train(100)); err != nil {
 		return "", err
 	}
+	li := lossOf(res, tb)
 	fmt.Fprintf(&b, "  tool-reported %.1f%%  capture-observed %.1f%%  (link dropped %d frames)\n",
 		100*li.BrowserLoss, 100*li.WireLoss, li.LinkDropped)
 	fmt.Fprintf(&b, "  -> delay overheads do not distort loss measurement (Section 2)\n")

@@ -185,13 +185,16 @@ func TestConcurrentIngestMatchesSerialTotals(t *testing.T) {
 			}
 		}(w)
 	}
-	// Fan in concurrently with ingest: totals must still balance.
+	// Fan in concurrently with ingest: totals must still balance. A
+	// session with no sample for sessionIdleTicks passes ends, so the
+	// loop stops short of that: with the final FanIn below, a worker that
+	// finished before the first pass sees sessionIdleTicks-1 passes.
 	stop := make(chan struct{})
 	var fanWG sync.WaitGroup
 	fanWG.Add(1)
 	go func() {
 		defer fanWG.Done()
-		for {
+		for pass := 0; pass < sessionIdleTicks-2; pass++ {
 			select {
 			case <-stop:
 				return

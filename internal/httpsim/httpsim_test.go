@@ -469,3 +469,44 @@ func TestClientConnReservesDeclaredBody(t *testing.T) {
 		t.Errorf("a 1 GiB Content-Length reserved cap %d, want at most about %d", cap(cc.buf), maxReserve)
 	}
 }
+
+// TestClientConnParsesHeadOnce: a response whose body arrives over many
+// segments is parsed when its declared length is in, not on every
+// segment. Fed in 200 segments it allocates what it does fed in one,
+// with a nil interner, which copies the head's strings on every parse.
+func TestClientConnParsesHeadOnce(t *testing.T) {
+	sim := eventsim.New(1)
+	client, _, serverIP := netPair(t, sim, time.Microsecond)
+	c, _ := client.Dial(serverIP, 80)
+	cc := NewClientConn(c)
+	msg := (&Response{Status: 200, Headers: Headers{{Key: "Content-Type", Value: "text/plain"}},
+		Body: bytes.Repeat([]byte("x"), 64<<10)}).Marshal()
+	got := 0
+	done := func(r *Response) { got = len(r.Body) }
+	feed := func(segments int) func() {
+		return func() {
+			cc.pend = append(cc.pend, done)
+			step := (len(msg) + segments - 1) / segments
+			for rest := msg; len(rest) > 0; {
+				n := min(step, len(rest))
+				cc.ConnData(c, rest[:n])
+				rest = rest[n:]
+			}
+			if got != 64<<10 {
+				t.Fatalf("response body %d bytes, want %d", got, 64<<10)
+			}
+		}
+	}
+	one := testing.AllocsPerRun(20, feed(1))
+	many := testing.AllocsPerRun(20, feed(200))
+	if many != one {
+		t.Errorf("a response in 200 segments allocated %.1f objects, in one %.1f", many, one)
+	}
+	// The first segment holds the head: the conn then waits for the
+	// message's end instead of parsing each segment.
+	cc.pend = append(cc.pend, done)
+	cc.ConnData(c, msg[:100])
+	if cc.need != len(msg) {
+		t.Errorf("after the head the conn waits for byte %d, want %d", cc.need, len(msg))
+	}
+}

@@ -249,12 +249,23 @@ func ParseResponseInto(resp *Response, b []byte, in *Interner, a *arena.Arena) (
 			return 0, fmt.Errorf("%w: bad status code %q", ErrMalformed, code)
 		}
 	}
+	end, declared := declaredEnd(rest, bodyStart)
+	if declared && len(b) < end {
+		// Report the length before interning anything, so that a
+		// response whose body is still arriving costs no allocation.
+		return end, ErrIncomplete
+	}
 	resp.Proto = in.Intern(proto)
 	resp.Status = status
 	resp.Reason = in.Intern(reason)
 	resp.Body = nil
 	if err := parseHeaders(rest, &resp.Headers, in); err != nil {
 		return 0, err
+	}
+	if declared {
+		// The scan found the length that readBody would look up.
+		resp.Body = copyBody(b[bodyStart:end], a)
+		return end, nil
 	}
 	body, consumed, err := readBody(b, bodyStart, resp.Headers, a)
 	if err != nil {
@@ -337,6 +348,38 @@ func parseHeaders(block []byte, out *Headers, in *Interner) error {
 	return nil
 }
 
+// declaredEnd scans a head's header lines, as parseHeaders and readBody
+// read them but without allocating, for the Content-Length the message
+// declares, and returns where the message ends. ok is false when a line
+// is malformed, no plain decimal length is declared, or a key could be a
+// Transfer-Encoding or a second spelling of Content-Length: the full
+// parse decides those.
+func declaredEnd(block []byte, bodyStart int) (end int, ok bool) {
+	for len(block) > 0 {
+		ln, rest := cutCRLF(block)
+		block = rest
+		if len(ln) == 0 {
+			continue
+		}
+		ci := bytes.IndexByte(ln, ':')
+		if ci < 0 {
+			return 0, false
+		}
+		switch k := bytes.TrimSpace(ln[:ci]); {
+		case string(k) == "Content-Length" && !ok:
+			v := bytes.TrimSpace(ln[ci+1:])
+			n, err := atoiBytes(v)
+			if err != nil || len(v) > 18 {
+				return 0, false
+			}
+			end, ok = bodyStart+n, true
+		case len(k) == len("Content-Length") || len(k) == len("Transfer-Encoding"):
+			return 0, false
+		}
+	}
+	return end, ok
+}
+
 // readBody reads the body that starts at bodyStart and returns it with
 // the message's length. A Content-Length body that is not all in yet is
 // ErrIncomplete with the length it declares.
@@ -355,9 +398,14 @@ func readBody(b []byte, bodyStart int, hs Headers, a *arena.Arena) ([]byte, int,
 	if len(b) < bodyStart+n {
 		return nil, bodyStart + n, ErrIncomplete
 	}
-	body := a.Bytes(n)
-	copy(body, b[bodyStart:bodyStart+n])
-	return body, bodyStart + n, nil
+	return copyBody(b[bodyStart:bodyStart+n], a), bodyStart + n, nil
+}
+
+// copyBody copies a message body out of the receive buffer into a.
+func copyBody(p []byte, a *arena.Arena) []byte {
+	body := a.Bytes(len(p))
+	copy(body, p)
+	return body
 }
 
 // readChunked parses an RFC 7230 chunked body: hex-size CRLF data CRLF,

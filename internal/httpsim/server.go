@@ -225,8 +225,11 @@ type ClientConn struct {
 	// traffic flows; share one interner across the conns of a runner.
 	In *Interner
 
-	buf  []byte
-	off  int
+	buf []byte
+	off int
+	// need is where in buf the message being received ends, once its
+	// head has declared a length; ConnData parses nothing before then.
+	need int
 	pend []func(*Response)
 	ph   int // index of the first pending callback in pend
 	resp Response
@@ -246,7 +249,7 @@ func NewClientConn(c *tcpsim.Conn) *ClientConn {
 func (cc *ClientConn) Attach(c *tcpsim.Conn) {
 	cc.Conn = c
 	cc.buf = cc.buf[:0]
-	cc.off = 0
+	cc.off, cc.need = 0, 0
 	cc.pend = cc.pend[:0]
 	cc.ph = 0
 	c.Sink = cc
@@ -264,14 +267,20 @@ func (cc *ClientConn) RoundTrip(req *Request, done func(*Response)) error {
 // ConnData implements tcpsim.DataSink for response parsing.
 func (cc *ClientConn) ConnData(_ *tcpsim.Conn, b []byte) {
 	cc.buf = append(cc.buf, b...)
+	if len(cc.buf) < cc.need {
+		return // the declared body is still arriving
+	}
 	for cc.ph < len(cc.pend) {
 		n, err := ParseResponseInto(&cc.resp, cc.buf[cc.off:], cc.In, cc.Conn.Arena())
 		if err == ErrIncomplete {
 			// Once the head is in, hold the whole body in one growth
-			// rather than doubling as its segments arrive.
-			cc.buf = reserve(cc.buf, cc.off+n)
+			// rather than doubling as its segments arrive, and parse
+			// again only when all of it is in.
+			cc.need = cc.off + n
+			cc.buf = reserve(cc.buf, cc.need)
 			return
 		}
+		cc.need = 0
 		done := cc.pend[cc.ph]
 		cc.pend[cc.ph] = nil
 		cc.ph++

@@ -7,7 +7,9 @@
 // that downloads the container page (and, for socket methods, establishes
 // the measurement connection), then a measurement phase that performs two
 // back-to-back probes reusing the same object — yielding the Δd1 (cold)
-// and Δd2 (warm) samples of the evaluation.
+// and Δd2 (warm) samples of the evaluation. Probe trains and bulk
+// transfers, which the derived-metric experiments use, are the same two
+// phases with more rounds or with one bulk round (Runner.Drive).
 package methods
 
 import (

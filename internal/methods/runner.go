@@ -1,6 +1,7 @@
 package methods
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"strconv"
@@ -26,6 +27,10 @@ const Rounds = 2
 // on the paper's pristine testbed.
 const udpRetryTimeout = 500 * time.Millisecond
 
+// udpProbeTimeout is how long a train waits before declaring a UDP probe
+// lost (Netalyzr-style tools use a few seconds; 2 s keeps trains fast).
+const udpProbeTimeout = 2 * time.Second
+
 // cacheHitCost models serving an <img>/<script> from the browser cache:
 // sub-millisecond, no network involvement.
 const cacheHitCost = 300 * time.Microsecond
@@ -35,22 +40,66 @@ var (
 	policyRequest = []byte("<policy-file-request/>\x00")
 )
 
-// Result holds the browser-level observations of one run.
+// Shape is what one drive measures: how many rounds, whether the one
+// round is a bulk transfer, and how long a Java UDP round waits.
+type Shape struct {
+	// Rounds is the number of rounds K. Every round after the first
+	// reuses the measurement object, so its send path is warm.
+	Rounds int
+	// Bulk, when positive, makes the drive's round a bulk transfer: an
+	// HTTP method downloads a Bulk-byte body from /download, a socket
+	// method sends a Bulk-byte message and waits until all of it has
+	// echoed back. The capture is cleared when the round starts, so it
+	// holds the transfer's wire window and none of the preparation.
+	Bulk int
+	// GiveUp, when positive, is how long a Java UDP round waits for its
+	// echo before the round counts as lost. Zero re-sends the probe every
+	// 500 ms until it is answered.
+	GiveUp time.Duration
+	// Deadline is the virtual time the drive may take.
+	Deadline time.Duration
+}
+
+// Train is the shape of a probes-long train (10 when probes <= 0), the
+// jitter and loss experiments' drive: a Java UDP probe left unanswered
+// for 2 s counts as lost.
+func Train(probes int) Shape {
+	if probes <= 0 {
+		probes = 10
+	}
+	return Shape{Rounds: probes, GiveUp: udpProbeTimeout, Deadline: time.Duration(probes)*5*time.Second + 30*time.Second}
+}
+
+// Transfer is the shape of one size-byte bulk transfer (64 KiB when size
+// <= 0), the round-trip throughput experiment's drive.
+func Transfer(size int) Shape {
+	if size <= 0 {
+		size = 64 << 10
+	}
+	return Shape{Rounds: 1, Bulk: size, Deadline: 60 * time.Second}
+}
+
+// Result holds the browser-level observations of one drive.
 type Result struct {
 	Kind Kind
 	// ServerPort is the service port the probes used; the capture-side
 	// RTT matcher needs it.
 	ServerPort uint16
 	// TBs and TBr are the browser timestamps (taken through the selected
-	// timing API) for each round.
-	TBs, TBr [Rounds]time.Duration
+	// timing API) for each round. A zero TBr marks a round the tool gave
+	// up on (see Shape.GiveUp).
+	TBs, TBr []time.Duration
 	// NewConnRounds marks rounds whose request required opening a fresh
 	// TCP connection (the Table 3 mechanism).
-	NewConnRounds [Rounds]bool
+	NewConnRounds []bool
 	// SendCosts and RecvCosts record the browser-path delays actually
 	// drawn for each round, enabling overhead attribution (how much of Δd
 	// is send path, receive path, handshake, or clock error).
-	SendCosts, RecvCosts [Rounds]time.Duration
+	SendCosts, RecvCosts []time.Duration
+	// Lost is the number of rounds the tool counted lost.
+	Lost int
+	// Bytes is the transfer's size; zero unless the shape had Bulk set.
+	Bytes int
 }
 
 // BrowserRTT returns tBr − tBs for round (1-based), the RTT the
@@ -59,13 +108,45 @@ func (r *Result) BrowserRTT(round int) time.Duration {
 	return r.TBr[round-1] - r.TBs[round-1]
 }
 
+// BrowserRTTs returns the browser-level RTTs of the answered rounds.
+func (r *Result) BrowserRTTs() []time.Duration {
+	out := make([]time.Duration, 0, len(r.TBs)-r.Lost)
+	for i := range r.TBs {
+		if r.TBr[i] != 0 {
+			out = append(out, r.TBr[i]-r.TBs[i])
+		}
+	}
+	return out
+}
+
+// LossRate returns the tool-reported loss fraction.
+func (r *Result) LossRate() float64 {
+	if len(r.TBs) == 0 {
+		return 0
+	}
+	return float64(r.Lost) / float64(len(r.TBs))
+}
+
+// BrowserThroughput is the tool-computed round-trip throughput (bit/s)
+// of a transfer: its bytes over its one round's tBr − tBs.
+func (r *Result) BrowserThroughput() float64 {
+	if len(r.TBs) == 0 {
+		return 0
+	}
+	d := (r.TBr[0] - r.TBs[0]).Seconds()
+	if d <= 0 {
+		return 0
+	}
+	return float64(r.Bytes) * 8 / d
+}
+
 // Runner executes measurement methods in a browser profile on a testbed.
 //
-// A Runner is reusable: successive Run calls recycle all per-run state
-// (result storage, client connections, event callbacks), so the steady-state
-// cost of a run is dominated by the simulation itself rather than by setup
-// allocations. Config fields (Profile, Timing, …) must not change between
-// runs on the same Runner.
+// A Runner is reusable: successive drives recycle all per-drive state
+// (result storage, client connections, event callbacks), so the
+// steady-state cost of a run is dominated by the simulation itself rather
+// than by setup allocations. Config fields (Profile, Timing, …) must not
+// change between drives on the same Runner.
 type Runner struct {
 	TB      *testbed.Testbed
 	Profile *browser.Profile
@@ -90,15 +171,23 @@ type Runner struct {
 	clk    clock.Clock
 	clkAPI browser.API
 
-	// res is the reused result storage handed out by Run; it is valid
-	// until the next Run call on this Runner.
-	res  Result
-	done bool
-	fail error
+	// sh is the current drive's shape; res is the reused result storage
+	// handed out by Drive, valid until the next drive on this Runner. Its
+	// per-round slices live on durs and conns, which start on the inline
+	// arrays and grow only for drives of more than Rounds rounds.
+	sh    Shape
+	res   Result
+	durs  []time.Duration
+	conns []bool
+	durA  [4 * Rounds]time.Duration
+	connA [Rounds]bool
+	done  bool
+	fail  error
 
 	// dialed holds the client connections of the current drive, on
-	// dialedBuf's storage (a drive dials at most three), and onClose is
-	// the close handler each of them gets (see dial).
+	// dialedBuf's storage until a drive dials more (a run dials at most
+	// three), and onClose is the close handler each of them gets (see
+	// dial).
 	dialed    []*tcpsim.Conn
 	dialedBuf [4]*tcpsim.Conn
 	onClose   func(error)
@@ -136,13 +225,37 @@ func (r *Runner) readClock(clk clock.Clock, at string, round int) time.Duration 
 // MatchRTT afterwards.
 //
 // The returned Result is reused storage owned by the Runner: it is valid
-// until the next Run call. Callers that need it longer must copy it.
+// until the next drive. Callers that need it longer must copy it.
 func (r *Runner) Run(kind Kind) (*Result, error) {
-	spec, err := r.begin(kind)
-	if err != nil {
-		return nil, err
+	return r.Drive(kind, Shape{Rounds: Rounds, Deadline: 30 * time.Second})
+}
+
+// Drive executes one measurement of kind in shape sh: the preparation
+// phase (container page, or socket connect), then sh.Rounds rounds on the
+// method's one round machine per transport. Run, trains and transfers
+// are all drives; they differ only in their Shape.
+//
+// Drive steps the simulator until the measurement finishes, then
+// releases what it opened (see release). A measurement that ends early
+// gets an error saying why: one of its connections was reset or aborted
+// (the tcpsim reason), the event queue drained with virtual time to
+// spare (it stalled), or its deadline passed. The returned Result is
+// valid until the next drive.
+func (r *Runner) Drive(kind Kind, sh Shape) (*Result, error) {
+	spec := Get(kind)
+	if !r.Profile.Supports(spec.API) {
+		return nil, fmt.Errorf("%w: %s cannot run %s", ErrUnsupported, r.Profile.Label(), spec.Name)
 	}
-	r.res = Result{Kind: kind}
+	if sh.Bulk > 0 && kind == JavaUDP {
+		return nil, fmt.Errorf("methods: throughput unsupported for %s", spec.Name)
+	}
+	if r.clk == nil || r.clkAPI != spec.API {
+		r.clk = r.Profile.Clock(spec.API, r.Timing, r.TB.Sim.Now)
+		r.clkAPI = spec.API
+	}
+	r.done, r.fail = false, nil
+	r.sh = sh
+	r.resetResult(kind)
 
 	var runSpan *obs.Span
 	if tr := r.TB.Trace; tr.Enabled() {
@@ -152,60 +265,106 @@ func (r *Runner) Run(kind Kind) (*Result, error) {
 			Str("clock", r.clk.Name()).
 			Int("run", int64(r.RunIndex))
 	}
-
 	if spec.Transport == TransportHTTP {
 		r.res.ServerPort = testbed.HTTPPort
 		r.hs.begin(r, spec)
 	} else {
 		r.ss.begin(r, spec)
 	}
-	err = r.drive(spec.Name, 30*time.Second)
-	runSpan.Done()
-	r.ss.retry.Cancel()
-	if err != nil {
-		return nil, err
-	}
-	return &r.res, nil
-}
 
-// begin is the preamble of every run, train and transfer: it checks that
-// the profile supports kind, points the cached clock at kind's timing
-// API and clears the finish state.
-func (r *Runner) begin(kind Kind) (Spec, error) {
-	spec := Get(kind)
-	if !r.Profile.Supports(spec.API) {
-		return spec, fmt.Errorf("%w: %s cannot run %s", ErrUnsupported, r.Profile.Label(), spec.Name)
-	}
-	if r.clk == nil || r.clkAPI != spec.API {
-		r.clk = r.Profile.Clock(spec.API, r.Timing, r.TB.Sim.Now)
-		r.clkAPI = spec.API
-	}
-	r.done, r.fail = false, nil
-	return spec, nil
-}
-
-// drive is the one run loop of runs, trains and transfers. It steps the
-// simulator until the measurement started on r finishes, then releases
-// what the measurement opened (see release). A measurement that ends
-// early gets an error saying why: one of its connections was reset or
-// aborted (the tcpsim reason), the event queue drained with virtual time
-// to spare (it stalled), or its virtual deadline passed.
-func (r *Runner) drive(what string, timeout time.Duration) error {
 	start := r.TB.Sim.Now()
-	for !r.done && r.TB.Sim.Now() < start+timeout && r.TB.Sim.Pending() > 0 {
+	for !r.done && r.TB.Sim.Now() < start+sh.Deadline && r.TB.Sim.Pending() > 0 {
 		r.TB.Sim.Step()
 	}
 	r.release()
+	runSpan.Done()
+	r.ss.retry.Cancel()
 	switch elapsed := r.TB.Sim.Now() - start; {
 	case r.fail != nil:
-		return r.fail
+		return nil, r.fail
 	case r.done:
-		return nil
-	case elapsed < timeout:
-		return fmt.Errorf("methods: %s stalled after %v (virtual): event queue drained", what, elapsed)
+		return &r.res, nil
+	case elapsed < sh.Deadline:
+		return nil, fmt.Errorf("methods: %s stalled after %v (virtual): event queue drained", spec.Name, elapsed)
 	default:
-		return fmt.Errorf("methods: %s timed out after %v (virtual)", what, timeout)
+		return nil, fmt.Errorf("methods: %s timed out after %v (virtual)", spec.Name, sh.Deadline)
 	}
+}
+
+// resetResult points res at zeroed per-round storage for the current
+// shape's rounds.
+func (r *Runner) resetResult(kind Kind) {
+	k := r.sh.Rounds
+	if r.durs == nil {
+		r.durs, r.conns = r.durA[:], r.connA[:]
+	}
+	if len(r.durs) < 4*k {
+		r.durs, r.conns = make([]time.Duration, 4*k), make([]bool, k)
+	}
+	clear(r.durs[:4*k])
+	clear(r.conns[:k])
+	r.res = Result{
+		Kind:          kind,
+		TBs:           r.durs[0:k:k],
+		TBr:           r.durs[k : 2*k : 2*k],
+		SendCosts:     r.durs[2*k : 3*k : 3*k],
+		RecvCosts:     r.durs[3*k : 4*k : 4*k],
+		NewConnRounds: r.conns[:k:k],
+		Bytes:         r.sh.Bulk,
+	}
+}
+
+// openRound starts round k: the measurement code stamps tBs, then the
+// request descends through the engine/plugin layers (SendCost) before
+// after runs and any packet can leave. A transfer round first clears the
+// capture, so that it holds the transfer's wire window alone. It returns
+// the round's span and its send-path span.
+func (r *Runner) openRound(k int, spec Spec, newConn bool, after func()) (round, sendPath *obs.Span) {
+	if r.sh.Bulk > 0 {
+		r.TB.Cap.Reset()
+	}
+	tr := r.TB.Trace
+	round = tr.Begin("round").
+		Int("run", int64(r.RunIndex)).
+		Int("round", int64(k)).
+		Bool("new_conn", newConn)
+	r.res.TBs[k-1] = r.readClock(r.clk, "tBs", k)
+	sendCost := r.Profile.SendCost(spec.API, k, spec.Post, r.TB.Sim.Rand())
+	r.res.SendCosts[k-1] = sendCost
+	r.TB.Metrics.ObserveDur("stage_send_path_ms", sendCost)
+	sendPath = tr.Begin("send-path").Int("run", int64(r.RunIndex)).Int("round", int64(k))
+	r.TB.Sim.Schedule(sendCost, after)
+	return round, sendPath
+}
+
+// dispatch starts round k's receive path: the reply has reached the
+// stack, and the browser still has to dispatch the event or cross the
+// plugin bridge (RecvCost) before after runs and the measurement code
+// can take tBr. It returns the event-dispatch span.
+func (r *Runner) dispatch(k int, api browser.API, after func()) *obs.Span {
+	recvCost := r.Profile.RecvCost(api, r.TB.Sim.Rand())
+	r.res.RecvCosts[k-1] = recvCost
+	r.TB.Metrics.ObserveDur("stage_event_dispatch_ms", recvCost)
+	span := r.TB.Trace.Begin("event-dispatch").Int("run", int64(r.RunIndex)).Int("round", int64(k))
+	r.TB.Sim.Schedule(recvCost, after)
+	return span
+}
+
+// endRound ends round k and its span: an answered round stamps tBr, a
+// lost one is counted. It reports whether another round follows; after
+// the last, the drive finishes.
+func (r *Runner) endRound(k int, span *obs.Span, lost bool) bool {
+	if lost {
+		r.res.Lost++
+	} else {
+		r.res.TBr[k-1] = r.readClock(r.clk, "tBr", k)
+	}
+	span.Done()
+	if k < r.sh.Rounds {
+		return true
+	}
+	r.finish(nil)
+	return false
 }
 
 // release ends the Runner's part in the drive that just ended. Every
@@ -262,10 +421,10 @@ func (r *Runner) dialHTTP(cc *httpsim.ClientConn, est func()) {
 	}
 }
 
-// httpState is the Runner's persistent state for the HTTP-based methods:
+// httpState is the Runner's round machine for the HTTP-based methods:
 // XHR GET/POST, DOM, Flash GET/POST, Java GET/POST. Its callbacks are
-// allocated once per Runner and capture only the state pointer; everything
-// per-run is a plain field reset by begin.
+// allocated once per Runner and capture only the state pointer;
+// everything per-drive is a plain field reset by begin.
 type httpState struct {
 	r    *Runner
 	spec Spec
@@ -287,10 +446,13 @@ type httpState struct {
 
 	req httpsim.Request
 
-	// targets caches probeTarget renderings per round; the probe URL
-	// depends only on (kind, round).
-	targets [Rounds]string
-	tKind   Kind
+	// targets caches probeTarget renderings per round on targetA's
+	// storage until a drive has more rounds; the probe URL depends only
+	// on (kind, round). download is a transfer's target.
+	targets  []string
+	targetA  [Rounds]string
+	tKind    Kind
+	download string
 
 	roundSpan, reqSpan, spSpan, edSpan, hsSpan *obs.Span
 
@@ -301,7 +463,6 @@ type httpState struct {
 	onNewEst        func()
 	onProbeResp     func(*httpsim.Response)
 	afterRecv       func()
-	afterCacheHit   func()
 }
 
 func (s *httpState) begin(r *Runner, spec Spec) {
@@ -311,11 +472,15 @@ func (s *httpState) begin(r *Runner, spec Spec) {
 	s.k = 0
 	s.freshSet = false
 	s.cur = nil
-	if s.targets[0] == "" || s.tKind != spec.Kind {
+	if s.targets == nil || s.tKind != spec.Kind {
 		s.tKind = spec.Kind
-		for i := 0; i < Rounds; i++ {
-			s.targets[i] = probeTarget(spec.Kind, i+1)
-		}
+		s.targets = s.targetA[:0]
+	}
+	for len(s.targets) < r.sh.Rounds {
+		s.targets = append(s.targets, probeTarget(spec.Kind, len(s.targets)+1))
+	}
+	if r.sh.Bulk > 0 {
+		s.download = "/download?bytes=" + strconv.Itoa(r.sh.Bulk)
 	}
 	if s.in == nil {
 		s.in = httpsim.NewInterner()
@@ -384,50 +549,35 @@ func (s *httpState) initCallbacks() {
 			r.finish(fmt.Errorf("methods: probe status %d", resp.Status))
 			return
 		}
-		// Response has reached the stack; the browser still has to
-		// dispatch the event / cross the plugin bridge before the
-		// measurement code can take tBr.
-		recvCost := r.Profile.RecvCost(s.spec.API, r.TB.Sim.Rand())
-		r.res.RecvCosts[s.k-1] = recvCost
-		r.TB.Metrics.ObserveDur("stage_event_dispatch_ms", recvCost)
-		s.edSpan = r.TB.Trace.Begin("event-dispatch").Int("run", int64(r.RunIndex)).Int("round", int64(s.k))
-		r.TB.Sim.Schedule(recvCost, s.afterRecv)
+		if n := r.sh.Bulk; n > 0 && len(resp.Body) != n {
+			r.finish(fmt.Errorf("methods: download got %d of %d bytes", len(resp.Body), n))
+			return
+		}
+		s.edSpan = r.dispatch(s.k, s.spec.API, s.afterRecv)
 	}
 	s.afterRecv = func() {
 		s.edSpan.Done()
-		s.endRound()
-	}
-	s.afterCacheHit = func() {
-		s.edSpan.Done()
-		s.endRound()
+		if s.r.endRound(s.k, s.roundSpan, false) {
+			s.round(s.k + 1)
+		}
 	}
 }
 
-// round starts round k: the measurement code records tBs, then the request
-// descends through the engine/plugin layers (SendCost) before any packet
-// can leave.
+// round starts round k, opening a fresh connection for it when the
+// method's connection policy asks for one.
 func (s *httpState) round(k int) {
-	r := s.r
 	s.k = k
 	s.needNew = s.policy == browser.PolicyNewAlways ||
 		(s.policy == browser.PolicyNewOnFirst && !s.freshSet)
-	tr := r.TB.Trace
-	s.roundSpan = tr.Begin("round").
-		Int("run", int64(r.RunIndex)).
-		Int("round", int64(k)).
-		Bool("new_conn", s.needNew)
-	r.res.TBs[k-1] = r.readClock(r.clk, "tBs", k)
-	sendCost := r.Profile.SendCost(s.spec.API, k, s.spec.Post, r.TB.Sim.Rand())
-	r.res.SendCosts[k-1] = sendCost
-	r.TB.Metrics.ObserveDur("stage_send_path_ms", sendCost)
-	s.spSpan = tr.Begin("send-path").Int("run", int64(r.RunIndex)).Int("round", int64(k))
-	r.TB.Sim.Schedule(sendCost, s.afterSend)
+	s.roundSpan, s.spSpan = s.r.openRound(k, s.spec, s.needNew, s.afterSend)
 }
 
 func (s *httpState) probe() {
 	r, k := s.r, s.k
 	target := s.targets[k-1]
-	if s.spec.Kind == DOM && r.DisableCacheBust {
+	if r.sh.Bulk > 0 {
+		target = s.download
+	} else if s.spec.Kind == DOM && r.DisableCacheBust {
 		target = "/probe.img" // identical URL every round
 		if r.domCached == nil {
 			r.domCached = make(map[string]bool)
@@ -437,7 +587,7 @@ func (s *httpState) probe() {
 			// leaving the host.
 			recvCost := r.Profile.RecvCost(s.spec.API, r.TB.Sim.Rand())
 			s.edSpan = r.TB.Trace.Begin("event-dispatch").Int("run", int64(r.RunIndex)).Int("round", int64(k)).Bool("cache_hit", true)
-			r.TB.Sim.Schedule(cacheHitCost+recvCost, s.afterCacheHit)
+			r.TB.Sim.Schedule(cacheHitCost+recvCost, s.afterRecv)
 			return
 		}
 		r.domCached[target] = true
@@ -450,18 +600,6 @@ func (s *httpState) probe() {
 	s.reqSpan = r.TB.Trace.Begin("request").Int("run", int64(r.RunIndex)).Int("round", int64(k)).Str("target", target)
 	if err := s.cur.RoundTrip(&s.req, s.onProbeResp); err != nil {
 		r.finish(err)
-	}
-}
-
-// endRound stamps tBr and advances to the next round (or finishes).
-func (s *httpState) endRound() {
-	r, k := s.r, s.k
-	r.res.TBr[k-1] = r.readClock(r.clk, "tBr", k)
-	s.roundSpan.Done()
-	if k < Rounds {
-		s.round(k + 1)
-	} else {
-		r.finish(nil)
 	}
 }
 
@@ -523,12 +661,11 @@ func payloadFor(k Kind, round int) []byte {
 	return b
 }
 
-// sockConn is the one connect path of the socket methods, shared by
-// runs, trains and transfers: the WebSocket dial and upgrade, the TCP
-// echo dial (behind the socket-policy fetch for Flash) and the UDP
-// listen. It calls open once the socket can carry probes and echo with
-// every echo that arrives, and it is the TCP echo connection's sink. Its
-// callbacks are allocated once per Runner.
+// sockConn is the one connect path of the socket methods: the WebSocket
+// dial and upgrade, the TCP echo dial (behind the socket-policy fetch for
+// Flash) and the UDP listen. It calls open once the socket can carry
+// probes and echo with every echo that arrives, and it is the TCP echo
+// connection's sink. Its callbacks are allocated once per Runner.
 type sockConn struct {
 	r    *Runner
 	kind Kind
@@ -624,7 +761,7 @@ func (c *sockConn) send(p []byte) {
 // ConnData implements tcpsim.DataSink for the TCP echo connection.
 func (c *sockConn) ConnData(_ *tcpsim.Conn, b []byte) { c.echo(b) }
 
-// sockState is the Runner's persistent state for the socket-based methods:
+// sockState is the Runner's round machine for the socket-based methods:
 // WebSocket, Flash TCP, Java TCP and Java UDP. Socket methods connect
 // during preparation, so no round ever opens a fresh connection.
 type sockState struct {
@@ -633,13 +770,19 @@ type sockState struct {
 
 	k       int // current round, 1-based
 	pending int // round awaiting its echo; 0 when none
+	// sent is the pending round's message, and got counts the bytes of
+	// it echoed so far.
+	sent []byte
+	got  int
 
-	// payloads caches payloadFor renderings per round; the probe payload
-	// depends only on (kind, round).
-	payloads [Rounds][]byte
+	// payloads caches payloadFor renderings per round on payloadA's
+	// storage until a drive has more rounds; the probe payload depends
+	// only on (kind, round).
+	payloads [][]byte
+	payloadA [Rounds][]byte
 	pKind    Kind
 
-	// UDP retry timer state (see initCallbacks).
+	// UDP timer state (see initCallbacks).
 	retry  eventsim.Event
 	retryK int
 
@@ -658,11 +801,12 @@ func (s *sockState) begin(r *Runner, spec Spec) {
 	s.k = 0
 	s.pending = 0
 	s.retry = eventsim.Event{}
-	if s.payloads[0] == nil || s.pKind != spec.Kind {
+	if s.payloads == nil || s.pKind != spec.Kind {
 		s.pKind = spec.Kind
-		for i := 0; i < Rounds; i++ {
-			s.payloads[i] = payloadFor(spec.Kind, i+1)
-		}
+		s.payloads = s.payloadA[:0]
+	}
+	for len(s.payloads) < r.sh.Rounds {
+		s.payloads = append(s.payloads, payloadFor(spec.Kind, len(s.payloads)+1))
 	}
 	s.initCallbacks()
 	r.res.ServerPort = r.sc.connect(r, spec.Kind, s.startRound1, s.onEchoFn)
@@ -678,67 +822,77 @@ func (s *sockState) initCallbacks() {
 		s.sendProbe()
 	}
 	s.afterRecv = func() {
-		r, k := s.r, s.k
 		s.edSpan.Done()
-		r.res.TBr[k-1] = r.readClock(r.clk, "tBr", k)
-		s.roundSpan.Done()
-		if k < Rounds {
-			s.round(k + 1)
-		} else {
-			r.finish(nil)
+		if s.r.endRound(s.k, s.roundSpan, false) {
+			s.round(s.k + 1)
 		}
 	}
 	// UDP has no transport-layer recovery, so a single lost datagram
-	// would hang the round until the 30 s run timeout. Real Java probes
-	// guard against this with SO_TIMEOUT and a resend; mirror that with
-	// a retry timer that re-sends while the round is still open. On a
-	// clean link the timer never fires usefully (the echo lands ~RTT
-	// after the send) and consumes no randomness, so clean-path results
-	// are unchanged; the duplicate-echo guard in onEcho absorbs the
-	// case where both the original and a retry are answered.
+	// would hang the round until the drive's deadline. Real Java probes
+	// guard against this with SO_TIMEOUT: a run re-sends while the round
+	// is still open, a train gives the probe up as lost (Shape.GiveUp).
+	// On a clean link the timer never fires usefully (the echo lands
+	// ~RTT after the send) and consumes no randomness, so clean-path
+	// results are unchanged; the duplicate-echo guard in onEcho absorbs
+	// the case where both the original and a retry are answered.
 	s.retryFn = func() {
-		if s.pending != s.retryK {
+		k := s.retryK
+		if s.pending != k {
 			return // round already completed
 		}
-		s.r.sc.send(s.payloads[s.retryK-1])
-		s.arm(s.retryK)
+		if s.r.sh.GiveUp > 0 {
+			s.pending = 0
+			s.reqSpan.Done()
+			if s.r.endRound(k, s.roundSpan, true) {
+				s.round(k + 1)
+			}
+			return
+		}
+		s.r.sc.send(s.sent)
+		s.arm(k)
 	}
 	s.startRound1 = func() { s.round(1) }
-	s.onEchoFn = func([]byte) { s.onEcho() }
+	s.onEchoFn = s.onEcho
 }
 
-// round runs the shared round logic: stamp tBs, descend the send path,
-// transmit; the echo path ascends RecvCost before tBr.
+// round starts round k.
 func (s *sockState) round(k int) {
-	r := s.r
 	s.k = k
-	tr := r.TB.Trace
-	s.roundSpan = tr.Begin("round").
-		Int("run", int64(r.RunIndex)).
-		Int("round", int64(k)).
-		Bool("new_conn", false)
-	r.res.TBs[k-1] = r.readClock(r.clk, "tBs", k)
-	sendCost := r.Profile.SendCost(s.spec.API, k, false, r.TB.Sim.Rand())
-	r.res.SendCosts[k-1] = sendCost
-	r.TB.Metrics.ObserveDur("stage_send_path_ms", sendCost)
-	s.spSpan = tr.Begin("send-path").Int("run", int64(r.RunIndex)).Int("round", int64(k))
-	r.TB.Sim.Schedule(sendCost, s.afterSend)
+	s.roundSpan, s.spSpan = s.r.openRound(k, s.spec, false, s.afterSend)
 }
 
 func (s *sockState) sendProbe() {
-	s.pending = s.k
-	s.r.sc.send(s.payloads[s.k-1])
+	s.pending, s.got = s.k, 0
+	s.sent = s.payloads[s.k-1]
+	if n := s.r.sh.Bulk; n > 0 {
+		s.sent = make([]byte, n)
+	}
+	s.r.sc.send(s.sent)
 	if s.spec.Kind == JavaUDP {
 		s.arm(s.k)
 	}
 }
 
+// arm starts the UDP timer of round k: the give-up wait of the shape, or
+// the resend interval when it has none. A run does not cancel its timer
+// when the echo lands, so a round's timer that fires during the next
+// round re-sends that round's probe early. Runs are pinned with that
+// timing (TestRunPinned), so only give-up timers are cancelled, in
+// onEcho.
 func (s *sockState) arm(k int) {
+	wait := udpRetryTimeout
+	if s.r.sh.GiveUp > 0 {
+		wait = s.r.sh.GiveUp
+	}
 	s.retryK = k
-	s.retry = s.r.TB.Sim.Schedule(udpRetryTimeout, s.retryFn)
+	s.retry = s.r.TB.Sim.Schedule(wait, s.retryFn)
 }
 
-func (s *sockState) onEcho() {
+// onEcho credits echoed bytes to the pending round. A datagram must carry
+// the pending round's own payload: a late echo of an earlier round, given
+// up on or re-sent, is not credited to a later one. On a stream (TCP or
+// WebSocket) the round completes once all the bytes it sent are back.
+func (s *sockState) onEcho(p []byte) {
 	r := s.r
 	k := s.pending
 	if k == 0 {
@@ -748,11 +902,17 @@ func (s *sockState) onEcho() {
 		// further copy must not restart the dispatch path.
 		return
 	}
+	if s.spec.Kind == JavaUDP {
+		if !bytes.Equal(p, s.sent) {
+			return
+		}
+		if r.sh.GiveUp > 0 {
+			s.retry.Cancel()
+		}
+	} else if s.got += len(p); s.got < len(s.sent) {
+		return
+	}
 	s.pending = 0
 	s.reqSpan.Done()
-	recvCost := r.Profile.RecvCost(s.spec.API, r.TB.Sim.Rand())
-	r.res.RecvCosts[k-1] = recvCost
-	r.TB.Metrics.ObserveDur("stage_event_dispatch_ms", recvCost)
-	s.edSpan = r.TB.Trace.Begin("event-dispatch").Int("run", int64(r.RunIndex)).Int("round", int64(k))
-	r.TB.Sim.Schedule(recvCost, s.afterRecv)
+	s.edSpan = r.dispatch(k, s.spec.API, s.afterRecv)
 }

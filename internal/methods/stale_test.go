@@ -1,6 +1,7 @@
 package methods
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/browsermetric/browsermetric/internal/browser"
@@ -52,7 +53,7 @@ func TestStaleSocketTrafficSparesLaterRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stale traffic on the first run's connection failed the second: %v", err)
 			}
-			if got != want {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("stale traffic on the first run's connection moved the second run:\n got %+v\nwant %+v", got, want)
 			}
 		})

@@ -16,20 +16,27 @@ import (
 // MatchRTT → Advance). After warm-up, every hot-path buffer — event
 // queue entries, packet frames, TCP segment scratch, HTTP/WS parse
 // buffers, the runner's result and callbacks — recycles through the
-// arena or a persistent field.
-func warmRunStep(t testing.TB, kind methods.Kind) func() {
+// arena or a persistent field. With probes > 0 each repetition is a
+// probes-long train instead of a two-round run.
+func warmRunStep(t testing.TB, kind methods.Kind, probes int) func() {
 	cfg := testbed.Config{Seed: 11}
 	cfg.Arena = arena.New(0)
 	tb := testbed.New(cfg)
 	r := &methods.Runner{TB: tb, Profile: browser.Lookup(browser.Chrome, browser.Ubuntu), Timing: browser.NanoTime}
 	return func() {
 		tb.BeginRun()
-		res, err := r.Run(kind)
+		var res *methods.Result
+		var err error
+		if probes > 0 {
+			res, err = r.Drive(kind, methods.Train(probes))
+		} else {
+			res, err = r.Run(kind)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pairs := tb.Cap.MatchRTT(res.ServerPort); len(pairs) < methods.Rounds {
-			t.Fatalf("captured %d wire pairs, want >= %d", len(pairs), methods.Rounds)
+		if pairs := tb.Cap.MatchRTT(res.ServerPort); len(pairs) < len(res.TBs) {
+			t.Fatalf("captured %d wire pairs, want >= %d", len(pairs), len(res.TBs))
 		}
 		tb.Advance(time.Second)
 	}
@@ -48,20 +55,25 @@ func warmRunStep(t testing.TB, kind methods.Kind) func() {
 func TestWarmRunSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		kind    methods.Kind
+		probes  int // 0: a two-round run; otherwise a train this long
 		ceiling float64
 	}{
-		{methods.JavaTCP, 1},   // persistent echo socket: measured 0
-		{methods.XHRGet, 1},    // container connection reuse: measured 0
-		{methods.FlashGet, 1},  // container connection reuse: measured 0
-		{methods.WebSocket, 6}, // fresh dial + upgrade per run: measured 5
+		{methods.JavaTCP, 0, 1},   // persistent echo socket: measured 0
+		{methods.XHRGet, 0, 1},    // container connection reuse: measured 0
+		{methods.FlashGet, 0, 1},  // container connection reuse: measured 0
+		{methods.WebSocket, 0, 6}, // fresh dial + upgrade per run: measured 5
+		// Trains are drives of the same round machines, so a warm train
+		// is held to its method's run ceiling.
+		{methods.JavaTCP, 20, 1},
+		{methods.XHRGet, 20, 1},
 	}
 	for _, tc := range cases {
-		step := warmRunStep(t, tc.kind)
+		step := warmRunStep(t, tc.kind, tc.probes)
 		for i := 0; i < 5; i++ {
 			step() // warm: grow slabs, freelists, parse buffers to steady state
 		}
 		if allocs := testing.AllocsPerRun(50, step); allocs > tc.ceiling {
-			t.Errorf("%v: warm run allocated %.2f objects, ceiling %.0f", tc.kind, allocs, tc.ceiling)
+			t.Errorf("%v (probes %d): warm run allocated %.2f objects, ceiling %.0f", tc.kind, tc.probes, allocs, tc.ceiling)
 		}
 	}
 }
@@ -72,7 +84,7 @@ func TestWarmRunSteadyStateAllocs(t *testing.T) {
 // than the allocation gate's threshold. XHR GET is the representative
 // workload (container reuse — the paper's most common method family).
 func BenchmarkSteadyStateRun(b *testing.B) {
-	step := warmRunStep(b, methods.XHRGet)
+	step := warmRunStep(b, methods.XHRGet, 0)
 	for i := 0; i < 5; i++ {
 		step()
 	}
