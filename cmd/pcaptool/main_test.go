@@ -91,3 +91,27 @@ func TestGenRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestGenMatchesCommittedArtifact regenerates artifacts/websocket_run.pcap
+// with the command artifacts/README.md lists and requires byte equality:
+// the capture is deterministic, so a difference is either a regression or
+// an artifact that must be regenerated with the change.
+func TestGenMatchesCommittedArtifact(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "websocket_run.pcap")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-gen", out, "-method", "3", "-browser", "C", "-os", "W"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "artifacts", "websocket_run.pcap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("websocket_run.pcap differs from the regenerated capture (%d vs %d bytes); regenerate it per artifacts/README.md",
+			len(want), len(got))
+	}
+}
