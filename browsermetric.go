@@ -165,11 +165,11 @@ type Options struct {
 // Appraise measures the delay overhead of one method in one browser×OS
 // environment and returns the completed experiment.
 func Appraise(m Method, b Browser, os OS, opts Options) (*Experiment, error) {
-	cfg, err := optsToConfig(m, b, os, opts)
+	prof, err := lookup(b, os)
 	if err != nil {
 		return nil, err
 	}
-	return core.Run(cfg)
+	return core.Run(optsToConfig(m, prof, opts))
 }
 
 // AppraiseProfile is Appraise for a caller-supplied profile — e.g. a
@@ -179,23 +179,7 @@ func AppraiseProfile(m Method, prof *Profile, opts Options) (*Experiment, error)
 	if prof == nil {
 		return nil, fmt.Errorf("browsermetric: nil profile")
 	}
-	if opts.OracleJRE {
-		prof = prof.WithOracleJRE()
-	}
-	if opts.Load > 0 {
-		prof = prof.WithLoad(opts.Load)
-	}
-	return core.Run(core.Config{
-		Method:  m,
-		Profile: prof,
-		Timing:  opts.Timing,
-		Runs:    opts.Runs,
-		Gap:     opts.Gap,
-		Warp:    opts.Warp,
-		Testbed: opts.Testbed,
-		Tracer:  opts.Tracer,
-		Metrics: opts.Metrics,
-	})
+	return core.Run(optsToConfig(m, prof, opts))
 }
 
 // ModernProfile returns a forward-looking plugin-free browser model (not
@@ -392,11 +376,11 @@ type AttributedSample = core.AttributedSample
 
 // AppraiseAttributed is Appraise plus per-sample attribution.
 func AppraiseAttributed(m Method, b Browser, os OS, opts Options) (*Experiment, []AttributedSample, error) {
-	cfg, err := optsToConfig(m, b, os, opts)
+	prof, err := lookup(b, os)
 	if err != nil {
 		return nil, nil, err
 	}
-	return core.RunAttributed(cfg)
+	return core.RunAttributed(optsToConfig(m, prof, opts))
 }
 
 // JitterImpact compares tool-reported vs wire jitter over a probe train.
@@ -404,11 +388,11 @@ type JitterImpact = core.JitterImpact
 
 // MeasureJitter runs a probes-long train and compares both jitters.
 func MeasureJitter(m Method, b Browser, os OS, opts Options, probes int) (JitterImpact, error) {
-	cfg, err := optsToConfig(m, b, os, opts)
+	prof, err := lookup(b, os)
 	if err != nil {
 		return JitterImpact{}, err
 	}
-	return core.MeasureJitter(cfg, probes)
+	return core.MeasureJitter(optsToConfig(m, prof, opts), probes)
 }
 
 // ThroughputImpact compares tool-computed vs wire round-trip throughput.
@@ -416,11 +400,11 @@ type ThroughputImpact = core.ThroughputImpact
 
 // MeasureThroughput runs one bulk transfer of size bytes.
 func MeasureThroughput(m Method, b Browser, os OS, opts Options, size int) (ThroughputImpact, error) {
-	cfg, err := optsToConfig(m, b, os, opts)
+	prof, err := lookup(b, os)
 	if err != nil {
 		return ThroughputImpact{}, err
 	}
-	return core.MeasureThroughput(cfg, size)
+	return core.MeasureThroughput(optsToConfig(m, prof, opts), size)
 }
 
 // LossImpact compares tool-reported vs capture-observed loss rates.
@@ -428,11 +412,11 @@ type LossImpact = core.LossImpact
 
 // MeasureLoss runs a UDP probe train under the configured link loss.
 func MeasureLoss(b Browser, os OS, opts Options, probes int) (LossImpact, error) {
-	cfg, err := optsToConfig(MethodJavaUDP, b, os, opts)
+	prof, err := lookup(b, os)
 	if err != nil {
 		return LossImpact{}, err
 	}
-	return core.MeasureLoss(cfg, probes)
+	return core.MeasureLoss(optsToConfig(MethodJavaUDP, prof, opts), probes)
 }
 
 // Fig3ASCII renders Figure 3 as terminal box-plot art.
@@ -443,18 +427,18 @@ var MarkdownReport = core.MarkdownReport
 
 // AttributionReport renders mean per-round overhead attribution.
 func AttributionReport(m Method, b Browser, os OS, opts Options) (string, error) {
-	cfg, err := optsToConfig(m, b, os, opts)
+	prof, err := lookup(b, os)
 	if err != nil {
 		return "", err
 	}
-	return core.AttributionReport(cfg)
+	return core.AttributionReport(optsToConfig(m, prof, opts))
 }
 
 // ImpactReport renders jitter/throughput/loss impact for one profile.
 func ImpactReport(b Browser, os OS, timing TimingFunc) (string, error) {
-	prof := browser.Lookup(b, os)
-	if prof == nil {
-		return "", fmt.Errorf("browsermetric: %v on %v is not a Table 2 configuration", b, os)
+	prof, err := lookup(b, os)
+	if err != nil {
+		return "", err
 	}
 	return core.ImpactReport(prof, timing)
 }
@@ -466,27 +450,32 @@ type ServerOverhead = core.ServerOverhead
 // showing it lands in the wire RTT, invisible to client-side calibration
 // (the paper's Section 7 extension).
 func MeasureServerOverhead(m Method, b Browser, os OS, opts Options, parseCosts []time.Duration) ([]ServerOverhead, error) {
-	cfg, err := optsToConfig(m, b, os, opts)
+	prof, err := lookup(b, os)
 	if err != nil {
 		return nil, err
 	}
-	return core.MeasureServerOverhead(cfg, parseCosts)
+	return core.MeasureServerOverhead(optsToConfig(m, prof, opts), parseCosts)
 }
 
 // ServerOverheadReport renders the server-side sweep for one profile.
 func ServerOverheadReport(b Browser, os OS, timing TimingFunc, runs int) (string, error) {
-	prof := browser.Lookup(b, os)
-	if prof == nil {
-		return "", fmt.Errorf("browsermetric: %v on %v is not a Table 2 configuration", b, os)
+	prof, err := lookup(b, os)
+	if err != nil {
+		return "", err
 	}
 	return core.ServerOverheadReport(prof, timing, runs)
 }
 
-func optsToConfig(m Method, b Browser, os OS, opts Options) (core.Config, error) {
-	prof := browser.Lookup(b, os)
-	if prof == nil {
-		return core.Config{}, fmt.Errorf("browsermetric: %v on %v is not a Table 2 configuration", b, os)
+// lookup returns the Table 2 profile of b on os.
+func lookup(b Browser, os OS) (*Profile, error) {
+	if prof := browser.Lookup(b, os); prof != nil {
+		return prof, nil
 	}
+	return nil, fmt.Errorf("browsermetric: %v on %v is not a Table 2 configuration", b, os)
+}
+
+// optsToConfig is the experiment configuration of m on prof under opts.
+func optsToConfig(m Method, prof *Profile, opts Options) core.Config {
 	if opts.OracleJRE {
 		prof = prof.WithOracleJRE()
 	}
@@ -503,7 +492,7 @@ func optsToConfig(m Method, b Browser, os OS, opts Options) (core.Config, error)
 		Testbed: opts.Testbed,
 		Tracer:  opts.Tracer,
 		Metrics: opts.Metrics,
-	}, nil
+	}
 }
 
 // --- Real-network mode ---

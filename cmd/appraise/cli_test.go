@@ -104,3 +104,82 @@ func TestSweepPinned(t *testing.T) {
 		t.Errorf("CSV digest %s, want %s", got, want)
 	}
 }
+
+// TestUnknownSelectorExits2 checks that a -table or -fig value the
+// outputs table does not hold is a usage error, not an empty success.
+func TestUnknownSelectorExits2(t *testing.T) {
+	for _, args := range [][]string{{"-table", "5"}, {"-fig", "7"}, {"-all", "-fig", "4a"}} {
+		stdout, stderr, code := appraise(t, t.TempDir(), args...)
+		if code != 2 || stdout != "" || stderr == "" {
+			t.Errorf("appraise %v: exit %d, stdout %q, stderr %q; want exit 2, no stdout and a message", args, code, stdout, stderr)
+		}
+	}
+}
+
+// TestFaultImpactMetricsMetersItsSweep checks that -metrics with
+// -faultimpact meters the fault-impact sweep, runs no Fig-3 study, and
+// writes the snapshot after the sweep.
+func TestFaultImpactMetricsMetersItsSweep(t *testing.T) {
+	dir := t.TempDir()
+	_, stderr, code := appraise(t, dir, "-faultimpact", "-runs", "2", "-cache-dir", "cache", "-metrics", "m.json")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if strings.Contains(stderr, "full matrix") {
+		t.Errorf("-faultimpact -metrics ran the Fig-3 study:\n%s", stderr)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, "m.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(snap), `"sweep_cache_stores_total": 40`) {
+		t.Errorf("snapshot lacks the sweep's 40 cache stores:\n%s", snap)
+	}
+}
+
+// TestFaultImpactProgressLines checks that -progress reaches the
+// fault-impact sweep: one line per cell of its 4 x 10 matrix.
+func TestFaultImpactProgressLines(t *testing.T) {
+	_, stderr, code := appraise(t, t.TempDir(), "-faultimpact", "-runs", "2", "-progress")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	n := 0
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(line, "cell ") {
+			n++
+		}
+	}
+	if n != 40 {
+		t.Errorf("%d progress lines, want 40:\n%s", n, stderr)
+	}
+}
+
+// TestSweepWithoutCacheDir checks that -sweep runs uncached without
+// -cache-dir and prints and writes what a sweep on a fresh cache does.
+func TestSweepWithoutCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-sweep", "-faults", "clean,lossy1pct", "-runs", "3"}
+	cached, stderr, code := appraise(t, dir, append(args, "-cache-dir", "cache", "-csv", "cached.csv")...)
+	if code != 0 {
+		t.Fatalf("cached: exit %d: %s", code, stderr)
+	}
+	uncached, stderr, code := appraise(t, dir, append(args, "-csv", "uncached.csv")...)
+	if code != 0 {
+		t.Fatalf("uncached: exit %d: %s", code, stderr)
+	}
+	if uncached != cached {
+		t.Errorf("uncached stdout differs from the cached sweep's:\n%s\nvs\n%s", uncached, cached)
+	}
+	a, errA := os.ReadFile(filepath.Join(dir, "cached.csv"))
+	b, errB := os.ReadFile(filepath.Join(dir, "uncached.csv"))
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("uncached CSV differs from the cached sweep's")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 3 {
+		t.Errorf("the uncached sweep left files behind: %v", entries)
+	}
+}

@@ -292,3 +292,38 @@ func TestDrainedQueueReportsStalled(t *testing.T) {
 		t.Fatalf("UDP under total loss: err = %v, want the 30s virtual timeout", err)
 	}
 }
+
+// TestJavaUDPResendsFollowTheirOwnRound checks the resend timer of Run's
+// Java UDP rounds at 30% frame loss: every re-sent probe leaves 500 ms
+// after the previous send of the same probe. A timer left over from an
+// answered round must not re-send the next round's probe early.
+func TestJavaUDPResendsFollowTheirOwnRound(t *testing.T) {
+	tb := testbed.New(testbed.Config{Seed: 9, LossRate: 0.3})
+	r := &Runner{TB: tb, Profile: browser.Lookup(browser.Chrome, browser.Ubuntu), Timing: browser.NanoTime}
+	resends := 0
+	for run := 0; run < 20; run++ {
+		r.RunIndex = run
+		tb.BeginRun()
+		res, err := r.Run(JavaUDP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := map[string]time.Duration{} // probe payload -> its latest send
+		for _, p := range tb.Cap.Packets() {
+			if p.UDP == nil || p.IP.Src != tb.ClientNIC.Addr || p.UDP.DstPort != res.ServerPort {
+				continue
+			}
+			if prev, ok := last[string(p.Payload)]; ok {
+				resends++
+				if gap := p.Time - prev; gap != udpRetryTimeout {
+					t.Errorf("run %d: probe %q re-sent %v after its previous send, want %v", run, p.Payload, gap, udpRetryTimeout)
+				}
+			}
+			last[string(p.Payload)] = p.Time
+		}
+		tb.Advance(time.Second)
+	}
+	if resends == 0 {
+		t.Fatal("no probe was re-sent at 30% frame loss")
+	}
+}

@@ -176,7 +176,7 @@ var pinnedRuns = map[string]string{
 	"O (W)/WebSocket":               "d7e8f3b448e09db7",
 	"O (W)/XHR GET":                 "6ae1209b6ec29932",
 	"O (W)/XHR POST":                "710312f051c24be0",
-	"lossy UDP runs":                "13c0e8b0ffd10133",
+	"lossy UDP runs":                "12069e8d4fa7327b",
 }
 
 // runDigest drives runs Runs of kind on one Runner over a fresh testbed,

@@ -782,9 +782,8 @@ type sockState struct {
 	payloadA [Rounds][]byte
 	pKind    Kind
 
-	// UDP timer state (see initCallbacks).
-	retry  eventsim.Event
-	retryK int
+	// retry is the pending Java UDP round's timer (see initCallbacks).
+	retry eventsim.Event
 
 	roundSpan, reqSpan, spSpan, edSpan *obs.Span
 
@@ -836,10 +835,7 @@ func (s *sockState) initCallbacks() {
 	// results are unchanged; the duplicate-echo guard in onEcho absorbs
 	// the case where both the original and a retry are answered.
 	s.retryFn = func() {
-		k := s.retryK
-		if s.pending != k {
-			return // round already completed
-		}
+		k := s.pending // the echo cancels the timer, so the round is open
 		if s.r.sh.GiveUp > 0 {
 			s.pending = 0
 			s.reqSpan.Done()
@@ -849,7 +845,7 @@ func (s *sockState) initCallbacks() {
 			return
 		}
 		s.r.sc.send(s.sent)
-		s.arm(k)
+		s.arm()
 	}
 	s.startRound1 = func() { s.round(1) }
 	s.onEchoFn = s.onEcho
@@ -869,22 +865,17 @@ func (s *sockState) sendProbe() {
 	}
 	s.r.sc.send(s.sent)
 	if s.spec.Kind == JavaUDP {
-		s.arm(s.k)
+		s.arm()
 	}
 }
 
-// arm starts the UDP timer of round k: the give-up wait of the shape, or
-// the resend interval when it has none. A run does not cancel its timer
-// when the echo lands, so a round's timer that fires during the next
-// round re-sends that round's probe early. Runs are pinned with that
-// timing (TestRunPinned), so only give-up timers are cancelled, in
-// onEcho.
-func (s *sockState) arm(k int) {
+// arm starts the pending round's UDP timer: the give-up wait of the
+// shape, or the resend interval when it has none.
+func (s *sockState) arm() {
 	wait := udpRetryTimeout
 	if s.r.sh.GiveUp > 0 {
 		wait = s.r.sh.GiveUp
 	}
-	s.retryK = k
 	s.retry = s.r.TB.Sim.Schedule(wait, s.retryFn)
 }
 
@@ -906,9 +897,7 @@ func (s *sockState) onEcho(p []byte) {
 		if !bytes.Equal(p, s.sent) {
 			return
 		}
-		if r.sh.GiveUp > 0 {
-			s.retry.Cancel()
-		}
+		s.retry.Cancel()
 	} else if s.got += len(p); s.got < len(s.sent) {
 		return
 	}

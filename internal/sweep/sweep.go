@@ -183,7 +183,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 			cb(opts.Faults[idx/n], cs)
 		}
 	}
-	start := time.Now()
 	all, err := core.RunCells(ctx, so, walk)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
@@ -192,22 +191,16 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	for i, j := range order {
 		cells[j] = all.Cells[i]
 	}
-	studies := core.SplitFaultStudies(so, opts.Faults, cells)
-	res := &Result{Options: opts, Faults: opts.Faults, Studies: studies}
-	for _, st := range studies {
-		for _, c := range st.Cells {
-			res.Stats.Cells++
-			switch {
-			case c.Skipped:
-				res.Stats.Skipped++
-			case c.Cached:
-				res.Stats.CachedHits++
-			default:
-				res.Stats.Computed++
-			}
-		}
-	}
-	res.Stats.Wall = time.Since(start)
+	// RunCells succeeded, so every cell finished; a skipped cell is never
+	// looked up in the cache.
+	st := all.Stats
+	res := &Result{Options: opts, Faults: opts.Faults, Studies: core.SplitFaultStudies(so, opts.Faults, cells), Stats: Stats{
+		Cells:      len(cfgs),
+		Skipped:    st.CellsSkipped,
+		Computed:   st.CellsFinished - st.CellsSkipped - st.CellsCached,
+		CachedHits: st.CellsCached,
+		Wall:       st.Wall,
+	}}
 	if cache != nil {
 		res.Stats.Corrupt = cache.Stats().Corrupt
 	}

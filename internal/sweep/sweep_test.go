@@ -408,3 +408,44 @@ func TestWriteCSVReportsWriteError(t *testing.T) {
 		t.Errorf("writer taking exactly %d bytes: err = %v", full.Len(), err)
 	}
 }
+
+// TestSweepStatsCountEveryCell checks Result.Stats against a walk of the
+// returned studies on a partly warm sweep, where computed, cached and
+// skipped cells all occur.
+func TestSweepStatsCountEveryCell(t *testing.T) {
+	opts := Options{
+		Methods:  []methods.Kind{methods.XHRGet, methods.WebSocket},
+		Profiles: windowsProfiles(t),
+		Faults:   []faults.Profile{faults.Clean},
+		Runs:     2,
+		Gap:      time.Second,
+		Dir:      t.TempDir(),
+	}
+	if _, err := Run(context.Background(), opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Faults = []faults.Profile{faults.Clean, faults.Lossy1pct}
+	res, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Stats
+	for _, st := range res.Studies {
+		for _, c := range st.Cells {
+			want.Cells++
+			switch {
+			case c.Skipped:
+				want.Skipped++
+			case c.Cached:
+				want.CachedHits++
+			default:
+				want.Computed++
+			}
+		}
+	}
+	got := res.Stats
+	got.Wall = 0
+	if got != want || want.Skipped == 0 || want.CachedHits == 0 || want.Computed == 0 {
+		t.Errorf("stats %+v, the cells count %+v (want every kind of cell)", got, want)
+	}
+}
